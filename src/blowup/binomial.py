@@ -268,7 +268,8 @@ def resolve(b: BinomialSystem,
     for sub, vf in vc.faces.items():
         fid = _coord_face_id(sub)
         for e in sq.elements:
-            if e.rsplit("/", 1)[0] == fid and sq.monoids[e] == vf.monoid:
+            if planar.morphism.node_map[e] == fid and \
+                    sq.monoids[e] == vf.monoid:
                 e_of[sub] = e
                 break
         assert sub in e_of, f"variety face {sub} missing from the " \

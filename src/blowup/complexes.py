@@ -9,11 +9,10 @@ space of a to the ambient space of b, acting on row vectors.
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from . import exactla as la
-from .errors import (NotAComplex, NotAFace, NotARefinement, NotInSupport,
-                     NotSmooth)
+from .errors import InvariantViolated, NotAComplex, NotARefinement
 from .monoids import MonoidHom, ToricMonoid
 from .monoids import fiber_product as monoid_fiber_product
 from .refinements import (MonoidRefinement, planar_refine, smoothing,
@@ -29,19 +28,28 @@ class MonoidalComplex:
                  face_maps: Dict[Tuple[str, str], la.Mat]):
         self.elements = tuple(sorted(monoids))
         self.monoids = dict(monoids)
-        rel = set((a, a) for a in self.elements)
-        rel.update(order)
-        # Transitive closure.
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(list(rel), list(rel)):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-        self.order = frozenset(rel)
-        for a, b in rel:
-            if a != b and (b, a) in rel:
+        succ: Dict[str, set] = {a: set() for a in self.elements}
+        for a, b in order:
+            succ.setdefault(a, set()).add(b)
+            succ.setdefault(b, set())
+        # Everything reachable from a, a included.
+        self._above: Dict[str, FrozenSet[str]] = {}
+        for a in succ:
+            seen, stack = {a}, [a]
+            while stack:
+                for b in succ[stack.pop()] - seen:
+                    seen.add(b)
+                    stack.append(b)
+            self._above[a] = frozenset(seen)
+        below: Dict[str, set] = {a: set() for a in succ}
+        for a, ups in self._above.items():
+            for b in ups:
+                below[b].add(a)
+        self._below = {b: frozenset(s) for b, s in below.items()}
+        self.order = frozenset((a, b) for a, ups in self._above.items()
+                               for b in ups)
+        for a, b in self.order:
+            if a != b and a in self._above[b]:
                 raise NotAComplex(f"order is not antisymmetric at {a}, {b}")
         self.face_maps = dict(face_maps)
         for a in self.elements:
@@ -52,33 +60,30 @@ class MonoidalComplex:
             a, b = pair
             if pair in self.face_maps:
                 continue
-            for c in self.elements:
-                if c not in (a, b) and self.leq(a, c) and self.leq(c, b) \
-                        and (a, c) in self.face_maps \
-                        and (c, b) in self.face_maps:
+            for c in sorted(self._above[a] & self._below[b] - {a, b}):
+                if (a, c) in self.face_maps and (c, b) in self.face_maps:
                     self.face_maps[pair] = la.mat_mul(
                         self.face_maps[(a, c)], self.face_maps[(c, b)])
                     break
         missing = [p for p in self._chains() if p not in self.face_maps]
         if missing:
             raise NotAComplex(f"missing face maps for {missing}")
+        self._image_faces: Dict[Tuple[str, str], ToricMonoid] = {}
 
     def _chains(self):
         return [(a, b) for (a, b) in sorted(self.order) if a != b]
 
     def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self.order
+        return b in self._above.get(a, ())
 
     def below(self, b: str) -> Tuple[str, ...]:
-        return tuple(a for a in self.elements if self.leq(a, b))
+        return tuple(sorted(self._below.get(b, ())))
 
     def above(self, a: str) -> Tuple[str, ...]:
-        return tuple(b for b in self.elements if self.leq(a, b))
+        return tuple(sorted(self._above.get(a, ())))
 
     def maximal_elements(self) -> Tuple[str, ...]:
-        return tuple(a for a in self.elements
-                     if all(not self.leq(a, b) or a == b
-                            for b in self.elements))
+        return tuple(a for a in self.elements if len(self._above[a]) == 1)
 
     def hom(self, a: str, b: str) -> MonoidHom:
         return MonoidHom(self.monoids[a], self.monoids[b],
@@ -86,7 +91,10 @@ class MonoidalComplex:
 
     def image_face(self, a: str, b: str) -> ToricMonoid:
         """The image of sigma_a inside sigma_b."""
-        return self.hom(a, b).image_monoid()
+        img = self._image_faces.get((a, b))
+        if img is None:
+            img = self._image_faces[(a, b)] = self.hom(a, b).image_monoid()
+        return img
 
     def is_smooth(self) -> bool:
         return all(m.is_smooth() for m in self.monoids.values())
@@ -213,8 +221,10 @@ class ComplexMorphism:
 
     def compose(self, then: "ComplexMorphism") -> "ComplexMorphism":
         """self followed by then (so self.target must be then.source)."""
-        assert self.target is then.source or \
-            self.target.elements == then.source.elements
+        if self.target is not then.source and \
+                self.target.elements != then.source.elements:
+            raise NotAComplex("morphisms do not compose: the first target "
+                              "is not the second source")
         node = {a: then.node_map[self.node_map[a]]
                 for a in self.source.elements}
         homs = {a: la.mat_mul(self.homs[a], then.homs[self.node_map[a]])
@@ -336,106 +346,69 @@ def assemble_from_local(q: MonoidalComplex,
             raise NotARefinement(f"no local refinement for {a}")
         if local[a].base != q.monoids[a]:
             raise NotARefinement(f"local refinement at {a} has wrong base")
-    for a, b in q._chains():
-        img_face = q.image_face(a, b)
-        h = q.face_maps[(a, b)]
-        mapped = set()
+    # The rays of the smallest face of q.monoids[a] containing each member.
+    carrier: Dict[Tuple[str, ToricMonoid], FrozenSet[la.Vec]] = {}
+    for a in q.elements:
+        sigma = q.monoids[a]
         for m in local[a].members:
-            mapped.add(MonoidHom(m, q.monoids[b], h).image_monoid())
-        localized = set(
-            m for m in local[b].members
-            if all(img_face.in_support(g) for g in m.rays))
-        if mapped != localized:
+            carrier[(a, m)] = frozenset(
+                sigma.smallest_face_containing(m.interior_point()).monoid.rays
+                if m.dim else ())
+    # images[(a, b)][m]: the image in q.monoids[b] of a member m of local[a].
+    images: Dict[Tuple[str, str], Dict[ToricMonoid, ToricMonoid]] = {}
+    for a, b in q._chains():
+        img_rays = set(q.image_face(a, b).rays)
+        h = q.face_maps[(a, b)]
+        images[(a, b)] = {m: MonoidHom(m, q.monoids[b], h).image_monoid()
+                          for m in local[a].members}
+        localized = set(m for m in local[b].members
+                        if carrier[(b, m)] <= img_rays)
+        if set(images[(a, b)].values()) != localized:
             raise NotARefinement(
                 f"local refinements at {a} and {b} disagree on the "
                 f"common face")
 
-    # Residence of each member: the element whose image face contains the
-    # member's relative interior.
-    residents: Dict[str, List[ToricMonoid]] = {a: [] for a in q.elements}
-    for a in q.elements:
-        sigma = q.monoids[a]
-        for m in local[a].members:
-            if m.dim == 0:
-                if sigma.dim == 0:
-                    residents[a].append(m)
-                continue
-            f = sigma.smallest_face_containing(m.interior_point())
-            if f.monoid == sigma:
-                residents[a].append(m)
-    ids: Dict[Tuple[str, int], str] = {}
+    # A new element for each member of local[c] whose relative interior is
+    # in that of q.monoids[c] (its home c), numbered in key order (the
+    # order of local[c].members); it is found over every element a above
+    # c by its image in a.
     monoids: Dict[str, ToricMonoid] = {}
-    where: Dict[Tuple[str, tuple], str] = {}
-    for a in q.elements:
-        residents[a].sort(key=lambda m: m.key)
-        for k, m in enumerate(residents[a]):
-            eid = f"{a}/{k}"
+    home: Dict[str, str] = {}
+    index: Dict[Tuple[str, ToricMonoid], str] = {}
+    for c in q.elements:
+        whole = frozenset(q.monoids[c].rays)
+        residents = [m for m in local[c].members if carrier[(c, m)] == whole]
+        for k, m in enumerate(residents):
+            eid = f"{c}/{k}"
             monoids[eid] = m
-            where[(a, m.key)] = eid
+            home[eid] = c
+            for a in q.above(c):
+                img = m if a == c else images[(c, a)][m]
+                index.setdefault((a, img), eid)
 
-    def find_element(a: str, m: ToricMonoid) -> str:
-        """The element id of a member m of local[a]."""
-        sigma = q.monoids[a]
-        if m.dim == 0:
-            home = next(c for c in q.below(a)
-                        if q.monoids[c].dim == 0)
-            trivial = ToricMonoid.trivial(q.monoids[home].ambient_dim)
-            return where[(home, trivial.key)]
-        f = sigma.smallest_face_containing(m.interior_point())
-        if f.monoid == sigma:
-            return where[(a, m.key)]
-        # Find the unique element below a giving this face, pull back m.
-        for c in q.below(a):
-            if c == a:
-                continue
-            if q.image_face(c, a) == f.monoid:
-                pulled = _preimage_monoid(m, q.monoids[c],
-                                          q.face_maps[(c, a)])
-                return where[(c, pulled.key)]
-        raise NotAComplex(f"face {f.monoid.rays} of {a} has no element")
+    def element_at(a: str, m: ToricMonoid) -> str:
+        eid = index.get((a, m))
+        if eid is None:
+            raise NotARefinement(
+                f"member {m.rays} of the local refinement at {a} is not "
+                "the image of any glued element")
+        return eid
 
     order = []
     maps = {}
     for a in q.elements:
         for m in local[a].members:
-            e_m = find_element(a, m)
+            e_m = element_at(a, m)
             for f in m.face_monoids():
-                e_f = find_element(a, f)
+                e_f = element_at(a, f)
                 if e_f != e_m:
-                    ca = e_f.rsplit("/", 1)[0]
-                    cb = e_m.rsplit("/", 1)[0]
                     order.append((e_f, e_m))
-                    maps[(e_f, e_m)] = q.face_maps[(ca, cb)]
+                    maps[(e_f, e_m)] = q.face_maps[(home[e_f], home[e_m])]
     source = MonoidalComplex(monoids, order, maps)
-    node = {}
-    homs = {}
-    for eid in source.elements:
-        a = eid.rsplit("/", 1)[0]
-        node[eid] = a
-        homs[eid] = la.identity(q.monoids[a].ambient_dim)
+    node = {eid: home[eid] for eid in source.elements}
+    homs = {eid: la.identity(q.monoids[a].ambient_dim)
+            for eid, a in node.items()}
     return ComplexRefinement(ComplexMorphism(source, q, node, homs))
-
-
-def _preimage_monoid(m: ToricMonoid, src: ToricMonoid,
-                     face_map: la.Mat) -> ToricMonoid:
-    """Pull a monoid supported on the image of src back along an injective
-    face map."""
-    big = la.mat_mul(src.lattice, face_map)
-    lat = [la.apply_row(_int_vec(la.solve_row(row, big)), src.lattice)
-           for row in m.lattice]
-    rays = [la.apply_row(_int_vec(la.solve_row(g, big)), src.lattice)
-            for g in m.rays]
-    return ToricMonoid.make(src.ambient_dim, lat, rays)
-
-
-def _int_vec(c) -> la.Vec:
-    from fractions import Fraction
-    out = []
-    for x in c:
-        f = Fraction(x)
-        assert f.denominator == 1, "expected an integral solution"
-        out.append(int(f))
-    return tuple(out)
 
 
 def reassemble(r: ComplexRefinement) -> ComplexRefinement:
@@ -621,7 +594,9 @@ def natural_smooth_refinement(q: MonoidalComplex) -> ComplexRefinement:
     guard = 0
     while True:
         guard += 1
-        assert guard < 1000, "natural smooth refinement did not terminate"
+        if guard >= 1000:
+            raise InvariantViolated(
+                "natural smooth refinement did not terminate")
         scores = {a: nsdim(current.monoids[a]) for a in current.elements}
         k = max(scores.values(), default=0)
         if k == 0:
@@ -646,8 +621,9 @@ def natural_smooth_refinement(q: MonoidalComplex) -> ComplexRefinement:
                       for b in current.elements}
         new_k = max(new_scores.values(), default=0)
         new_count = sum(1 for s in new_scores.values() if s == k)
-        assert (new_k < k) or (new_count < count_k), \
-            "subdivision must strictly reduce the nsdim measure"
+        if new_k >= k and new_count >= count_k:
+            raise InvariantViolated(
+                "subdivision must strictly reduce the nsdim measure")
     return total.compose(smooth_complex(current))
 
 

@@ -51,3 +51,7 @@ class DependentDifferentials(BlowupError):
 
 class NotTransverse(BlowupError):
     """b-maps fail combinatorial b-transversality."""
+
+
+class InvariantViolated(BlowupError):
+    """An algorithm's own invariant failed (a defect, not bad input)."""

@@ -15,10 +15,6 @@ QVec = Tuple[Fraction, ...]
 Mat = Tuple[Vec, ...]
 
 
-def vec(entries) -> tuple:
-    return tuple(entries)
-
-
 def mat(rows) -> tuple:
     return tuple(tuple(r) for r in rows)
 
@@ -72,13 +68,6 @@ def apply_row(v, m):
     assert len(v) == len(m), (len(v), len(m))
     cols = len(m[0]) if m else 0
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(cols))
-
-
-def stack(*mats):
-    rows = []
-    for m in mats:
-        rows.extend(m)
-    return tuple(rows)
 
 
 def block_diag(a, b):
@@ -343,10 +332,6 @@ def solve_row_int(v, m) -> Optional[Vec]:
     if any(x != 0 for x in rem):
         return None
     return apply_row(tuple(coeff), u)
-
-
-def in_row_lattice(v, m) -> bool:
-    return solve_row_int(v, m) is not None
 
 
 def right_kernel_q(m) -> Tuple[QVec, ...]:

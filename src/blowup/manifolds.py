@@ -222,12 +222,6 @@ class Blowup:
     blowdown: BMap
     refinement: ComplexRefinement
 
-    def element_of_face(self, face_id: str) -> str:
-        return face_id
-
-    def face_monoid(self, face_id: str) -> ToricMonoid:
-        return self.refinement.source.monoids[face_id]
-
 
 def generalized_blowup(x: CornerComplex, r: ComplexRefinement) -> Blowup:
     """Blow up x along a smooth refinement r of its basic complex.

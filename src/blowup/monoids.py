@@ -6,12 +6,18 @@ subspace as the lattice.  The lattice is a sublattice of an ambient Z^d,
 given by a Hermite-reduced row basis; the cone is given by its extreme
 rays, each scaled to the primitive lattice point on the ray.  Two monoids
 are equal iff their canonical data agree.
+
+Monoids are interned: while one is alive, every construction with equal
+canonical data returns that same object, so derived data (lattice
+coordinates of the rays, facets, faces, Hilbert basis) is computed once
+per distinct monoid.  The table holds weak references, so monoids no
+longer referenced elsewhere are freed.
 """
 
 import itertools
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from . import exactla as la
@@ -26,7 +32,8 @@ class ToricMonoid:
     """N cap C for a sublattice N of Z^d and a pointed cone C with
     span(C) = span(N)."""
 
-    __slots__ = ("ambient_dim", "lattice", "rays", "_cache")
+    __slots__ = ("ambient_dim", "lattice", "rays", "_hash", "_cache",
+                 "__weakref__")
 
     def __init__(self, ambient_dim: int, lattice: Mat, rays: Mat,
                  _canonical: bool = False):
@@ -35,6 +42,7 @@ class ToricMonoid:
         self.ambient_dim = ambient_dim
         self.lattice = lattice  # HNF row basis of N, possibly ()
         self.rays = rays        # sorted primitive extremal lattice points
+        self._hash = hash(self.key)
         self._cache = {}
 
     # -- construction -------------------------------------------------------
@@ -76,7 +84,7 @@ class ToricMonoid:
             raise NotSharp("cone contains a line")
         ext = _extremal_subset(coords, r)
         rays = tuple(sorted(la.apply_row(c, lattice) for c in ext))
-        return cls(ambient_dim, lattice, rays, _canonical=True)
+        return _intern(ambient_dim, lattice, rays)
 
     @classmethod
     def from_generators(cls, ambient_dim: int,
@@ -102,13 +110,12 @@ class ToricMonoid:
 
     @classmethod
     def trivial(cls, ambient_dim: int) -> "ToricMonoid":
-        return cls(ambient_dim, (), (), _canonical=True)
+        return _intern(ambient_dim, (), ())
 
     @classmethod
     def free(cls, n: int) -> "ToricMonoid":
         """Z_+^n in ambient Z^n."""
-        return cls(n, la.identity(n), tuple(sorted(la.identity(n))),
-                   _canonical=True)
+        return _intern(n, la.identity(n), tuple(sorted(la.identity(n))))
 
     # -- canonical identity --------------------------------------------------
 
@@ -117,10 +124,11 @@ class ToricMonoid:
         return (self.ambient_dim, self.lattice, self.rays)
 
     def __eq__(self, other):
-        return isinstance(other, ToricMonoid) and self.key == other.key
+        return self is other or (isinstance(other, ToricMonoid)
+                                 and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self):
         return (f"ToricMonoid(dim={self.dim}, ambient={self.ambient_dim}, "
@@ -247,25 +255,25 @@ class ToricMonoid:
         return self._cached("face_sets", build)
 
     def _face_from_set(self, gen_set: frozenset) -> "Face":
-        coords = self.ray_coords()
-        facets = self.facet_normals()
-        sub = tuple(coords[i] for i in sorted(gen_set))
-        span_basis = _saturated_span(sub, self.dim)
-        lattice = la.mat_mul(span_basis, self.lattice) if span_basis else ()
-        monoid = ToricMonoid(self.ambient_dim,
+        def build():
+            coords = self.ray_coords()
+            sub = tuple(coords[i] for i in sorted(gen_set))
+            span_basis = _saturated_span(sub, self.dim)
+            lattice = la.mat_mul(span_basis, self.lattice) \
+                if span_basis else ()
+            monoid = _intern(self.ambient_dim,
                              la.row_space_basis(lattice) if lattice else (),
                              tuple(sorted(self.rays[i]
-                                          for i in sorted(gen_set))),
-                             _canonical=True)
-        vanish = [u for u in facets
-                  if all(la.dot(u, c) == 0 for c in sub)]
-        u_r = la.zeros(self.dim)
-        for u in vanish:
-            u_r = la.vadd(u_r, u)
-        functional = self._extend_functional(u_r)
-        return Face(monoid=monoid, parent=self,
-                    generator_indices=tuple(sorted(gen_set)),
-                    functional=functional)
+                                          for i in sorted(gen_set))))
+            vanish = [u for u in self.facet_normals()
+                      if all(la.dot(u, c) == 0 for c in sub)]
+            u_r = la.zeros(self.dim)
+            for u in vanish:
+                u_r = la.vadd(u_r, u)
+            return Face(monoid=monoid, parent=self,
+                        generator_indices=tuple(sorted(gen_set)),
+                        functional=self._extend_functional(u_r))
+        return self._cached(("face", gen_set), build)
 
     def _extend_functional(self, u_lattice) -> Vec:
         """Ambient integer functional restricting to u_lattice on the
@@ -291,9 +299,6 @@ class ToricMonoid:
 
     def face_monoids(self) -> Tuple["ToricMonoid", ...]:
         return tuple(f.monoid for f in self.faces())
-
-    def proper_face_monoids(self) -> Tuple["ToricMonoid", ...]:
-        return tuple(f.monoid for f in self.faces() if f.monoid != self)
 
     def facet_faces(self) -> Tuple["Face", ...]:
         return tuple(f for f in self.faces() if f.monoid.dim == self.dim - 1)
@@ -389,6 +394,20 @@ class ToricMonoid:
         if tau.dim == 0:
             return True
         return tau == self.intersect_with_subspace(tau.lattice)
+
+
+_interned: "weakref.WeakValueDictionary[tuple, ToricMonoid]" = \
+    weakref.WeakValueDictionary()
+
+
+def _intern(ambient_dim: int, lattice: Mat, rays: Mat) -> ToricMonoid:
+    """The live monoid with this canonical data, made if there is none."""
+    key = (ambient_dim, lattice, rays)
+    monoid = _interned.get(key)
+    if monoid is None:
+        monoid = ToricMonoid(ambient_dim, lattice, rays, _canonical=True)
+        _interned[key] = monoid
+    return monoid
 
 
 def _extremal_subset(coords, r):
@@ -682,6 +701,12 @@ class MonoidHom:
         isomorphic image)."""
         lattice = la.mat_mul(self.source.lattice, self.matrix)
         rays = [self.apply(g) for g in self.source.rays]
+        basis = la.row_space_basis(lattice)
+        if len(basis) == self.source.dim:
+            # Injective on the lattice: an isomorphism onto the image
+            # lattice keeps the rays extremal and primitive.
+            return _intern(self.target.ambient_dim, basis,
+                           tuple(sorted(rays)))
         return ToricMonoid.make(self.target.ambient_dim, lattice, rays)
 
     def compose(self, then: "MonoidHom") -> "MonoidHom":

@@ -6,7 +6,8 @@ import pytest
 
 from blowup import exactla as la
 from blowup.complexes import (ComplexMorphism, ComplexRefinement,
-                              MonoidalComplex, complex_from_monoid,
+                              MonoidalComplex, assemble_from_local,
+                              complex_from_monoid,
                               extend_refinement, fiber_product_complex,
                               identity_refinement, is_fully_nonsimplicial,
                               morphism_to_point, mutual_smooth_refinement,
@@ -14,9 +15,10 @@ from blowup.complexes import (ComplexMorphism, ComplexRefinement,
                               planar_refine_complex, product_complex,
                               pullback_refinement, smooth_complex,
                               star_subdivide_complex, terminal_complex)
-from blowup.errors import NotAComplex
+from blowup.errors import NotAComplex, NotARefinement
 from blowup.monoids import ToricMonoid
-from blowup.refinements import star_subdivide, trivial_refinement
+from blowup.refinements import (MonoidRefinement, star_subdivide,
+                                trivial_refinement)
 
 from test_monoids import random_positive_monoid
 from test_refinements import check_cover
@@ -121,6 +123,30 @@ class TestStarSubdivideComplex:
         top = top_element(q)
         assert len([e for e in r.members_over(top)
                     if r.source.monoids[e].dim == 3]) == 2
+
+
+class TestAssemble:
+    def test_member_without_its_faces_rejected(self):
+        # The subdivided cones without their common interior ray: the
+        # family agrees on every boundary face, but the index of glued
+        # elements has no entry for the missing ray.
+        q, _ = quadrant_complex()
+        top = top_element(q)
+        star = star_subdivide(q.monoids[top], (1, 1))
+        local = {a: trivial_refinement(q.monoids[a]) for a in q.elements}
+        local[top] = MonoidRefinement(
+            q.monoids[top], [m for m in star.members if m.rays != ((1, 1),)])
+        with pytest.raises(NotARefinement):
+            assemble_from_local(q, local)
+
+    def test_disagreeing_faces_rejected(self):
+        q, _ = complex_from_monoid(ToricMonoid.free(3))
+        facet = next(a for a in q.elements
+                     if q.monoids[a].rays == ((0, 1, 0), (1, 0, 0)))
+        local = {a: trivial_refinement(q.monoids[a]) for a in q.elements}
+        local[facet] = star_subdivide(q.monoids[facet], (1, 1, 0))
+        with pytest.raises(NotARefinement):
+            assemble_from_local(q, local)
 
 
 class TestNaturalSmooth:

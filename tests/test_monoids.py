@@ -1,14 +1,19 @@
 """Tests for toric monoids against brute-force lattice oracles."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup import exactla as la
-from blowup.errors import (NotInSupport, NotPointedLattice, NotSaturated,
-                           NotSharp)
+from blowup import monoids
+from blowup.errors import (BlowupError, NotInSupport, NotPointedLattice,
+                           NotSaturated, NotSharp)
 from blowup.monoids import MonoidHom, ToricMonoid, fiber_product
 
 
@@ -243,3 +248,65 @@ class TestHoms:
         assert sorted(fp.rays) == [(0, 1, 0, 1), (0, 1, 1, 0),
                                    (1, 0, 0, 1), (1, 0, 1, 0)]
         assert not fp.is_simplicial()
+
+
+class TestInterning:
+    def test_equal_data_is_the_same_object(self):
+        a = ToricMonoid.make(2, la.identity(2), [(1, 0), (1, 2)])
+        b = ToricMonoid.make(2, [(1, 1), (0, 1)], [(3, 6), (2, 0), (2, 1)])
+        assert a is b
+        assert ToricMonoid.make(2, la.identity(2), [(1, 0), (0, 1)]) \
+            is ToricMonoid.free(2)
+        face = a.smallest_face_containing((1, 2))
+        assert face is a.smallest_face_containing((2, 4))
+        assert face.monoid is ToricMonoid.make(2, [(1, 2)], [(1, 2)])
+
+    def test_table_drops_unreferenced_monoids(self):
+        m = ToricMonoid.make(3, la.identity(3),
+                             [(1, 0, 0), (1, 7, 0), (1, 0, 9), (1, 5, 8)])
+        m.hilbert_basis()  # caches faces that point back at m
+        key = m.key
+        assert monoids._interned.get(key) is m
+        del m
+        gc.collect()
+        assert key not in monoids._interned
+
+
+@st.composite
+def monoid_and_matrix(draw):
+    """A random monoid (a random face of a random positive monoid, so the
+    lattice may be a proper sublattice) and a random integer matrix from
+    its ambient space."""
+    dim = draw(st.integers(1, 3))
+    sigma = random_positive_monoid(random.Random(draw(st.integers(0, 999))),
+                                   dim)
+    m = draw(st.sampled_from(sigma.face_monoids()))
+    cols = draw(st.integers(1, 4))
+    matrix = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * cols),
+                           min_size=dim, max_size=dim))
+    return m, la.mat(matrix)
+
+
+class TestImageMonoid:
+    @settings(max_examples=80, deadline=None)
+    @given(monoid_and_matrix())
+    def test_injective_shortcut_matches_make(self, data):
+        m, matrix = data
+        cols = len(matrix[0])
+        lattice = la.mat_mul(m.lattice, matrix)
+        rays = [la.apply_row(g, matrix) for g in m.rays]
+        injective = m.dim == 0 or la.rank(lattice) == m.dim
+        hom = MonoidHom(m, ToricMonoid.trivial(cols), matrix)
+        with mock.patch.object(ToricMonoid, "make",
+                               side_effect=ToricMonoid.make) as make:
+            try:
+                got, raised = hom.image_monoid(), None
+            except BlowupError as e:
+                got, raised = None, type(e)
+        assert make.called == (not injective)
+        try:
+            expected = ToricMonoid.make(cols, lattice, rays)
+        except BlowupError as e:
+            assert raised is type(e)
+        else:
+            assert raised is None and got.key == expected.key
