@@ -128,8 +128,8 @@ def cmd_subdivide(args) -> Dict[str, Any]:
     if failures:
         raise BlowupError(f"subdivision invalid: {failures[0].detail}")
     doc = _members_doc(r)
+    doc["member_list"] = doc["members"]
     doc["members"] = len(r.members)
-    doc["member_list"] = _members_doc(r)["members"]
     return doc
 
 

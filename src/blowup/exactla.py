@@ -7,7 +7,7 @@ is arbitrary precision; no floats.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence, Tuple
 
 Vec = Tuple[int, ...]
@@ -97,15 +97,16 @@ def primitive(v: Vec) -> Vec:
     return tuple(x // g for x in v)
 
 
+def scale_to_int(v) -> Vec:
+    """A rational vector times the lcm of its entries' denominators: an
+    integer vector, not made primitive."""
+    d = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v)
+
+
 def clear_denominators(v) -> Vec:
     """Scale a rational vector to a primitive integer vector."""
-    fracs = [Fraction(x) for x in v]
-    if all(f == 0 for f in fracs):
-        raise ValueError("zero vector has no primitive representative")
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return primitive(tuple(int(f * lcm) for f in fracs))
+    return primitive(scale_to_int(v))
 
 
 def hermite_normal_form(m: Mat) -> Tuple[Mat, Mat]:
@@ -253,35 +254,54 @@ def saturated_kernel(m: Mat) -> Mat:
 
 
 def rank(m: Mat) -> int:
-    return len(row_space_basis_q(m))
+    return len(_integer_rref(m)[0])
+
+
+def _integer_rref(m):
+    """Reduced row echelon form of the rational row span of m, kept in
+    integers: fraction-free elimination, where rows are combined by
+    cross-multiplication and divided by the gcd of their entries.
+
+    Returns (rows, pivots), sorted by pivot column: each row is primitive
+    with a positive entry at its pivot and zeros at every other row's
+    pivot.  Dividing each row by its pivot entry gives the unique RREF.
+    """
+    cols = len(m[0]) if m else 0
+    basis = []
+    pivots = []
+    for row in m:
+        if len(basis) == cols:
+            break
+        r = scale_to_int(row)
+        for b, p in zip(basis, pivots):
+            c = r[p]
+            if c:
+                bp = b[p]
+                r = [bp * x - c * y for x, y in zip(r, b)]
+        lead = next((j for j in range(cols) if r[j]), None)
+        if lead is None:
+            continue
+        g = vec_gcd(r) if r[lead] > 0 else -vec_gcd(r)
+        r = [x // g for x in r]
+        rl = r[lead]
+        # Clear the new pivot column in the existing rows.
+        for i, b in enumerate(basis):
+            f = b[lead]
+            if f:
+                b = [rl * x - f * y for x, y in zip(b, r)]
+                g = vec_gcd(b)
+                basis[i] = [x // g for x in b]
+        basis.append(r)
+        pivots.append(lead)
+    order = sorted(range(len(basis)), key=pivots.__getitem__)
+    return [basis[i] for i in order], [pivots[i] for i in order]
 
 
 def row_space_basis_q(m) -> Tuple[QVec, ...]:
     """Reduced row echelon basis of the rational row span of m."""
-    rows = [[Fraction(x) for x in r] for r in m]
-    basis = []
-    cols = len(m[0]) if m else 0
-    pivots = []
-    for r in rows:
-        r = list(r)
-        for b, p in zip(basis, pivots):
-            if r[p] != 0:
-                c = r[p]
-                r = [x - c * y for x, y in zip(r, b)]
-        lead = next((j for j in range(cols) if r[j] != 0), None)
-        if lead is None:
-            continue
-        c = r[lead]
-        r = [x / c for x in r]
-        # Clear the new pivot column in the existing rows.
-        for i, b in enumerate(basis):
-            if b[lead] != 0:
-                f = b[lead]
-                basis[i] = [x - f * y for x, y in zip(b, r)]
-        basis.append(r)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return tuple(tuple(basis[i]) for i in order)
+    rows, pivots = _integer_rref(m)
+    return tuple(tuple(Fraction(x, b[p]) for x in b)
+                 for b, p in zip(rows, pivots))
 
 
 def solve_row(v, m) -> Optional[QVec]:
@@ -314,41 +334,53 @@ def solve_row(v, m) -> Optional[QVec]:
     return tuple(x)
 
 
+def solve_row_echelon(v, h) -> Optional[QVec]:
+    """Rational x with x @ h == v, or None, for h with independent rows in
+    row echelon form (such as a Hermite normal form without its zero
+    rows): forward substitution on the pivot columns, fraction-free until
+    the result."""
+    den = lcm(*(x.denominator for x in v))
+    rem = [x.numerator * (den // x.denominator) for x in v]
+    out = []
+    for row in h:
+        p = next(j for j, x in enumerate(row) if x)
+        c = rem[p]
+        if c:
+            hp = row[p]
+            out.append(Fraction(c, den * hp))
+            rem = [hp * x - c * y for x, y in zip(rem, row)]
+            den *= hp
+        else:
+            out.append(Fraction(0))
+    if any(rem):
+        return None
+    return tuple(out)
+
+
 def solve_row_int(v, m) -> Optional[Vec]:
     """Integer x with x @ m == v, or None."""
     h, u = hermite_normal_form(m)
-    # Express v in terms of the nonzero rows of h by forward substitution.
-    nz = [i for i in range(len(h)) if not is_zero(h[i])]
-    rem = [Fraction(x) for x in v]
-    coeff = [0] * len(h)
-    for i in nz:
-        lead = next(j for j in range(len(h[i])) if h[i][j] != 0)
-        if rem[lead] != 0:
-            c = rem[lead] / h[i][lead]
-            if c.denominator != 1:
-                return None
-            coeff[i] = int(c)
-            rem = [x - coeff[i] * y for x, y in zip(rem, h[i])]
-    if any(x != 0 for x in rem):
+    nz = [r for r in h if not is_zero(r)]
+    x = solve_row_echelon(v, nz)
+    if x is None or any(c.denominator != 1 for c in x):
         return None
-    return apply_row(tuple(coeff), u)
+    coeff = tuple(c.numerator for c in x) + zeros(len(h) - len(nz))
+    return apply_row(coeff, u)
 
 
 def right_kernel_q(m) -> Tuple[QVec, ...]:
     """Basis of {u : m @ u^T = 0} over Q, i.e. functionals vanishing on the
     rows of m."""
-    rows, cols = shape(m)
-    basis = row_space_basis_q(m)
-    pivots = []
-    for b in basis:
-        pivots.append(next(j for j in range(cols) if b[j] != 0))
-    free = [j for j in range(cols) if j not in pivots]
+    cols = len(m[0]) if m else 0
+    rows, pivots = _integer_rref(m)
     out = []
-    for f in free:
+    for f in range(cols):
+        if f in pivots:
+            continue
         u = [Fraction(0)] * cols
         u[f] = Fraction(1)
-        for b, p in zip(basis, pivots):
-            u[p] = -b[f]
+        for b, p in zip(rows, pivots):
+            u[p] = Fraction(-b[f], b[p])
         out.append(tuple(u))
     return tuple(out)
 
@@ -403,7 +435,11 @@ def inverse_q(m) -> Tuple[QVec, ...]:
 # eliminated up front by restricting to their kernel.  Solving is by
 # Fourier-Motzkin elimination, which stays exact for strict inequalities:
 # the combination of a lower and an upper bound is strict iff either parent
-# is.  Fine for the dimensions that arise here (at most ~12).
+# is.  Its constraint count can grow doubly exponentially with the
+# dimension, so only callers that need a witness point use it (the sign
+# search in binomial resolution and the chart separators in
+# manifolds.local_atlas); sharpness, extremality and gradings of toric
+# monoids come from facet normals instead (see monoids).
 # ---------------------------------------------------------------------------
 
 
@@ -490,15 +526,8 @@ def lp_feasible(dim: int,
     exists.  Deterministic: elimination order is fixed (last variable
     first) and the witness is built by midpoint back-substitution.
     """
-    zero = [tuple(Fraction(c) for c in z) for z in zero]
     if zero:
-        int_rows = []
-        for z in zero:
-            lcm = 1
-            for f in z:
-                lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-            int_rows.append(tuple(int(f * lcm) for f in z))
-        kernel = right_kernel_q(tuple(int_rows))
+        kernel = right_kernel_q(tuple(scale_to_int(z) for z in zero))
         if not kernel:
             if any(True for _ in strict):
                 return None

@@ -7,6 +7,15 @@ given by a Hermite-reduced row basis; the cone is given by its extreme
 rays, each scaled to the primitive lattice point on the ray.  Two monoids
 are equal iff their canonical data agree.
 
+Construction decides sharpness and extremality from the facet normals of
+the cone spanned by the generators, with no linear programming: the
+normals are the extreme rays of the dual cone (one routine,
+_enumerate_rays, serves both directions of cone duality); the cone is
+pointed iff they have full rank r, and a generator spans an extreme ray
+iff the facets vanishing on it have rank r - 1.  The sum of the facet
+normals is a grading, strictly positive on every nonzero point of the
+monoid, which bounds the saturation search of from_generators.
+
 Monoids are interned: while one is alive, every construction with equal
 canonical data returns that same object, so derived data (lattice
 coordinates of the rays, facets, faces, Hilbert basis) is computed once
@@ -14,6 +23,7 @@ per distinct monoid.  The table holds weak references, so monoids no
 longer referenced elsewhere are freed.
 """
 
+import functools
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -21,8 +31,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import exactla as la
-from .errors import (NotAFace, NotInSupport, NotPointedLattice, NotSaturated,
-                     NotSharp, NotSimplicial)
+from .errors import (InvariantViolated, NotAFace, NotInSupport,
+                     NotPointedLattice, NotSaturated, NotSharp, NotSimplicial)
 
 Vec = la.Vec
 Mat = la.Mat
@@ -62,28 +72,24 @@ class ToricMonoid:
         """
         lattice = la.row_space_basis(la.mat(lattice_rows))
         r = len(lattice)
-        coords = []
+        coords = set()
         for g in cone_generators:
             if la.is_zero(g):
                 continue
-            c = la.solve_row(g, lattice) if r else None
+            c = la.solve_row_echelon(g, lattice)
             if c is None:
                 raise NotPointedLattice(
                     f"generator {tuple(g)} outside the lattice span")
-            coords.append(la.clear_denominators(c))
-        seen = set()
-        dedup = []
-        for c in coords:
-            if c not in seen:
-                seen.add(c)
-                dedup.append(c)
-        coords = dedup
-        if la.rank(la.mat(coords)) != r if coords else r != 0:
+            coords.add(la.clear_denominators(c))
+        coords = sorted(coords)
+        if la.rank(coords) != r:
             raise NotPointedLattice("cone does not span the lattice span")
-        if coords and la.lp_feasible(r, strict=coords) is None:
+        facets = _enumerate_rays(coords, r)
+        if la.rank(facets) != r:
             raise NotSharp("cone contains a line")
-        ext = _extremal_subset(coords, r)
-        rays = tuple(sorted(la.apply_row(c, lattice) for c in ext))
+        rays = tuple(sorted(
+            la.apply_row(c, lattice) for c in coords
+            if la.rank([u for u in facets if la.dot(u, c) == 0]) == r - 1))
         return _intern(ambient_dim, lattice, rays)
 
     @classmethod
@@ -101,9 +107,11 @@ class ToricMonoid:
                                               if not la.is_zero(g)])
         gen_coords = [monoid.lattice_coords_int(g) for g in gens
                       if not la.is_zero(g)]
+        grading = functools.reduce(la.vadd, monoid.facet_normals(),
+                                   la.zeros(monoid.dim))
         for h in monoid.hilbert_basis():
             c = monoid.lattice_coords_int(h)
-            if _nonneg_int_combination(c, gen_coords) is None:
+            if _nonneg_int_combination(c, gen_coords, grading) is None:
                 raise NotSaturated(f"lattice point {h} is in the saturation "
                                    "but not the generated monoid")
         return monoid
@@ -151,8 +159,9 @@ class ToricMonoid:
         def build():
             out = []
             for g in self.rays:
-                c = la.solve_row_int(g, self.lattice)
-                assert c is not None
+                c = self.lattice_coords_int(g)
+                if c is None:
+                    raise InvariantViolated(f"ray {g} outside the lattice")
                 out.append(c)
             return tuple(out)
         return self._cached("ray_coords", build)
@@ -165,14 +174,13 @@ class ToricMonoid:
     def lattice_coords(self, v) -> Optional[Tuple[Fraction, ...]]:
         """Rational coordinates of v in the lattice basis, or None if v is
         outside the lattice span."""
-        if self.dim == 0:
-            return () if la.is_zero(v) else None
-        return la.solve_row(v, self.lattice)
+        return la.solve_row_echelon(v, self.lattice)
 
     def lattice_coords_int(self, v) -> Optional[Vec]:
-        if self.dim == 0:
-            return () if la.is_zero(v) else None
-        return la.solve_row_int(v, self.lattice)
+        c = self.lattice_coords(v)
+        if c is None or any(x.denominator != 1 for x in c):
+            return None
+        return tuple(x.numerator for x in c)
 
     def from_coords(self, c) -> Vec:
         if self.dim == 0:
@@ -182,7 +190,7 @@ class ToricMonoid:
     def facet_normals(self) -> Mat:
         """Primitive integer facet normals, in lattice coordinates."""
         return self._cached(
-            "facets", lambda: _facet_normals(self.ray_coords(), self.dim))
+            "facets", lambda: _enumerate_rays(self.ray_coords(), self.dim))
 
     def contains(self, v) -> bool:
         """Monoid membership for an integer ambient vector."""
@@ -281,13 +289,10 @@ class ToricMonoid:
         if self.dim == 0 or la.is_zero(u_lattice):
             return la.zeros(self.ambient_dim)
         sol = la.solve_row(u_lattice, la.transpose(self.lattice))
-        assert sol is not None
-        lcm = 1
-        from math import gcd as _gcd
-        for f in sol:
-            fr = Fraction(f)
-            lcm = lcm * fr.denominator // _gcd(lcm, fr.denominator)
-        return tuple(int(Fraction(f) * lcm) for f in sol)
+        if sol is None:
+            raise InvariantViolated(
+                f"functional {u_lattice} does not extend to the ambient")
+        return la.scale_to_int(sol)
 
     def faces(self) -> Tuple["Face", ...]:
         """All faces, ordered by dimension then by canonical key."""
@@ -382,8 +387,7 @@ class ToricMonoid:
             if not self.is_full_submonoid(t):
                 raise NotAFace(f"{t} is not a full submonoid")
         gens = tau1.rays + tau2.rays
-        span = _saturated_span_ambient(gens, self.lattice, self.dim)
-        lattice = la.mat_mul(span, self.lattice) if span else ()
+        lattice = _saturated_span_ambient(gens, self.lattice)
         return ToricMonoid.make(self.ambient_dim, lattice, gens)
 
     def is_full_submonoid(self, tau: "ToricMonoid") -> bool:
@@ -410,62 +414,6 @@ def _intern(ambient_dim: int, lattice: Mat, rays: Mat) -> ToricMonoid:
     return monoid
 
 
-def _extremal_subset(coords, r):
-    """Indices of coords generating extreme rays (coords assumed pairwise
-    distinct primitive vectors in Z^r)."""
-    if not coords:
-        return ()
-    out = []
-    for i, c in enumerate(coords):
-        others = [d for j, d in enumerate(coords) if j != i]
-        if not others or not _in_cone_of(c, others, r):
-            out.append(c)
-    return tuple(out)
-
-
-def _in_cone_of(v, gens, r) -> bool:
-    """True if v lies in the cone generated by gens (exact LP)."""
-    k = len(gens)
-    # Variables (lambda_1..lambda_k, s): lambda @ gens = s v, s > 0.
-    dim = k + 1
-    zero = []
-    for j in range(r):
-        row = [gens[i][j] for i in range(k)] + [-v[j]]
-        zero.append(tuple(row))
-    nonneg = [tuple(int(i == t) for i in range(dim)) for t in range(k)]
-    strict = [tuple(int(i == k) for i in range(dim))]
-    return la.lp_feasible(dim, strict=strict, nonneg=nonneg,
-                          zero=zero) is not None
-
-
-def _facet_normals(coords, r):
-    """Primitive facet normals of a pointed full-dimensional cone in Z^r
-    given by generating rays."""
-    if r == 0:
-        return ()
-    if r == 1:
-        sign = 1 if coords[0][0] > 0 else -1
-        return ((sign,),)
-    out = set()
-    for sub in itertools.combinations(coords, r - 1):
-        kern = la.right_kernel_q(la.mat(sub))
-        if len(kern) != 1:
-            continue
-        u = la.clear_denominators(kern[0])
-        vals = [la.dot(u, c) for c in coords]
-        if all(x >= 0 for x in vals):
-            pass
-        elif all(x <= 0 for x in vals):
-            u = tuple(-x for x in u)
-            vals = [-x for x in vals]
-        else:
-            continue
-        zero_rows = [c for c, x in zip(coords, vals) if x == 0]
-        if la.rank(la.mat(zero_rows)) == r - 1:
-            out.add(u)
-    return tuple(sorted(out))
-
-
 def _saturated_span(rows, r):
     """Basis of Z^r cap span_Q(rows), as rows."""
     if not rows or all(la.is_zero(x) for x in rows):
@@ -477,13 +425,16 @@ def _saturated_span(rows, r):
     return la.saturated_kernel(cols)
 
 
-def _saturated_span_ambient(gens, lattice, r):
+def _saturated_span_ambient(gens, lattice):
+    """Basis of the lattice (an HNF row basis) cap span(gens), in ambient
+    coordinates."""
     coords = []
     for g in gens:
-        c = la.solve_row(g, lattice)
-        assert c is not None
+        c = la.solve_row_echelon(g, lattice)
+        if c is None:
+            raise InvariantViolated(f"generator {g} outside the lattice span")
         coords.append(la.clear_denominators(c))
-    return _saturated_span(la.mat(coords), r)
+    return la.mat_mul(_saturated_span(la.mat(coords), len(lattice)), lattice)
 
 
 def _cone_section_rays(facets, k_int, r):
@@ -503,47 +454,71 @@ def _cone_section_rays(facets, k_int, r):
 
 
 def _enumerate_rays(ineq, s):
-    """Extreme rays of the pointed cone {y in R^s : a . y >= 0 for rows a}."""
+    """Extreme rays of the pointed cone {y in R^s : a . y >= 0 for rows a}.
+
+    By duality these are also the facet normals of the cone generated by
+    the rows, when the rows span R^s.  Double description (Motzkin's
+    method, as in Fukuda & Prodon 1996): start from the simplicial cone of
+    s independent rows and add the other rows one at a time, keeping each
+    ray with the set of added rows it lies on (a bit mask).  A row splits
+    the rays by sign; each adjacent pair of opposite sign gives the ray
+    where their 2-face crosses the row's hyperplane.  Two rays are
+    adjacent iff no third ray lies on every row that both lie on.
+    """
     rows = tuple(sorted(set(la.primitive(a) for a in ineq
                             if not la.is_zero(a))))
     if s == 0:
         return ()
-    if not rows or len(la.right_kernel_q(la.mat(rows))) > 0:
+    start = []
+    for i, a in enumerate(rows):
+        if len(start) < s and \
+                la.rank([rows[j] for j in start] + [a]) > len(start):
+            start.append(i)
+    if len(start) < s:
         raise NotSharp("inequality cone contains a line")
-    out = set()
-    for sub in itertools.combinations(rows, s - 1):
-        kern = la.right_kernel_q(la.mat(sub)) if sub else \
-            tuple(tuple(Fraction(int(i == j)) for j in range(s))
-                  for i in range(s))
-        if len(kern) != 1:
+    rays = []
+    for i in start:
+        others = [rows[j] for j in start if j != i]
+        y = la.clear_denominators(la.right_kernel_q(others)[0]) \
+            if others else (1,)
+        if la.dot(rows[i], y) < 0:
+            y = tuple(-x for x in y)
+        rays.append((y, sum(1 << j for j in start if j != i)))
+    for i, a in enumerate(rows):
+        if i in start:
             continue
-        y = la.clear_denominators(kern[0])
-        for cand in (y, tuple(-x for x in y)):
-            vals = [la.dot(a, cand) for a in rows]
-            if any(x < 0 for x in vals):
-                continue
-            active = [a for a, x in zip(rows, vals) if x == 0]
-            if la.rank(la.mat(active)) == s - 1:
-                out.add(la.primitive(cand))
-    return tuple(sorted(out))
+        vals = [la.dot(a, y) for y, _ in rays]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        bit = 1 << i
+        new = [(y, z | bit) for (y, z), v in zip(rays, vals) if v == 0]
+        new += [rays[k] for k in pos]
+        for p in pos:
+            for q in neg:
+                common = rays[p][1] & rays[q][1]
+                if common.bit_count() < s - 2 or any(
+                        k != p and k != q and z & common == common
+                        for k, (_, z) in enumerate(rays)):
+                    continue
+                y = la.vsub(la.vscale(vals[p], rays[q][0]),
+                            la.vscale(vals[q], rays[p][0]))
+                new.append((la.primitive(y), common | bit))
+        rays = new
+    return tuple(sorted(set(y for y, _ in rays)))
 
 
-def _nonneg_int_combination(target, gens):
+def _nonneg_int_combination(target, gens, grading):
     """Coefficients c >= 0 with sum c_i gens_i == target, or None.
 
-    Depth-first search bounded by a strictly positive functional on the
-    cone spanned by the generators.
+    Depth-first search bounded by the grading, an integer functional
+    strictly positive on every nonzero point of the cone spanned by the
+    generators.
     """
-    r = len(target) if target else 0
     gens = [g for g in gens if not la.is_zero(g)]
     if la.is_zero(target):
         return ()
     if not gens:
         return None
-    u = la.lp_feasible(r, strict=gens)
-    if u is None:
-        return None
-    height = la.dot(u, target)
 
     def search(t, idx):
         if la.is_zero(t):
@@ -551,12 +526,9 @@ def _nonneg_int_combination(target, gens):
         if idx == len(gens):
             return None
         g = gens[idx]
-        hg = la.dot(u, g)
-        cmax = int(la.dot(u, t) / hg)
+        cmax = la.dot(grading, t) // la.dot(grading, g)
         for c in range(cmax, -1, -1):
             rest = la.vsub(t, la.vscale(c, g))
-            if la.dot(u, rest) < 0:
-                continue
             sol = search(rest, idx + 1)
             if sol is not None:
                 return [c] + sol
@@ -638,7 +610,8 @@ def _parallelepiped_points(w, r):
     integer r x r matrix w."""
     u, d, v = la.smith_normal_form(w)
     diag = [d[i][i] for i in range(r)]
-    assert all(x != 0 for x in diag)
+    if not all(diag):
+        raise InvariantViolated(f"singular simplex {w}")
     v_inv = la.inverse_q(v)
     w_inv = la.inverse_q(w)
     points = set()

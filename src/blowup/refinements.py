@@ -12,8 +12,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .errors import NotAFace, NotARefinement, NotInSupport, NotSimplicial
-from .monoids import (ToricMonoid, _cone_section_rays, _enumerate_rays,
-                      _saturated_span)
+from .monoids import (ToricMonoid, _cone_section_rays,
+                      _saturated_span_ambient)
 
 
 @dataclass(frozen=True)
@@ -56,21 +56,31 @@ class MonoidRefinement:
         return all(m.is_simplicial() for m in self.members)
 
     def validate(self) -> List[RefinementFailure]:
-        """Check the refinement axioms; an empty list means valid."""
+        """Check the refinement axioms; an empty list means valid.
+
+        Two faces of one member meet in a face of that member, which is a
+        common face of both (each carries the member's saturated
+        sublattice), so the common-face axiom is checked only on pairs
+        with no common owner.
+        """
         failures = []
         member_set = set(self.members)
-        for m in self.members:
+        owners = {}  # monoid -> indices of the members it is a face of
+        for i, m in enumerate(self.members):
             for g in m.rays:
                 if not self.base.in_support(g):
                     failures.append(RefinementFailure(
                         "support", f"ray {g} outside supp(base)", g))
             for f in m.face_monoids():
+                owners.setdefault(f, set()).add(i)
                 if f not in member_set:
                     failures.append(RefinementFailure(
                         "face_closed",
                         f"face {f.rays} of member {m.rays} missing",
                         f.rays))
         for m1, m2 in itertools.combinations(self.members, 2):
+            if not owners[m1].isdisjoint(owners[m2]):
+                continue
             inter = intersect_members(m1, m2)
             if not (inter.is_face_of(m1) and inter.is_face_of(m2)):
                 failures.append(RefinementFailure(
@@ -161,22 +171,9 @@ def intersect_members(m1: ToricMonoid, m2: ToricMonoid) -> ToricMonoid:
     rays = _cone_intersection_rays(m1, m2, la.mat(lattice_rows))
     if not rays:
         return ToricMonoid.trivial(d)
-    span = _ambient_span_lattice(rays, lattice_rows)
+    span = _saturated_span_ambient(
+        rays, la.row_space_basis(la.mat(lattice_rows)))
     return ToricMonoid.make(d, span, rays)
-
-
-def _ambient_span_lattice(rays, lattice_rows):
-    """Basis of lattice cap span(rays), in ambient coordinates."""
-    if not lattice_rows:
-        return ()
-    basis = la.row_space_basis(la.mat(lattice_rows))
-    coords = []
-    for g in rays:
-        c = la.solve_row(g, basis)
-        assert c is not None
-        coords.append(la.clear_denominators(c))
-    span = _saturated_span(la.mat(coords), len(basis))
-    return la.mat_mul(span, basis)
 
 
 def _cone_intersection_rays(m1: ToricMonoid, m2: ToricMonoid,
@@ -201,13 +198,7 @@ def _cone_intersection_rays(m1: ToricMonoid, m2: ToricMonoid,
         k_int = la.mat(la.clear_denominators(b) for b in basis)
     else:
         k_int = la.identity(d)
-    s = len(k_int)
-    rows = [tuple(la.dot(u, k_int[i]) for i in range(s)) for u in ineq]
-    ys = _enumerate_rays(la.mat(rows), s)
-    out = []
-    for y in ys:
-        out.append(la.primitive(la.apply_row(y, k_int)))
-    return tuple(sorted(set(out)))
+    return _cone_section_rays(ineq, k_int, d)
 
 
 def trivial_refinement(sigma: ToricMonoid) -> MonoidRefinement:

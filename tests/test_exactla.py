@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,21 @@ def small_matrix(max_dim=4):
         lambda r: st.integers(1, max_dim).flatmap(
             lambda c: st.lists(
                 st.tuples(*[small_ints] * c), min_size=r, max_size=r)))
+
+
+small_fractions = st.builds(Fraction, small_ints, st.integers(1, 4))
+
+
+def small_rational_matrix(max_dim=5):
+    return st.integers(1, max_dim).flatmap(
+        lambda r: st.integers(1, max_dim).flatmap(
+            lambda c: st.lists(
+                st.tuples(*[st.one_of(small_ints, small_fractions)] * c),
+                min_size=r, max_size=r)))
+
+
+def from_sympy(v):
+    return tuple(Fraction(int(x.p), int(x.q)) for x in v)
 
 
 def is_unimodular(u):
@@ -38,6 +54,11 @@ class TestBasics:
     def test_mat_mul_identity(self):
         m = la.mat([(1, 2), (3, 4)])
         assert la.mat_mul(m, la.identity(2)) == m
+
+    def test_scale_to_int_keeps_common_factors(self):
+        assert la.scale_to_int((Fraction(1, 2), Fraction(2, 3), 0)) \
+            == (3, 4, 0)
+        assert la.scale_to_int((2, Fraction(4))) == (2, 4)
 
     def test_clear_denominators(self):
         v = (Fraction(1, 2), Fraction(1, 3))
@@ -107,6 +128,26 @@ class TestKernels:
                            for a, b in zip(row, v)) == 0
 
 
+class TestAgainstSympy:
+    """The fraction-free elimination gives the same unique reduced row
+    echelon form, rank and nullspace basis as sympy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(small_matrix(5), small_rational_matrix()))
+    def test_rref_rank_nullspace(self, rows):
+        ref = sympy.Matrix([[sympy.Rational(Fraction(x).numerator,
+                                            Fraction(x).denominator)
+                             for x in r] for r in rows])
+        rref, pivots = ref.rref()
+        expected = tuple(from_sympy(rref.row(i)) for i in range(len(pivots)))
+        basis = la.row_space_basis_q(rows)
+        assert basis == expected
+        assert all(type(x) is Fraction for b in basis for x in b)
+        assert la.rank(rows) == ref.rank()
+        assert la.right_kernel_q(rows) == tuple(
+            from_sympy(v) for v in ref.nullspace())
+
+
 class TestSolve:
     def test_solve_row(self):
         m = la.mat([(1, 1, 0), (0, 2, 1)])
@@ -114,6 +155,22 @@ class TestSolve:
         c = la.solve_row(v, m)
         assert c == (1, 1)
         assert la.solve_row((1, 0, 1), m) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrix(4), st.data())
+    def test_echelon_solve_matches_gauss_jordan(self, rows, data):
+        h = la.row_space_basis(la.mat(rows))
+        cols = len(rows[0])
+        if data.draw(st.booleans()):
+            coeff = data.draw(st.tuples(*[small_fractions] * len(h)))
+            v = la.apply_row(coeff, h) if h else (0,) * cols
+        else:
+            v = data.draw(st.tuples(*[st.one_of(small_ints,
+                                                small_fractions)] * cols))
+        if h:
+            assert la.solve_row_echelon(v, h) == la.solve_row(v, h)
+        else:
+            assert la.solve_row_echelon(v, h) == (None if any(v) else ())
 
     def test_solve_row_int(self):
         m = la.mat([(2, 0), (0, 2)])

@@ -1,5 +1,6 @@
 """Tests for refinements of a single toric monoid."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 
 from blowup import exactla as la
 from blowup.monoids import ToricMonoid
-from blowup.refinements import (MonoidRefinement, intersect_members,
-                                maximal_faces_avoiding, planar_refine,
-                                smoothing, star_subdivide,
+from blowup.refinements import (MonoidRefinement, RefinementFailure,
+                                intersect_members, maximal_faces_avoiding,
+                                planar_refine, smoothing, star_subdivide,
                                 trivial_refinement)
 
 from test_monoids import random_positive_monoid
@@ -33,6 +34,64 @@ def check_cover(sigma: ToricMonoid, r: MonoidRefinement, rng, points=200):
         assert hits, f"point {p} not covered"
         interior_hits = [m for m in hits if m.in_relative_interior(p)]
         assert len(interior_hits) <= 1, f"point {p} interior to several"
+
+
+def all_pairs_failures(r: MonoidRefinement):
+    """Reference for MonoidRefinement.validate that checks the common-face
+    axiom on every pair of members."""
+    failures = []
+    member_set = set(r.members)
+    for m in r.members:
+        for g in m.rays:
+            if not r.base.in_support(g):
+                failures.append(RefinementFailure(
+                    "support", f"ray {g} outside supp(base)", g))
+        for f in m.face_monoids():
+            if f not in member_set:
+                failures.append(RefinementFailure(
+                    "face_closed",
+                    f"face {f.rays} of member {m.rays} missing", f.rays))
+    for m1, m2 in itertools.combinations(r.members, 2):
+        inter = intersect_members(m1, m2)
+        if not (inter.is_face_of(m1) and inter.is_face_of(m2)):
+            failures.append(RefinementFailure(
+                "common_face",
+                f"intersection of {m1.rays} and {m2.rays} is not a "
+                "common face", inter.rays))
+    return failures + r._check_cover()
+
+
+class TestValidate:
+    def test_overlapping_maximal_members(self):
+        a = ToricMonoid.make(2, la.identity(2), [(1, 0), (1, 2)])
+        b = ToricMonoid.make(2, la.identity(2), [(1, 1), (0, 1)])
+        r = MonoidRefinement(ToricMonoid.free(2),
+                             a.face_monoids() + b.face_monoids())
+        failures = r.validate()
+        assert RefinementFailure(
+            "common_face", f"intersection of {b.rays} and {a.rays} is not "
+            "a common face", ((1, 1), (1, 2))) in failures
+        assert failures == all_pairs_failures(r)
+
+    def test_matches_all_pairs_reference(self):
+        rng = random.Random(8)
+        axioms = set()
+        for _ in range(8):
+            m = random_positive_monoid(rng, rng.choice([2, 3]))
+            r1 = star_subdivide(m, m.interior_point())
+            r2 = star_subdivide(m, la.vadd(m.rays[0],
+                                           la.vscale(2, m.rays[-1])))
+            dropped = r1.maximal_members()[0]
+            families = [r1, r2,
+                        MonoidRefinement(m, r1.members + r2.members),
+                        MonoidRefinement(m, r1.members[1:]),
+                        MonoidRefinement(m, [x for x in r1.members
+                                             if x != dropped])]
+            for r in families:
+                failures = r.validate()
+                assert failures == all_pairs_failures(r)
+                axioms.update(f.axiom for f in failures)
+        assert {"common_face", "face_closed", "cover"} <= axioms
 
 
 class TestTrivial:
