@@ -6,6 +6,7 @@ validation failure in well-formed input, 2 malformed input.
 """
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Dict, List, Optional
@@ -363,6 +364,7 @@ def cmd_verify(args) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the result document here")

@@ -68,7 +68,6 @@ class MonoidalComplex:
         missing = [p for p in self._chains() if p not in self.face_maps]
         if missing:
             raise NotAComplex(f"missing face maps for {missing}")
-        self._image_faces: Dict[Tuple[str, str], ToricMonoid] = {}
 
     def _chains(self):
         return [(a, b) for (a, b) in sorted(self.order) if a != b]
@@ -91,10 +90,7 @@ class MonoidalComplex:
 
     def image_face(self, a: str, b: str) -> ToricMonoid:
         """The image of sigma_a inside sigma_b."""
-        img = self._image_faces.get((a, b))
-        if img is None:
-            img = self._image_faces[(a, b)] = self.hom(a, b).image_monoid()
-        return img
+        return self.hom(a, b).image_monoid()
 
     def is_smooth(self) -> bool:
         return all(m.is_smooth() for m in self.monoids.values())

@@ -305,32 +305,19 @@ def row_space_basis_q(m) -> Tuple[QVec, ...]:
 
 
 def solve_row(v, m) -> Optional[QVec]:
-    """Rational x with x @ m == v, or None if no solution exists."""
-    rows, cols = shape(m)
-    # Solve m^T x^T = v^T by gaussian elimination with augmented tracking.
-    aug = [[Fraction(m[i][j]) for i in range(rows)] + [Fraction(v[j])]
-           for j in range(cols)]
-    piv = []
-    r = 0
-    for c in range(rows):
-        p = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        scale = aug[r][c]
-        aug[r] = [x / scale for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][rows] != 0:
-            return None
-    x = [Fraction(0)] * rows
-    for i, c in enumerate(piv):
-        x[c] = aug[i][rows]
+    """Rational x with x @ m == v, or None if no solution exists.
+
+    Reads x off the unique reduced row echelon form of [m^T | v^T]: zero
+    off the pivot columns, and no solution if the last column is a
+    pivot."""
+    n = len(m)
+    rows, pivots = _integer_rref([col + (v[j],)
+                                  for j, col in enumerate(transpose(m))])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [Fraction(0)] * n
+    for b, p in zip(rows, pivots):
+        x[p] = Fraction(b[n], b[p])
     return tuple(x)
 
 
@@ -386,45 +373,43 @@ def right_kernel_q(m) -> Tuple[QVec, ...]:
 
 
 def det(m) -> Fraction:
+    """Determinant by fraction-free (Bareiss) elimination on the rows
+    scaled to integers."""
     n = len(m)
-    assert all(len(r) == n for r in m)
-    a = [[Fraction(x) for x in r] for r in m]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+    if any(len(r) != n for r in m):
+        raise ValueError("matrix is not square")
+    a = [list(scale_to_int(r)) for r in m]
+    den = 1
+    for r in m:
+        den *= lcm(*(x.denominator for x in r))
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        p = next((i for i in range(c, n) if a[i][c]), None)
         if p is None:
             return Fraction(0)
         if p != c:
             a[c], a[p] = a[p], a[c]
             sign = -sign
-        result *= a[c][c]
-        inv = 1 / a[c][c]
+        pc = a[c][c]
         for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * result
+            ai = a[i]
+            f = ai[c]
+            a[i] = [0] * (c + 1) + [(pc * ai[j] - f * a[c][j]) // prev
+                                    for j in range(c + 1, n)]
+        prev = pc
+    return Fraction(sign * a[n - 1][n - 1] if n else 1) / den
 
 
 def inverse_q(m) -> Tuple[QVec, ...]:
-    """Exact inverse of a square rational matrix."""
+    """Exact inverse of a square rational matrix, the right half of the
+    reduced row echelon form of [m | I]; ValueError if m is singular."""
     n = len(m)
-    a = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0)
-                                     for j in range(n)]
-         for i, r in enumerate(m)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            raise ValueError("matrix is singular")
-        a[c], a[p] = a[p], a[c]
-        scale = a[c][c]
-        a[c] = [x / scale for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
+    rows, pivots = _integer_rref([tuple(r) + e
+                                  for r, e in zip(m, identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(Fraction(x, b[i]) for x in b[n:])
+                 for i, b in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------

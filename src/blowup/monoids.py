@@ -21,6 +21,12 @@ canonical data returns that same object, so derived data (lattice
 coordinates of the rays, facets, faces, Hilbert basis) is computed once
 per distinct monoid.  The table holds weak references, so monoids no
 longer referenced elsewhere are freed.
+
+Constructions are memoized on their inputs: make also files its result
+under its input (make of a canonical key returns that monoid, so one table
+serves both), and images, subspace sections and smallest faces are cached
+on the monoid they come from.  A memo lives as long as its monoid; errors
+are never cached.
 """
 
 import functools
@@ -70,10 +76,14 @@ class ToricMonoid:
             NotSharp: if the cone contains a line.
             NotPointedLattice: if span(cone) != span(lattice).
         """
-        lattice = la.row_space_basis(la.mat(lattice_rows))
+        given = (ambient_dim, la.mat(lattice_rows), la.mat(cone_generators))
+        monoid = _interned.get(given)
+        if monoid is not None:
+            return monoid
+        lattice = la.row_space_basis(given[1])
         r = len(lattice)
         coords = set()
-        for g in cone_generators:
+        for g in given[2]:
             if la.is_zero(g):
                 continue
             c = la.solve_row_echelon(g, lattice)
@@ -90,7 +100,8 @@ class ToricMonoid:
         rays = tuple(sorted(
             la.apply_row(c, lattice) for c in coords
             if la.rank([u for u in facets if la.dot(u, c) == 0]) == r - 1))
-        return _intern(ambient_dim, lattice, rays)
+        monoid = _interned[given] = _intern(ambient_dim, lattice, rays)
+        return monoid
 
     @classmethod
     def from_generators(cls, ambient_dim: int,
@@ -314,18 +325,22 @@ class ToricMonoid:
         Raises:
             NotInSupport: if v is outside supp(monoid).
         """
-        c = self.lattice_coords(v)
-        if c is None:
-            raise NotInSupport(f"{tuple(v)} is outside the lattice span")
-        facets = self.facet_normals()
-        vals = [la.dot(u, c) for u in facets]
-        if any(x < 0 for x in vals):
-            raise NotInSupport(f"{tuple(v)} is outside the support")
-        active = [u for u, x in zip(facets, vals) if x == 0]
-        coords = self.ray_coords()
-        gen_set = frozenset(i for i in range(len(coords))
-                            if all(la.dot(u, coords[i]) == 0 for u in active))
-        return self._face_from_set(gen_set)
+        v = tuple(v)
+
+        def build():
+            c = self.lattice_coords(v)
+            if c is None:
+                raise NotInSupport(f"{v} is outside the lattice span")
+            facets = self.facet_normals()
+            vals = [la.dot(u, c) for u in facets]
+            if any(x < 0 for x in vals):
+                raise NotInSupport(f"{v} is outside the support")
+            active = [u for u, x in zip(facets, vals) if x == 0]
+            coords = self.ray_coords()
+            return self._face_from_set(frozenset(
+                i for i in range(len(coords))
+                if all(la.dot(u, coords[i]) == 0 for u in active)))
+        return self._cached(("smallest_face", v), build)
 
     def is_face_of(self, other: "ToricMonoid") -> bool:
         return any(self == f for f in other.face_monoids())
@@ -350,35 +365,28 @@ class ToricMonoid:
         r = self.dim
         if r == 0:
             return self
-        amb_rows = [m for m in subspace_rows
-                    if not all(Fraction(x) == 0 for x in m)]
-        # Ambient functionals cutting out the subspace.
-        if amb_rows:
-            cutters = la.right_kernel_q(la.mat(amb_rows))
-        else:
-            cutters = tuple(tuple(Fraction(int(i == j))
-                                  for j in range(self.ambient_dim))
-                            for i in range(self.ambient_dim))
-        # Pull the cutters back to lattice coordinates: a coordinate vector
-        # c represents the ambient point c @ lattice.
-        eq = []
-        for u in cutters:
-            w = tuple(la.dot(b, u) for b in self.lattice)
-            if any(x != 0 for x in w):
-                eq.append(la.clear_denominators(w))
-        if eq:
-            sat = la.saturated_kernel(la.transpose(la.mat(eq)))
-        else:
-            sat = la.identity(r)
-        if not sat:
-            return ToricMonoid.trivial(self.ambient_dim)
-        ray_coords = _cone_section_rays(self.facet_normals(), sat, r)
-        if not ray_coords:
-            return ToricMonoid.trivial(self.ambient_dim)
-        span = _saturated_span(ray_coords, r)
-        lattice = la.mat_mul(span, self.lattice)
-        rays = [la.apply_row(c, self.lattice) for c in ray_coords]
-        return ToricMonoid.make(self.ambient_dim, lattice, rays)
+        subspace_rows = la.mat(subspace_rows)
+
+        def build():
+            amb_rows = [m for m in subspace_rows if not la.is_zero(m)]
+            # Ambient functionals cutting out the subspace.
+            cutters = la.right_kernel_q(amb_rows) if amb_rows \
+                else la.identity(self.ambient_dim)
+            # Pull the cutters back to lattice coordinates: a coordinate
+            # vector c represents the ambient point c @ lattice.
+            eq = [la.clear_denominators(w) for w in (
+                tuple(la.dot(b, u) for b in self.lattice) for u in cutters)
+                if not la.is_zero(w)]
+            sat = la.saturated_kernel(la.transpose(la.mat(eq))) if eq \
+                else la.identity(r)
+            ray_coords = _cone_section_rays(self.facet_normals(), sat, r)
+            if not ray_coords:
+                return ToricMonoid.trivial(self.ambient_dim)
+            span = _saturated_span(ray_coords, r)
+            lattice = la.mat_mul(span, self.lattice)
+            rays = [la.apply_row(c, self.lattice) for c in ray_coords]
+            return ToricMonoid.make(self.ambient_dim, lattice, rays)
+        return self._cached(("section", subspace_rows), build)
 
     def join(self, tau1: "ToricMonoid", tau2: "ToricMonoid") -> "ToricMonoid":
         """The smallest full submonoid containing the full submonoids tau1
@@ -671,7 +679,13 @@ class MonoidHom:
 
     def image_monoid(self) -> ToricMonoid:
         """The image as a toric monoid (requires injectivity to be the
-        isomorphic image)."""
+        isomorphic image), cached on the source: it depends only on the
+        matrix and the target's ambient dimension."""
+        return self.source._cached(
+            ("image", self.target.ambient_dim, la.mat(self.matrix)),
+            self._build_image)
+
+    def _build_image(self) -> ToricMonoid:
         lattice = la.mat_mul(self.source.lattice, self.matrix)
         rays = [self.apply(g) for g in self.source.rays]
         basis = la.row_space_basis(lattice)

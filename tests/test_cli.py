@@ -1,9 +1,13 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from blowup import cli
 from blowup import exactla as la
 from blowup import serialization as ser
 from blowup.cli import main
@@ -307,3 +311,34 @@ class TestExitCodes:
                "relations": [], "face_maps": []}
         path = write(tmp_path, "badq.json", doc)
         assert main(["validate", path]) == 1
+
+
+class TestRepeatedCalls:
+    def test_one_parser_serves_every_call(self, monoid_doc, square_doc,
+                                          capsysbinary):
+        """Calls in one process build the parser once and print what
+        separate processes print, a malformed argument included."""
+        runs = [["hilbert", monoid_doc],
+                ["blowup", square_doc, "--ordinary", "H1&H2",
+                 "--format", "text"],
+                ["faces", monoid_doc, "--format", "yaml"],
+                ["hilbert", monoid_doc, "--format", "text"]]
+        cli._build_parser.cache_clear()
+        in_process = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            out = capsysbinary.readouterr()
+            in_process.append((code, out.out, out.err))
+        assert [r[0] for r in in_process] == [0, 0, 2, 0]
+        assert cli._build_parser.cache_info().misses == 1
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, got in zip(runs, in_process):
+            alone = subprocess.run(
+                [sys.executable, "-m", "blowup.cli", *argv], env=env,
+                capture_output=True, timeout=120)
+            assert (alone.returncode, alone.stdout, alone.stderr) == got

@@ -148,6 +148,133 @@ class TestAgainstSympy:
             from_sympy(v) for v in ref.nullspace())
 
 
+def gauss_jordan_solve_row(v, m):
+    """The former Fraction Gauss-Jordan solve_row, kept as a reference."""
+    rows, cols = la.shape(m)
+    aug = [[Fraction(m[i][j]) for i in range(rows)] + [Fraction(v[j])]
+           for j in range(cols)]
+    piv = []
+    r = 0
+    for c in range(rows):
+        p = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv.append(c)
+        r += 1
+    if any(aug[i][rows] != 0 for i in range(r, len(aug))):
+        return None
+    x = [Fraction(0)] * rows
+    for i, c in enumerate(piv):
+        x[c] = aug[i][rows]
+    return tuple(x)
+
+
+def gauss_jordan_inverse(m):
+    """The former Fraction Gauss-Jordan inverse_q, kept as a reference."""
+    n = len(m)
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(m)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def to_sympy(rows, cols):
+    return sympy.Matrix(len(rows), cols,
+                        [sympy.Rational(Fraction(x).numerator,
+                                        Fraction(x).denominator)
+                         for r in rows for x in r])
+
+
+def square_matrix(entries, max_dim=4):
+    return st.integers(0, max_dim).flatmap(
+        lambda n: st.lists(st.tuples(*[entries] * n),
+                           min_size=n, max_size=n))
+
+
+class TestIntegerElimination:
+    """solve_row, inverse_q and det eliminate on integers; they return the
+    same Fractions as Gauss-Jordan on Fractions, and agree with sympy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(small_matrix(4), small_rational_matrix(4)), st.data())
+    def test_solve_row(self, rows, data):
+        m = la.mat(rows)
+        cols = len(m[0])
+        entries = st.one_of(small_ints, small_fractions)
+        if data.draw(st.booleans()):
+            v = la.apply_row(data.draw(st.tuples(*[entries] * len(m))), m)
+        else:
+            v = data.draw(st.tuples(*[entries] * cols))
+        x = la.solve_row(v, m)
+        assert x == gauss_jordan_solve_row(v, m)
+        assert x is None or all(type(c) is Fraction for c in x)
+        mt = to_sympy(m, cols).T
+        aug = mt.row_join(to_sympy([v], cols).T)
+        if mt.rank() < aug.rank():
+            assert x is None
+            return
+        assert x is not None
+        assert to_sympy([x], len(m)) * to_sympy(m, cols) == to_sympy([v], cols)
+        pivots = mt.rref()[1]
+        assert all(c == 0 for j, c in enumerate(x) if j not in pivots)
+
+    def test_solve_row_degenerate_shapes(self):
+        assert la.solve_row((), ()) == gauss_jordan_solve_row((), ()) == ()
+        m = ((), ())
+        assert la.solve_row((), m) == gauss_jordan_solve_row((), m) \
+            == (0, 0)
+        m = ((0, 0), (0, 0))
+        assert la.solve_row((0, 1), m) is None
+        assert la.solve_row((0, 0), m) == (0, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(square_matrix(small_ints),
+                     square_matrix(st.one_of(small_ints, small_fractions)),
+                     square_matrix(st.integers(-1, 1))))
+    def test_inverse_and_det(self, rows):
+        m = la.mat(rows)
+        n = len(m)
+        ref = to_sympy(m, n)
+        d = la.det(m)
+        assert type(d) is Fraction
+        assert d == (from_sympy([ref.det()])[0] if n else 1)
+        try:
+            expected = gauss_jordan_inverse(m)
+        except ValueError:
+            assert d == 0
+            with pytest.raises(ValueError):
+                la.inverse_q(m)
+            return
+        inv = la.inverse_q(m)
+        assert inv == expected
+        assert all(type(x) is Fraction for r in inv for x in r)
+        if n:
+            assert inv == tuple(from_sympy(ref.inv().row(i))
+                                for i in range(n))
+
+    def test_singular_inverse_raises(self):
+        for m in [((0,),), ((1, 2), (2, 4)),
+                  ((1, 0, 0), (0, 1, 0), (1, 1, 0))]:
+            with pytest.raises(ValueError):
+                la.inverse_q(m)
+            assert la.det(m) == 0
+
+
 class TestSolve:
     def test_solve_row(self):
         m = la.mat([(1, 1, 0), (0, 2, 1)])

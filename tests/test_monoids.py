@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -391,6 +392,25 @@ class TestInterning:
         gc.collect()
         assert key not in monoids._interned
 
+    def test_input_keys_and_cached_images_are_dropped(self):
+        lattice = [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
+        gens = [(2, 0, 0), (1, 7, 0), (1, 0, 9), (1, 5, 8)]
+        given = (3, la.mat(lattice), la.mat(gens))
+        m = ToricMonoid.make(3, lattice, gens)
+        assert monoids._interned.get(given) is m and given != m.key
+        # An injective and a non-injective image, cached on m.
+        maps = ((3, ((1, 0, 0), (0, 1, 0), (1, 1, 1))),
+                (1, ((2,), (4,), (6,))))
+        images = [MonoidHom(m, ToricMonoid.trivial(d), matrix).image_monoid()
+                  for d, matrix in maps]
+        assert all(m._cache[("image", d, matrix)] is img
+                   for (d, matrix), img in zip(maps, images))
+        keys = [given, m.key] + [img.key for img in images]
+        assert all(monoids._interned.get(k) is not None for k in keys)
+        del m, images
+        gc.collect()
+        assert not any(k in monoids._interned for k in keys)
+
 
 @st.composite
 def monoid_and_matrix(draw):
@@ -417,10 +437,11 @@ class TestImageMonoid:
         rays = [la.apply_row(g, matrix) for g in m.rays]
         injective = m.dim == 0 or la.rank(lattice) == m.dim
         hom = MonoidHom(m, ToricMonoid.trivial(cols), matrix)
+        # The uncached builder, so that make is seen on every example.
         with mock.patch.object(ToricMonoid, "make",
                                side_effect=ToricMonoid.make) as make:
             try:
-                got, raised = hom.image_monoid(), None
+                got, raised = hom._build_image(), None
             except BlowupError as e:
                 got, raised = None, type(e)
         assert make.called == (not injective)
@@ -428,5 +449,91 @@ class TestImageMonoid:
             expected = ToricMonoid.make(cols, lattice, rays)
         except BlowupError as e:
             assert raised is type(e)
+            with pytest.raises(type(e)):
+                hom.image_monoid()
         else:
             assert raised is None and got.key == expected.key
+            assert hom.image_monoid() is got
+
+    def test_image_ignores_the_target_object(self):
+        m = ToricMonoid.make(2, la.identity(2), [(1, 0), (1, 3)])
+        matrix = ((1, 0, 2), (0, 1, 1))
+        first = MonoidHom(m, ToricMonoid.free(3), matrix).image_monoid()
+        other = ToricMonoid.make(3, la.identity(3),
+                                 [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
+        assert MonoidHom(m, other, matrix).image_monoid() is first
+        assert first == ToricMonoid.make(3, la.mat_mul(m.lattice, matrix),
+                                         [(1, 0, 2), (1, 3, 5)])
+
+
+@st.composite
+def generators_and_variant(draw):
+    """Cone generators of a monoid in Z^r, with or without a sublattice
+    spanned by the generators, and a rewriting of the same input: the
+    generators shuffled, rescaled or duplicated."""
+    r = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * r),
+                         min_size=r, max_size=r + 2))
+    gens = [g for g in gens if any(g)]
+    sublattice = draw(st.booleans())
+    kind = draw(st.sampled_from(["shuffle", "rescale", "duplicate"]))
+    if kind == "shuffle":
+        variant = draw(st.permutations(gens))
+    elif kind == "rescale":
+        variant = [la.vscale(draw(st.integers(1, 3)), g) for g in gens]
+    else:
+        variant = gens + draw(st.lists(st.sampled_from(gens), min_size=1)) \
+            if gens else gens
+    return r, sublattice, gens, variant
+
+
+class TestMakeMemo:
+    """make is memoized on its input: an equal input, or any input with the
+    same canonical data, gives the first call's object."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(generators_and_variant())
+    def test_rewritten_inputs_return_the_first_object(self, data):
+        r, sublattice, gens, variant = data
+        assume(gens and la.rank(gens) == r)
+        lattice = gens if sublattice else la.identity(r)
+        try:
+            first = ToricMonoid.make(r, lattice, gens)
+        except BlowupError:
+            return
+        assert ToricMonoid.make(r, lattice, gens) is first
+        assert ToricMonoid.make(r, lattice, variant) is first
+        assert ToricMonoid.make(r, first.lattice, first.rays) is first
+        assert ToricMonoid.make(*first.key) is first
+        # A build that bypasses the memo (and the intern table).
+        with mock.patch.object(monoids, "_interned",
+                               weakref.WeakValueDictionary()):
+            fresh = ToricMonoid.make(r, lattice, variant)
+        assert fresh is not first and fresh == first
+
+    def test_iterator_input(self):
+        m = ToricMonoid.make(2, iter(la.identity(2)),
+                             iter([(1, 0), (1, 4)]))
+        assert m.rays == ((1, 0), (1, 4))
+        assert ToricMonoid.make(2, la.identity(2), [(1, 0), (1, 4)]) is m
+
+    def test_repeat_does_no_hermite_reduction(self):
+        gens = [(1, 0, 0), (1, 6, 0), (1, 0, 5)]
+        m = ToricMonoid.make(3, gens, gens)
+        with mock.patch.object(la, "row_space_basis",
+                               side_effect=la.row_space_basis) as rsb:
+            assert ToricMonoid.make(3, gens, gens) is m
+        assert not rsb.called
+
+    def test_errors_are_raised_on_every_call(self):
+        gens = [(1, 0), (-1, 0), (0, 1)]
+        for _ in range(3):
+            with pytest.raises(NotSharp):
+                ToricMonoid.make(2, la.identity(2), gens)
+        assert (2, la.identity(2), la.mat(gens)) not in monoids._interned
+        m = ToricMonoid.make(2, la.identity(2), [(1, 0), (1, 5)])
+        for v in [(0, 1), (-1, 0), (0, 1), (Fraction(-1, 2), 1), (0, 1)]:
+            with pytest.raises(NotInSupport):
+                m.smallest_face_containing(v)
+        assert not any(k[0] == "smallest_face" for k in m._cache
+                       if isinstance(k, tuple))
