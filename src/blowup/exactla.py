@@ -160,8 +160,24 @@ def hermite_normal_form(m: Mat) -> Tuple[Mat, Mat]:
 def row_space_basis(m: Mat) -> Mat:
     """Nonzero rows of the Hermite normal form of m (a canonical basis of
     the integer row span)."""
+    if _is_hnf(m):
+        return mat(m)
     h, _ = hermite_normal_form(m)
     return tuple(r for r in h if not is_zero(r))
+
+
+def _is_hnf(m) -> bool:
+    """True if m is an integer matrix in Hermite normal form with no zero
+    rows, which is then its own row_space_basis."""
+    pivots = []
+    for r in m:
+        p = next((j for j, x in enumerate(r) if x), None)
+        if p is None or (pivots and p <= pivots[-1]) or r[p] < 0 or \
+                any(type(x) is not int for x in r):
+            return False
+        pivots.append(p)
+    return all(0 <= m[i][p] < m[k][p] for k, p in enumerate(pivots)
+               for i in range(k))
 
 
 def smith_normal_form(m: Mat) -> Tuple[Mat, Mat, Mat]:
@@ -255,6 +271,13 @@ def saturated_kernel(m: Mat) -> Mat:
 
 def rank(m: Mat) -> int:
     return len(_integer_rref(m)[0])
+
+
+def independent_rows(m) -> list:
+    """Indices of the rows of m that are not in the span of the rows
+    before them (a basis of the row span): the pivot columns of the RREF
+    of m transposed."""
+    return _integer_rref(transpose(m))[1] if m else []
 
 
 def _integer_rref(m):

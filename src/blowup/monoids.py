@@ -12,9 +12,9 @@ the cone spanned by the generators, with no linear programming: the
 normals are the extreme rays of the dual cone (one routine,
 _enumerate_rays, serves both directions of cone duality); the cone is
 pointed iff they have full rank r, and a generator spans an extreme ray
-iff the facets vanishing on it have rank r - 1.  The sum of the facet
-normals is a grading, strictly positive on every nonzero point of the
-monoid, which bounds the saturation search of from_generators.
+iff no generator lies on a strictly larger set of facets.  The sum of the
+facet normals is a grading, strictly positive on every nonzero point of
+the monoid, which bounds the saturation search of from_generators.
 
 Monoids are interned: while one is alive, every construction with equal
 canonical data returns that same object, so derived data (lattice
@@ -26,7 +26,11 @@ Constructions are memoized on their inputs: make also files its result
 under its input (make of a canonical key returns that monoid, so one table
 serves both), and images, subspace sections and smallest faces are cached
 on the monoid they come from.  A memo lives as long as its monoid; errors
-are never cached.
+are never cached.  No cache refers back to its monoid: a cached result
+that is the monoid itself is stored as a marker, and the face that is the
+whole monoid is built on each call.  So a monoid is freed when its last
+reference goes, not when the cyclic garbage collector next runs, and
+which constructions hit a memo does not depend on the collector's timing.
 """
 
 import functools
@@ -97,9 +101,14 @@ class ToricMonoid:
         facets = _enumerate_rays(coords, r)
         if la.rank(facets) != r:
             raise NotSharp("cone contains a line")
-        rays = tuple(sorted(
-            la.apply_row(c, lattice) for c in coords
-            if la.rank([u for u in facets if la.dot(u, c) == 0]) == r - 1))
+        # The smallest face containing c is generated by the generators
+        # on every facet that c is on.  It is more than a ray iff one of
+        # them (an extreme ray of that face) is on a strictly larger set.
+        on = [frozenset(i for i, u in enumerate(facets) if la.dot(u, c) == 0)
+              for c in coords]
+        rays = tuple(sorted(la.apply_row(c, lattice)
+                            for c, z in zip(coords, on)
+                            if not any(w > z for w in on)))
         monoid = _interned[given] = _intern(ambient_dim, lattice, rays)
         return monoid
 
@@ -160,9 +169,14 @@ class ToricMonoid:
         return len(self.lattice)
 
     def _cached(self, name, fn):
+        """fn(), computed once per name.  A result that is the monoid
+        itself is stored as _SELF, so that the cache holds no reference
+        back to its monoid (see the module docstring)."""
         if name not in self._cache:
-            self._cache[name] = fn()
-        return self._cache[name]
+            value = fn()
+            self._cache[name] = _SELF if value is self else value
+        value = self._cache[name]
+        return self if value is _SELF else value
 
     def ray_coords(self) -> Mat:
         """Extremal rays in lattice coordinates (rows of an integer
@@ -274,6 +288,12 @@ class ToricMonoid:
         return self._cached("face_sets", build)
 
     def _face_from_set(self, gen_set: frozenset) -> "Face":
+        if len(gen_set) == len(self.rays):
+            # The whole monoid.  This Face holds self, so it is built on
+            # each call rather than cached.
+            return Face(monoid=self, generator_indices=tuple(sorted(gen_set)),
+                        functional=la.zeros(self.ambient_dim))
+
         def build():
             coords = self.ray_coords()
             sub = tuple(coords[i] for i in sorted(gen_set))
@@ -289,7 +309,7 @@ class ToricMonoid:
             u_r = la.zeros(self.dim)
             for u in vanish:
                 u_r = la.vadd(u_r, u)
-            return Face(monoid=monoid, parent=self,
+            return Face(monoid=monoid,
                         generator_indices=tuple(sorted(gen_set)),
                         functional=self._extend_functional(u_r))
         return self._cached(("face", gen_set), build)
@@ -308,10 +328,12 @@ class ToricMonoid:
     def faces(self) -> Tuple["Face", ...]:
         """All faces, ordered by dimension then by canonical key."""
         def build():
-            out = [self._face_from_set(s) for s in self._face_sets()]
+            out = [self._face_from_set(s) for s in self._face_sets()[:-1]]
             out.sort(key=lambda f: (f.monoid.dim, f.monoid.key))
             return tuple(out)
-        return self._cached("faces", build)
+        # The whole monoid is the last face set and the last face.
+        return self._cached("faces", build) + \
+            (self._face_from_set(self._face_sets()[-1]),)
 
     def face_monoids(self) -> Tuple["ToricMonoid", ...]:
         return tuple(f.monoid for f in self.faces())
@@ -337,10 +359,10 @@ class ToricMonoid:
                 raise NotInSupport(f"{v} is outside the support")
             active = [u for u, x in zip(facets, vals) if x == 0]
             coords = self.ray_coords()
-            return self._face_from_set(frozenset(
-                i for i in range(len(coords))
-                if all(la.dot(u, coords[i]) == 0 for u in active)))
-        return self._cached(("smallest_face", v), build)
+            return frozenset(i for i in range(len(coords))
+                             if all(la.dot(u, coords[i]) == 0
+                                    for u in active))
+        return self._face_from_set(self._cached(("smallest_face", v), build))
 
     def is_face_of(self, other: "ToricMonoid") -> bool:
         return any(self == f for f in other.face_monoids())
@@ -407,6 +429,9 @@ class ToricMonoid:
             return True
         return tau == self.intersect_with_subspace(tau.lattice)
 
+
+# Stands for a monoid in its own cache (see ToricMonoid._cached).
+_SELF = object()
 
 _interned: "weakref.WeakValueDictionary[tuple, ToricMonoid]" = \
     weakref.WeakValueDictionary()
@@ -477,11 +502,7 @@ def _enumerate_rays(ineq, s):
                             if not la.is_zero(a))))
     if s == 0:
         return ()
-    start = []
-    for i, a in enumerate(rows):
-        if len(start) < s and \
-                la.rank([rows[j] for j in start] + [a]) > len(start):
-            start.append(i)
+    start = la.independent_rows(rows)
     if len(start) < s:
         raise NotSharp("inequality cone contains a line")
     rays = []
@@ -638,9 +659,8 @@ def _parallelepiped_points(w, r):
 class Face:
     """A face of a toric monoid, with a supporting functional: an ambient
     integer functional vanishing on the face and positive on the rest of
-    the parent's extremals."""
+    the monoid's extremals."""
     monoid: ToricMonoid
-    parent: ToricMonoid
     generator_indices: Tuple[int, ...]
     functional: Vec
 

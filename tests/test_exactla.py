@@ -89,6 +89,34 @@ class TestHNF:
                 pivots.append(nz[0])
                 assert row[nz[0]] > 0
 
+    @settings(max_examples=80, deadline=None)
+    @given(small_matrix())
+    def test_row_space_basis_skips_a_matrix_already_in_hnf(self, rows):
+        m = la.mat(rows)
+        h = tuple(r for r in la.hermite_normal_form(m)[0] if not la.is_zero(r))
+        assert la.row_space_basis(m) == h
+        if h:
+            assert la._is_hnf(h) and la.row_space_basis(h) == h
+            # An entry above a pivot outside [0, pivot) is reduced.
+            k = len(h) - 1
+            if k:
+                bad = h[:k - 1] + (la.vadd(h[k - 1], h[k]),) + h[k:]
+                assert not la._is_hnf(bad)
+                assert la.row_space_basis(bad) == h
+            assert not la._is_hnf(h[:k] + (la.vscale(-1, h[k]),))
+            assert not la._is_hnf(h[:k] + (tuple(Fraction(x) for x in h[k]),))
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_matrix(5))
+    def test_independent_rows_is_the_greedy_basis(self, rows):
+        m = la.mat(rows)
+        picked = la.independent_rows(m)
+        assert len(picked) == la.rank(m) == la.rank([m[i] for i in picked])
+        for i in range(len(m)):
+            before = [m[j] for j in picked if j < i]
+            grows = la.rank(before + [m[i]]) > len(before)
+            assert grows == (i in picked)
+
 
 class TestSNF:
     @settings(max_examples=60, deadline=None)

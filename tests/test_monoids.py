@@ -385,12 +385,34 @@ class TestInterning:
     def test_table_drops_unreferenced_monoids(self):
         m = ToricMonoid.make(3, la.identity(3),
                              [(1, 0, 0), (1, 7, 0), (1, 0, 9), (1, 5, 8)])
-        m.hilbert_basis()  # caches faces that point back at m
+        m.hilbert_basis()  # fills m's caches with faces
         key = m.key
         assert monoids._interned.get(key) is m
         del m
         gc.collect()
         assert key not in monoids._interned
+
+    def test_freed_without_the_cycle_collector(self):
+        """Results that are the monoid itself (the whole face, a section by
+        its own span, an identity image) make no reference cycle, so the
+        monoid goes when its last reference does."""
+        m = ToricMonoid.make(3, la.identity(3),
+                             [(1, 0, 0), (1, 7, 0), (1, 0, 9), (1, 5, 8)])
+        key = m.key
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            m.hilbert_basis()
+            assert m.faces()[-1].monoid is m
+            assert m.smallest_face_containing(m.interior_point()).monoid is m
+            assert m.intersect_with_subspace(m.lattice) is m
+            assert MonoidHom(m, m, la.identity(3)).image_monoid() is m
+            assert m.faces()[-1] == m.faces()[-1]
+            del m
+            assert key not in monoids._interned
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_input_keys_and_cached_images_are_dropped(self):
         lattice = [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
