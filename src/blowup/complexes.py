@@ -8,7 +8,7 @@ space of a to the ambient space of b, acting on row vectors.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from . import exactla as la
@@ -185,6 +185,10 @@ class ComplexMorphism:
     target: MonoidalComplex
     node_map: Dict[str, str]
     homs: Dict[str, la.Mat]
+    # image_in by (a, sigma_id).  Nothing changes node_map, homs or the
+    # target's face maps after construction.
+    _images: Dict[Tuple[str, str], ToricMonoid] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def hom(self, a: str) -> MonoidHom:
         return MonoidHom(self.source.monoids[a],
@@ -194,10 +198,14 @@ class ComplexMorphism:
     def image_in(self, a: str, sigma_id: str) -> ToricMonoid:
         """The image of the source monoid at a inside a target element
         above node_map[a]."""
-        m = la.mat_mul(self.homs[a],
-                       self.target.face_maps[(self.node_map[a], sigma_id)])
-        return MonoidHom(self.source.monoids[a],
-                         self.target.monoids[sigma_id], m).image_monoid()
+        image = self._images.get((a, sigma_id))
+        if image is None:
+            m = la.mat_mul(self.homs[a], self.target.face_maps[
+                (self.node_map[a], sigma_id)])
+            image = self._images[(a, sigma_id)] = MonoidHom(
+                self.source.monoids[a], self.target.monoids[sigma_id],
+                m).image_monoid()
+        return image
 
     def validate(self) -> None:
         for a, b in self.source._chains():

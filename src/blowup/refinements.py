@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import exactla as la
-from .errors import NotAFace, NotARefinement, NotInSupport, NotSimplicial
+from .errors import (InvariantViolated, NotAFace, NotARefinement,
+                     NotInSupport, NotSimplicial)
 from .monoids import (ToricMonoid, _cone_section_rays,
                       _saturated_span_ambient)
 
@@ -153,7 +154,10 @@ class MonoidRefinement:
 def intersect_members(m1: ToricMonoid, m2: ToricMonoid) -> ToricMonoid:
     """The set intersection of two toric monoids in a common ambient
     space, as a toric monoid: (N1 cap N2) cap (C1 cap C2)."""
-    assert m1.ambient_dim == m2.ambient_dim
+    if m1.ambient_dim != m2.ambient_dim:
+        raise InvariantViolated(
+            f"members in different ambient spaces: dimensions "
+            f"{m1.ambient_dim} != {m2.ambient_dim}")
     d = m1.ambient_dim
     if m1 == m2:
         return m1

@@ -2,6 +2,7 @@
 pass/fail line.  The lines bypass pytest's capture so they appear in a
 plain `pytest -v` run; every criterion is also an ordinary test."""
 
+import gc
 import itertools
 import random
 import sys
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from blowup import exactla as la
+from blowup import monoids
 from blowup.chartcheck import SamplePlan, verify_transitions
 from blowup.complexes import (ComplexRefinement, complex_from_monoid,
                               identity_refinement,
@@ -327,3 +329,42 @@ def test_criterion_9_extension():
         done += 1
     report(9, "25 random triples: extension is a valid refinement "
               "restricting exactly to the given part", t0)
+
+
+def refinement_snapshot(r: ComplexRefinement):
+    """Element ids, canonical monoid keys, node map and homs of r."""
+    m = r.morphism
+    return ([(e, m.source.monoids[e].key) for e in m.source.elements],
+            [(e, m.target.monoids[e].key) for e in m.target.elements],
+            m.node_map, m.homs)
+
+
+def test_cold_and_warm_runs_agree():
+    """Monoids kept alive by earlier calls (the recent ring of
+    blowup.monoids) change no result: a resolve and a criterion-5 lift
+    round give the same keys, ids, signs and exponents from an empty
+    ring as when run again right after."""
+    def run():
+        res = resolve(normal_form([((1, 1, 0), (0, 0, 2))]))
+        rng = random.Random(3001)
+        y = corner_model(2)
+        blowup = random_blowup(y, rng)
+        finer = blowup.refinement
+        rs = finer.source
+        a = max(e for e in rs.elements if rs.monoids[e].dim >= 2)
+        finer = finer.compose(star_subdivide_complex(
+            rs, a, rs.monoids[a].interior_point()))
+        lift = lift_bmap(generalized_blowup(y, finer).blowdown, blowup)
+        return (refinement_snapshot(res.refinement), res.lifted,
+                res.chart_signs, refinement_snapshot(blowup.refinement),
+                lift.bmap.face_map, lift.bmap.exponents,
+                lift.factoring.node_map, lift.factoring.homs)
+
+    monoids._recent.clear()
+    gc.collect()
+    cold = run()
+    built = list(monoids._recent)
+    assert 0 < len(built) < monoids._RECENT
+    assert run() == cold
+    # Each monoid the second run needed was still alive: it built none.
+    assert list(monoids._recent) == built

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from blowup import cli
 from blowup import exactla as la
+from blowup import monoids
 from blowup import serialization as ser
 from blowup.cli import main
 from blowup.complexes import complex_from_monoid, star_subdivide_complex
@@ -342,3 +344,61 @@ class TestRepeatedCalls:
                 [sys.executable, "-m", "blowup.cli", *argv], env=env,
                 capture_output=True, timeout=120)
             assert (alone.returncode, alone.stdout, alone.stderr) == got
+
+    def test_documents_do_not_depend_on_the_recent_ring(
+            self, monoid_doc, square_doc, refinement_doc, tmp_path,
+            capsysbinary):
+        """The documents of this file's commands are byte-identical when
+        each command starts from an empty recent ring (cold) and when it
+        runs after all of them (warm)."""
+        cusp = write(tmp_path, "cusp.json", {
+            "kind": "binomial_input", "version": ser.VERSION,
+            "equations": [{"alpha": [2, 0], "beta": [0, 3]}]})
+        f = sum_bmap()
+        addition = write(tmp_path, "addition.json",
+                         ser.fiber_problem_to_doc(f, f))
+        cube = write(tmp_path, "cube.json",
+                     ser.manifold_to_doc(corner_model(3)))
+        lift = write(tmp_path, "f.json", ser.bmap_to_doc(BMap(
+            corner_model(1), corner_model(2), {"X": "X", "H1": "H1&H2"},
+            {("H1", "H1"): 1, ("H1", "H2"): 2})))
+        identity = write(tmp_path, "id.json",
+                         ser.bmap_to_doc(identity_bmap(corner_model(2))))
+        q, _ = complex_from_monoid(ToricMonoid.make(
+            3, la.identity(3), [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]))
+        square_cone = write(tmp_path, "q.json", ser.complex_to_doc(q))
+        g = BMap(corner_model(1, prefix="G"), f.source,
+                 {"X": "X", "G1": "H1"}, {("G1", "H1"): 1})
+        factor = write(tmp_path, "factor.json", {
+            "kind": "factor_problem", "version": ser.VERSION,
+            "f1": ser.bmap_to_doc(f), "f2": ser.bmap_to_doc(f),
+            "g1": ser.bmap_to_doc(g), "g2": ser.bmap_to_doc(g)})
+        runs = [["validate", monoid_doc], ["hilbert", monoid_doc],
+                ["faces", monoid_doc],
+                ["subdivide", monoid_doc, "--star", "1,1"],
+                ["blowup", square_doc, "--ordinary", "H1&H2"],
+                ["blowup", cube, "--iterated", "H1&H2&H3,H1&H2"],
+                ["blowup", square_doc, "--refinement", refinement_doc],
+                ["atlas", refinement_doc], ["ns", square_cone],
+                ["lift", lift, "--manifold", square_doc,
+                 "--refinement", refinement_doc],
+                ["blowup-domain", identity, "--manifold", square_doc,
+                 "--refinement", refinement_doc],
+                ["binomial", "normal-form", cusp],
+                ["binomial", "faces", cusp], ["binomial", "complex", cusp],
+                ["binomial", "resolve", cusp],
+                ["fiber", "analyze", addition],
+                ["fiber", "check-smooth", addition],
+                ["fiber", "resolve", addition], ["fiber", "factor", factor]]
+
+        def outputs(cold):
+            out = []
+            for argv in runs:
+                if cold:
+                    monoids._recent.clear()
+                    gc.collect()
+                assert main(argv) == 0, argv
+                out.append(capsysbinary.readouterr().out)
+            return out
+
+        assert outputs(cold=True) == outputs(cold=False)

@@ -1,6 +1,7 @@
 """Tests for monoidal complexes, morphisms and complex refinements."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -16,7 +17,8 @@ from blowup.complexes import (ComplexMorphism, ComplexRefinement,
                               pullback_refinement, smooth_complex,
                               star_subdivide_complex, terminal_complex)
 from blowup.errors import NotAComplex, NotARefinement
-from blowup.monoids import ToricMonoid
+from blowup.manifolds import corner_model
+from blowup.monoids import MonoidHom, ToricMonoid
 from blowup.refinements import (MonoidRefinement, star_subdivide,
                                 trivial_refinement)
 
@@ -98,6 +100,23 @@ class TestMorphism:
         r = star_subdivide_complex(q, top_element(q), (1, 1))
         phi = r.morphism.compose(morphism_to_point(q))
         phi.validate()
+
+    def test_image_in_is_computed_once(self):
+        # The corner complex: face maps change the ambient dimension, so
+        # one source element has a different image in each target above.
+        q = corner_model(3).basic_complex()
+        phi = star_subdivide_complex(q, top_element(q), (1, 1, 2)).morphism
+        pairs = [(e, s) for e in phi.source.elements for s in q.elements
+                 if q.leq(phi.node_map[e], s)]
+        first = {p: phi.image_in(*p) for p in pairs}
+        with mock.patch.object(la, "mat_mul",
+                               side_effect=la.mat_mul) as mat_mul:
+            assert all(phi.image_in(*p) is first[p] for p in pairs)
+        assert not mat_mul.called
+        for e, s in pairs:
+            m = la.mat_mul(phi.homs[e], q.face_maps[(phi.node_map[e], s)])
+            assert first[(e, s)] == MonoidHom(
+                phi.source.monoids[e], q.monoids[s], m)._build_image()
 
 
 class TestStarSubdivideComplex:

@@ -145,6 +145,34 @@ class TestConstruction:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["NotSharp", "1"]
 
+    def test_ambient_mismatch_raised_under_optimize(self):
+        """Homs that do not compose, a fiber product over targets of
+        different dimensions and members of different ambient spaces raise
+        a typed error, also under python -O."""
+        code = ("import sys\n"
+                "from blowup.errors import InvariantViolated\n"
+                "from blowup.monoids import MonoidHom, ToricMonoid, "
+                "fiber_product\n"
+                "from blowup.refinements import intersect_members\n"
+                "m1, m2 = ToricMonoid.free(1), ToricMonoid.free(2)\n"
+                "h1 = MonoidHom(m1, m1, ((1,),))\n"
+                "h2 = MonoidHom(m2, m2, ((1, 0), (0, 1)))\n"
+                "for call in (lambda: h1.compose(h2),\n"
+                "             lambda: fiber_product(h1, h2),\n"
+                "             lambda: intersect_members(m1, m2)):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except InvariantViolated:\n"
+                "        print('InvariantViolated')\n"
+                "print(sys.flags.optimize)\n")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["InvariantViolated"] * 3 + ["1"]
+
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda r: st.tuples(
         st.just(r), st.booleans(),
@@ -390,6 +418,9 @@ class TestInterning:
         assert monoids._interned.get(key) is m
         del m
         gc.collect()
+        # The recent ring still holds it; once cleared, nothing does.
+        assert key in monoids._interned
+        monoids._recent.clear()
         assert key not in monoids._interned
 
     def test_freed_without_the_cycle_collector(self):
@@ -409,6 +440,8 @@ class TestInterning:
             assert MonoidHom(m, m, la.identity(3)).image_monoid() is m
             assert m.faces()[-1] == m.faces()[-1]
             del m
+            assert key in monoids._interned
+            monoids._recent.clear()
             assert key not in monoids._interned
         finally:
             if enabled:
@@ -431,7 +464,37 @@ class TestInterning:
         assert all(monoids._interned.get(k) is not None for k in keys)
         del m, images
         gc.collect()
+        assert all(k in monoids._interned for k in keys)
+        monoids._recent.clear()
         assert not any(k in monoids._interned for k in keys)
+
+    def test_recent_ring_keeps_the_last_monoids_built(self):
+        k = 5
+        keys = []
+        for i in range(monoids._RECENT + k):
+            # Fresh monoids, none of them built by any other test.
+            m = ToricMonoid.make(2, la.identity(2),
+                                 [(1, 0), (i + 1, 7919)])
+            keys.append(m.key)
+        del m
+        gc.collect()
+        assert len(monoids._recent) == monoids._RECENT
+        assert not any(key in monoids._interned for key in keys[:k])
+        assert all(monoids._interned.get(key) is not None
+                   for key in keys[-monoids._RECENT:])
+        assert [r.key for r in monoids._recent] == keys[-monoids._RECENT:]
+
+    def test_hits_do_not_renew_a_monoid(self):
+        """Only a build enters the ring, so a monoid hit after it was built
+        still leaves after _RECENT more builds."""
+        m = ToricMonoid.make(2, la.identity(2), [(1, 0), (1, 7907)])
+        key = m.key
+        del m
+        for i in range(monoids._RECENT):
+            assert monoids._intern(*key).key == key
+            ToricMonoid.make(2, la.identity(2), [(1, 0), (i + 2, 7907)])
+        gc.collect()
+        assert key not in monoids._interned
 
 
 @st.composite
