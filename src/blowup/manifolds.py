@@ -19,7 +19,8 @@ from . import exactla as la
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
                         identity_refinement, natural_smooth_refinement,
                         pullback_refinement, star_subdivide_complex)
-from .errors import (NotAComplex, NotAFace, NotCompatible, NotSmooth)
+from .errors import (InvariantViolated, NotAComplex, NotAFace, NotCompatible,
+                     NotSmooth)
 from .monoids import MonoidHom, ToricMonoid
 
 
@@ -364,10 +365,7 @@ def compatibility_witness(f: BMap, r: ComplexRefinement):
         gens = [la.apply_row(e, mat) for e in la.identity(len(mat))]
         ok = any(all(m.contains(g) for g in gens) for m in local.members)
         if not ok:
-            total = la.zeros(len(mat[0]) if mat else 0)
-            for g in gens:
-                total = la.vadd(total, g)
-            return (face, total)
+            return (face, tuple(map(sum, zip(*gens))))
     return None
 
 
@@ -382,11 +380,6 @@ def lift_bmap(f: BMap, blowup: Blowup) -> Lift:
         NotCompatible: if f does not factor through the refinement.
     """
     r = blowup.refinement
-    witness = compatibility_witness(f, r)
-    if witness is not None:
-        raise NotCompatible(
-            f"image of face {witness[0]} crosses the refinement: "
-            f"direction {witness[1]}")
     rs = r.source
     px = f.source.basic_complex()
     node = {}
@@ -401,6 +394,10 @@ def lift_bmap(f: BMap, blowup: Blowup) -> Lift:
             if all(img.contains(g) for g in gens):
                 if best is None or img.dim < best[1].dim:
                     best = (e, img)
+        if best is None:
+            raise NotCompatible(
+                f"image of face {face} crosses the refinement: "
+                f"direction {tuple(map(sum, zip(*gens)))}")
         e, img = best
         node[face] = e
         incl = la.mat_mul(r.morphism.homs[e],
@@ -414,7 +411,8 @@ def lift_bmap(f: BMap, blowup: Blowup) -> Lift:
                 rows.append(la.zeros(src.ambient_dim))
                 continue
             c = la.solve_row(g, big)
-            assert c is not None
+            if c is None:
+                raise InvariantViolated(f"{g} is outside the lattice of {e}")
             rows.append(la.apply_row(_int_vec(c), src.lattice))
         homs[face] = la.mat(rows) if rows else \
             la.mat([la.zeros(src.ambient_dim)] * 0)

@@ -12,9 +12,7 @@ the cone spanned by the generators, with no linear programming: the
 normals are the extreme rays of the dual cone (one routine,
 _enumerate_rays, serves both directions of cone duality); the cone is
 pointed iff they have full rank r, and a generator spans an extreme ray
-iff no generator lies on a strictly larger set of facets.  The sum of the
-facet normals is a grading, strictly positive on every nonzero point of
-the monoid, which bounds the saturation search of from_generators.
+iff no generator lies on a strictly larger set of facets.
 
 Monoids are interned: while one is alive, every construction with equal
 canonical data returns that same object, so derived data (lattice
@@ -35,7 +33,6 @@ only, never on when the cyclic garbage collector runs.
 """
 
 import collections
-import functools
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -127,13 +124,11 @@ class ToricMonoid:
         gens = la.mat(generators)
         monoid = cls.make(ambient_dim, gens, [g for g in gens
                                               if not la.is_zero(g)])
-        gen_coords = [monoid.lattice_coords_int(g) for g in gens
-                      if not la.is_zero(g)]
-        grading = functools.reduce(la.vadd, monoid.facet_normals(),
-                                   la.zeros(monoid.dim))
+        # A Hilbert basis element is irreducible in the saturation, so it
+        # is in the generated monoid iff it is one of the generators.
+        given = set(gens)
         for h in monoid.hilbert_basis():
-            c = monoid.lattice_coords_int(h)
-            if _nonneg_int_combination(c, gen_coords, grading) is None:
+            if h not in given:
                 raise NotSaturated(f"lattice point {h} is in the saturation "
                                    "but not the generated monoid")
         return monoid
@@ -547,37 +542,6 @@ def _enumerate_rays(ineq, s):
                 new.append((la.primitive(y), common | bit))
         rays = new
     return tuple(sorted(set(y for y, _ in rays)))
-
-
-def _nonneg_int_combination(target, gens, grading):
-    """Coefficients c >= 0 with sum c_i gens_i == target, or None.
-
-    Depth-first search bounded by the grading, an integer functional
-    strictly positive on every nonzero point of the cone spanned by the
-    generators.
-    """
-    gens = [g for g in gens if not la.is_zero(g)]
-    if la.is_zero(target):
-        return ()
-    if not gens:
-        return None
-
-    def search(t, idx):
-        if la.is_zero(t):
-            return []
-        if idx == len(gens):
-            return None
-        g = gens[idx]
-        cmax = la.dot(grading, t) // la.dot(grading, g)
-        for c in range(cmax, -1, -1):
-            rest = la.vsub(t, la.vscale(c, g))
-            sol = search(rest, idx + 1)
-            if sol is not None:
-                return [c] + sol
-        return None
-
-    sol = search(target, 0)
-    return tuple(sol) if sol is not None else None
 
 
 def _hilbert_basis_coords(coords, r, face_sets, facets):

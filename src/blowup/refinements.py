@@ -4,11 +4,24 @@ A refinement of sigma is a finite family of submonoids (each with its own
 lattice, all living in the ambient space of sigma) that is closed under
 faces, has pairwise intersections which are common faces, and whose
 supports cover supp(sigma).
+
+Checking the common-face axiom costs an exact intersection per pair of
+members.  For a simplicial family the axiom follows, by the pseudo-manifold
+characterization of triangulations (De Loera, Rambau & Santos,
+*Triangulations*, Springer 2010, on a slice of the fan), from: (1) every
+member is simplicial; (2) every ray is in supp(sigma) and every face of a
+member is a member; (3) every member is a face of a maximal member; (4)
+every facet of a maximal member off the boundary of supp(sigma) is a facet
+of exactly two maximal members, as one monoid (lattice included), on
+opposite sides of it; (5) the interior point of one maximal member is in
+the support of no other.  Lattices then agree on each common face through
+the facets around it.  MonoidRefinement.validate skips the pairwise check
+when (1)-(5) hold, so its report is the same either way.
 """
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .errors import (InvariantViolated, NotAFace, NotARefinement,
@@ -62,7 +75,8 @@ class MonoidRefinement:
         Two faces of one member meet in a face of that member, which is a
         common face of both (each carries the member's saturated
         sublattice), so the common-face axiom is checked only on pairs
-        with no common owner.
+        with no common owner, and not at all when conditions (1)-(5) of
+        the module docstring show the family is a triangulation.
         """
         failures = []
         member_set = set(self.members)
@@ -79,44 +93,66 @@ class MonoidRefinement:
                         "face_closed",
                         f"face {f.rays} of member {m.rays} missing",
                         f.rays))
-        for m1, m2 in itertools.combinations(self.members, 2):
-            if not owners[m1].isdisjoint(owners[m2]):
-                continue
-            inter = intersect_members(m1, m2)
-            if not (inter.is_face_of(m1) and inter.is_face_of(m2)):
-                failures.append(RefinementFailure(
-                    "common_face",
-                    f"intersection of {m1.rays} and {m2.rays} is not a "
-                    "common face", inter.rays))
-        failures.extend(self._check_cover())
+        facets = self._interior_facets()
+        if failures or not self._is_triangulation(owners, facets):
+            for m1, m2 in itertools.combinations(self.members, 2):
+                if not owners[m1].isdisjoint(owners[m2]):
+                    continue
+                inter = intersect_members(m1, m2)
+                if not (inter.is_face_of(m1) and inter.is_face_of(m2)):
+                    failures.append(RefinementFailure(
+                        "common_face",
+                        f"intersection of {m1.rays} and {m2.rays} is not a "
+                        "common face", inter.rays))
+        failures.extend(self._check_cover(facets))
         return failures
 
-    def _check_cover(self) -> List[RefinementFailure]:
-        """Exact cover criterion: every facet of every maximal member
-        either lies in a facet of the base support or is shared with
-        exactly one other maximal member."""
+    def _interior_facets(self) -> Dict[tuple, list]:
+        """The facets of the maximal members that are not on the boundary
+        of supp(base), keyed by their rays: each with its owners, as
+        (maximal member, facet) pairs."""
+        base_facets = [f.functional for f in self.base.facet_faces()]
+        facets = {}
+        for m in self.maximal_members():
+            for f in m.facet_faces():
+                rays = f.monoid.rays
+                if all(la.is_zero(u) or any(la.dot(u, g) for g in rays)
+                       for u in base_facets):
+                    facets.setdefault(rays, []).append((m, f))
+        return facets
+
+    def _is_triangulation(self, owners, facets) -> bool:
+        """Conditions (1) and (3)-(5) of the module docstring."""
+        maximal = self.maximal_members()
+        if not maximal or not self.is_simplicial():
+            return False
+        if any(all(self.members[i].dim < self.base.dim for i in o)
+               for o in owners.values()):
+            return False
+        for cone_key, pair in facets.items():
+            if len(pair) != 2:
+                return False
+            (m1, f1), (m2, f2) = pair
+            far1, far2 = (next(g for g in m.rays if g not in cone_key)
+                          for m in (m1, m2))
+            if f1.monoid != f2.monoid or la.dot(f1.functional, far2) >= 0 \
+                    or la.dot(f2.functional, far1) >= 0:
+                return False
+        p = maximal[0].interior_point()
+        return not any(m.in_support(p) for m in maximal[1:])
+
+    def _check_cover(self, facets) -> List[RefinementFailure]:
+        """Exact cover criterion: each of the _interior_facets() of the
+        maximal members is shared by exactly two of them."""
         base = self.base
         if base.dim == 0:
             return []
-        maximal = self.maximal_members()
-        if not maximal:
+        if not self.maximal_members():
             return [RefinementFailure(
                 "cover", "no full-dimensional member",
                 base.interior_point())]
         failures = []
-        base_facets = [f.functional for f in base.facet_faces()]
-        facet_owner = {}
-        for m in maximal:
-            for f in m.facet_faces():
-                cone_key = f.monoid.rays
-                on_boundary = any(
-                    not la.is_zero(u)
-                    and all(la.dot(u, g) == 0 for g in cone_key)
-                    for u in base_facets)
-                if on_boundary:
-                    continue
-                facet_owner.setdefault(cone_key, []).append(m)
-        for cone_key, owners in facet_owner.items():
+        for cone_key, owners in facets.items():
             if len(owners) != 2:
                 witness = la.zeros(base.ambient_dim)
                 for g in cone_key:

@@ -18,6 +18,8 @@ from blowup.manifolds import BMap, corner_model, identity_bmap, \
     ordinary_blowup
 from blowup.monoids import ToricMonoid
 
+from test_refinements import count_intersections
+
 
 def write(tmp_path, name, doc):
     p = tmp_path / name
@@ -88,6 +90,22 @@ class TestBasicCommands:
         assert main(["subdivide", path, "--star", "1,1",
                      "--out", out]) == 0
         assert read_json(out)["members"] == 6
+
+    def test_subdivide_planar_nonsimplicial(self, tmp_path, monkeypatch):
+        # The cone over a pentagon, cut by the plane through two of its
+        # non-adjacent rays, has a member over a quadrilateral: validation
+        # takes the pairwise common-face check.
+        m = ToricMonoid.make(3, la.identity(3), [
+            (0, 0, 1), (1, 0, 1), (2, 1, 1), (1, 2, 1), (0, 1, 1)])
+        path = write(tmp_path, "pentagon.json", ser.monoid_to_doc(m))
+        calls = count_intersections(monkeypatch)
+        out = str(tmp_path / "planar.json")
+        assert main(["subdivide", path, "--planar", "0,0,1;2,1,1",
+                     "--out", out]) == 0
+        doc = read_json(out)
+        assert doc["members"] == 14
+        assert max(len(x["rays"]) for x in doc["member_list"]) == 4
+        assert calls
 
     def test_subdivide_requires_mode(self, monoid_doc):
         assert main(["subdivide", monoid_doc]) == 2

@@ -1,5 +1,6 @@
 """Tests for toric monoids against brute-force lattice oracles."""
 
+import functools
 import gc
 import itertools
 import os
@@ -201,6 +202,68 @@ class TestConstruction:
         assert m.hilbert_basis() == ()
         assert m.contains((0, 0))
         assert not m.contains((1, 0))
+
+
+def dfs_saturation_gap(ambient_dim, generators):
+    """Reference for from_generators: the monoid the generators span, and
+    the first element of its Hilbert basis that is no nonnegative integer
+    combination of them (None if there is none), found by depth-first
+    search bounded by a grading, the sum of the facet normals."""
+    gens = [g for g in la.mat(generators) if not la.is_zero(g)]
+    m = ToricMonoid.make(ambient_dim, gens, gens)
+    coords = [m.lattice_coords_int(g) for g in gens]
+    grading = functools.reduce(la.vadd, m.facet_normals(), la.zeros(m.dim))
+
+    def combination(t, idx):
+        if la.is_zero(t):
+            return True
+        if idx == len(coords):
+            return False
+        g = coords[idx]
+        cmax = la.dot(grading, t) // la.dot(grading, g)
+        return any(combination(la.vsub(t, la.vscale(c, g)), idx + 1)
+                   for c in range(cmax, -1, -1))
+    for h in m.hilbert_basis():
+        if not combination(m.lattice_coords_int(h), 0):
+            return m, h
+    return m, None
+
+
+@st.composite
+def generator_sets(draw):
+    """Nonnegative generators in dimension 2-4, and, when saturated is
+    drawn, the Hilbert basis of the monoid they span plus sums of its
+    elements instead, so that they span a saturated monoid."""
+    dim = draw(st.integers(2, 4))
+    entry = st.integers(0, 3 if dim < 4 else 2)
+    gens = draw(st.lists(st.tuples(*[entry] * dim), min_size=dim,
+                         max_size=dim + 3))
+    if draw(st.booleans()):
+        basis = ToricMonoid.make(dim, gens, [g for g in gens if any(g)]
+                                 ).hilbert_basis()
+        if basis:
+            extra = draw(st.lists(st.tuples(st.sampled_from(basis),
+                                            st.sampled_from(basis)),
+                                  max_size=2))
+            gens = draw(st.permutations(
+                list(basis) + [la.vadd(a, b) for a, b in extra]))
+    return dim, gens
+
+
+class TestFromGenerators:
+    @settings(max_examples=100, deadline=None)
+    @given(generator_sets())
+    def test_matches_depth_first_search(self, data):
+        dim, gens = data
+        expected, gap = dfs_saturation_gap(dim, gens)
+        if gap is None:
+            assert ToricMonoid.from_generators(dim, gens) is expected
+        else:
+            with pytest.raises(NotSaturated) as err:
+                ToricMonoid.from_generators(dim, gens)
+            assert str(err.value) == (f"lattice point {gap} is in the "
+                                      "saturation but not the generated "
+                                      "monoid")
 
 
 class TestMembership:

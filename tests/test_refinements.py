@@ -1,12 +1,17 @@
 """Tests for refinements of a single toric monoid."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup import exactla as la
+from blowup import refinements
+from blowup.complexes import complex_from_monoid, star_subdivide_complex
 from blowup.monoids import ToricMonoid
 from blowup.refinements import (MonoidRefinement, RefinementFailure,
                                 intersect_members, maximal_faces_avoiding,
@@ -58,7 +63,7 @@ def all_pairs_failures(r: MonoidRefinement):
                 "common_face",
                 f"intersection of {m1.rays} and {m2.rays} is not a "
                 "common face", inter.rays))
-    return failures + r._check_cover()
+    return failures + r._check_cover(r._interior_facets())
 
 
 class TestValidate:
@@ -92,6 +97,152 @@ class TestValidate:
                 assert failures == all_pairs_failures(r)
                 axioms.update(f.axiom for f in failures)
         assert {"common_face", "face_closed", "cover"} <= axioms
+
+
+def faces_of(*monoids):
+    return [f for m in monoids for f in m.face_monoids()]
+
+
+def count_intersections(monkeypatch):
+    """Count the calls validate makes to intersect_members."""
+    calls = []
+
+    def counted(m1, m2):
+        calls.append((m1, m2))
+        return intersect_members(m1, m2)
+    monkeypatch.setattr(refinements, "intersect_members", counted)
+    return calls
+
+
+# Families that pass every check validate makes before the pairwise one
+# except the named condition of the refinements module docstring, so that
+# skipping the pairwise check on any of them would lose common_face
+# failures.
+def _stray_ray():
+    return MonoidRefinement(ToricMonoid.free(2), star_subdivide(
+        ToricMonoid.free(2), (1, 1)).members + (
+            ToricMonoid.make(2, [(2, 1)], [(2, 1)]),))
+
+
+def _same_side():
+    # Two copies of one cone over different lattices, on the same side of
+    # both of their (equal) facets.
+    a, b = star_subdivide(ToricMonoid.free(2), (1, 1)).maximal_members()
+    c = ToricMonoid.make(2, la.identity(2), [(2, 1), (4, 1)])
+    d = ToricMonoid.make(2, [(2, 1), (4, 1)], [(2, 1), (4, 1)])
+    return MonoidRefinement(ToricMonoid.free(2), faces_of(a, b, c, d))
+
+
+def _nested():
+    # A cone inside another: three owners of the facet on (1, 1).
+    a, b = star_subdivide(ToricMonoid.free(2), (1, 1)).maximal_members()
+    c = ToricMonoid.make(2, la.identity(2), [(1, 1), (2, 1)])
+    return MonoidRefinement(ToricMonoid.free(2), faces_of(a, b, c))
+
+
+def _two_stars():
+    m = ToricMonoid.free(2)
+    return MonoidRefinement(m, star_subdivide(m, (1, 1)).members
+                            + star_subdivide(m, (1, 2)).members)
+
+
+def _relattice(base, center):
+    """The star subdivision of base (a monoid on all of Z^d) at center,
+    with a maximal member on a proper sublattice, if there is one, moved
+    to Z^d, and that member's faces added: a facet it shares can then
+    carry two lattices."""
+    r = star_subdivide(base, center)
+    d = base.ambient_dim
+    old = next((m for m in r.maximal_members()
+                if m.lattice != la.identity(d)), r.maximal_members()[0])
+    new = ToricMonoid.make(d, la.identity(d), old.rays)
+    return MonoidRefinement(base, [m for m in r.members if m != old]
+                            + list(new.face_monoids()))
+
+
+def _shared_facet_two_lattices():
+    return _relattice(ToricMonoid.free(3), (1, 2, 2))
+
+
+@st.composite
+def refinement_families(draw):
+    """Valid star subdivisions and smoothings, and corrupted families:
+    a maximal member dropped, two star subdivisions merged, a maximal
+    member moved to another lattice, a stray lower-dimensional member,
+    and non-simplicial families."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    base = random_positive_monoid(rng, draw(st.sampled_from([2, 3])))
+
+    def center():
+        return la.primitive(functools.reduce(
+            la.vadd, (la.vscale(rng.randint(0, 2), g) for g in base.rays),
+            base.rays[draw(st.integers(0, len(base.rays) - 1))]))
+    star = star_subdivide(base, center())
+    kind = draw(st.sampled_from(["star", "smoothing", "drop", "merge",
+                                 "relattice", "stray", "nonsimplicial"]))
+    if kind == "star":
+        return star
+    top = star.maximal_members()
+    if kind == "smoothing":
+        return smoothing(draw(st.sampled_from(top)))
+    if kind == "drop":
+        gone = draw(st.sampled_from(top))
+        return MonoidRefinement(base, [m for m in star.members if m != gone])
+    if kind == "merge":
+        return MonoidRefinement(base, star.members
+                                + star_subdivide(base, center()).members)
+    if kind == "relattice":
+        return _relattice(base, center())
+    if kind == "stray":
+        p = la.primitive(functools.reduce(
+            la.vadd, (la.vscale(rng.randint(1, 3), g)
+                      for g in draw(st.sampled_from(top)).rays)))
+        return MonoidRefinement(base, star.members
+                                + (ToricMonoid.make(base.ambient_dim,
+                                                    [p], [p]),))
+    extra = star.members if draw(st.booleans()) else ()
+    return MonoidRefinement(base, base.face_monoids() + extra)
+
+
+class TestFastValidation:
+    """validate skips the pairwise common-face check on triangulations
+    (the module docstring's conditions (1)-(5)); its report must equal
+    the all-pairs reference on every family."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(refinement_families())
+    def test_agrees_with_all_pairs(self, r):
+        assert r.validate() == all_pairs_failures(r)
+
+    @pytest.mark.parametrize("family, condition", [
+        (_stray_ray, 3), (_nested, 4), (_same_side, 4),
+        (_shared_facet_two_lattices, 4), (_two_stars, 5)])
+    def test_each_condition_is_needed(self, family, condition,
+                                      monkeypatch):
+        r = family()
+        assert r.is_simplicial()
+        calls = count_intersections(monkeypatch)
+        failures = r.validate()
+        assert calls, f"condition {condition} did not force the full check"
+        assert any(f.axiom == "common_face" for f in failures)
+        assert failures == all_pairs_failures(r)
+
+    def test_cli_documents_need_no_intersection(self, monkeypatch):
+        """Star subdivisions of the dimension-3 documents of the CLI
+        tests (the octant and the cone over a square) validate without
+        one intersection, as monoid and as complex refinements."""
+        square = ToricMonoid.make(
+            3, la.identity(3), [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+        calls = count_intersections(monkeypatch)
+        for base in (ToricMonoid.free(3), square):
+            q, ids = complex_from_monoid(base)
+            top = next(a for a, m in ids.items() if m == base)
+            for v in [base.interior_point(), (1, 1, 2), (1, 1, 1),
+                      la.vadd(base.rays[0], base.rays[1])]:
+                assert star_subdivide(base, v).validate() == []
+                if base.in_relative_interior(v):
+                    star_subdivide_complex(q, top, v).validate()
+        assert calls == []
 
 
 class TestTrivial:
