@@ -19,9 +19,10 @@ from .complexes import (ComplexMorphism, ComplexRefinement,
                         star_subdivide_complex)
 from .manifolds import (BMap, Blowup, Chart, ChartAtlas, CornerComplex,
                         Lift, blowup_domain, chart_lift, check_blowdown,
-                        corner_model, generalized_blowup, identity_bmap,
-                        is_compatible, iterated_blowup, lift_bmap,
-                        lift_face, local_atlas, ordinary_blowup)
+                        corner_model, factor_through_refinement,
+                        generalized_blowup, identity_bmap, is_compatible,
+                        iterated_blowup, lift_bmap, lift_face, local_atlas,
+                        ordinary_blowup)
 from .binomial import (BinomialSystem, Resolution, boundary_faces,
                        normal_form, resolve, universal_resolution,
                        variety_complex)
@@ -64,6 +65,7 @@ __all__ = [
     "corner_model",
     "extend_refinement",
     "factor_through",
+    "factor_through_refinement",
     "fiber_complex",
     "fiber_product",
     "fiber_product_complex",

@@ -12,11 +12,33 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from . import exactla as la
-from .errors import InvariantViolated, NotAComplex, NotARefinement
+from .errors import (InvariantViolated, NotAComplex, NotARefinement,
+                     NotInSupport)
 from .monoids import MonoidHom, ToricMonoid
 from .monoids import fiber_product as monoid_fiber_product
 from .refinements import (MonoidRefinement, planar_refine, smoothing,
                           star_subdivide, trivial_refinement)
+
+
+def _order_closure(elements: Iterable[str],
+                  order: Iterable[Tuple[str, str]]
+                  ) -> Dict[str, FrozenSet[str]]:
+    """The reflexive transitive closure of order, as everything reachable
+    from each element (itself included), by depth-first search.  Elements
+    named only in order are included."""
+    succ: Dict[str, set] = {a: set() for a in elements}
+    for a, b in order:
+        succ.setdefault(a, set()).add(b)
+        succ.setdefault(b, set())
+    above = {}
+    for a in succ:
+        seen, stack = {a}, [a]
+        while stack:
+            for b in succ[stack.pop()] - seen:
+                seen.add(b)
+                stack.append(b)
+        above[a] = frozenset(seen)
+    return above
 
 
 class MonoidalComplex:
@@ -28,20 +50,8 @@ class MonoidalComplex:
                  face_maps: Dict[Tuple[str, str], la.Mat]):
         self.elements = tuple(sorted(monoids))
         self.monoids = dict(monoids)
-        succ: Dict[str, set] = {a: set() for a in self.elements}
-        for a, b in order:
-            succ.setdefault(a, set()).add(b)
-            succ.setdefault(b, set())
-        # Everything reachable from a, a included.
-        self._above: Dict[str, FrozenSet[str]] = {}
-        for a in succ:
-            seen, stack = {a}, [a]
-            while stack:
-                for b in succ[stack.pop()] - seen:
-                    seen.add(b)
-                    stack.append(b)
-            self._above[a] = frozenset(seen)
-        below: Dict[str, set] = {a: set() for a in succ}
+        self._above = _order_closure(self.elements, order)
+        below: Dict[str, set] = {a: set() for a in self._above}
         for a, ups in self._above.items():
             for b in ups:
                 below[b].add(a)
@@ -430,8 +440,26 @@ def reassemble(r: ComplexRefinement) -> ComplexRefinement:
 def star_subdivide_complex(q: MonoidalComplex, a_id: str,
                            v) -> ComplexRefinement:
     """Star subdivision of the complex at a vector v in the monoid of
-    element a_id: every monoid above a_id is star subdivided at the image
-    of v, every other monoid is refined trivially."""
+    element a_id: every monoid above the carrier of v is star subdivided
+    at the image of v, every other monoid is refined trivially.  The
+    carrier is a_id when v is in the relative interior of its monoid, and
+    otherwise the element whose image is the smallest face containing v.
+
+    Raises:
+        NotInSupport: if v is not in the monoid of a_id.
+    """
+    sigma = q.monoids[a_id]
+    if not sigma.in_relative_interior(v):
+        face = sigma.smallest_face_containing(v).monoid
+        for c in q.below(a_id):
+            if q.image_face(c, a_id) == face:
+                w = _lattice_preimage(q.monoids[c], q.face_maps[(c, a_id)],
+                                      v)
+                if w is None:
+                    raise NotInSupport(f"{tuple(v)} is not in the monoid")
+                return star_subdivide_complex(q, c, w)
+        raise NotAComplex(f"no element of the complex maps onto the face "
+                          f"{face.rays} of {a_id}")
     local = {}
     for b in q.elements:
         if q.leq(a_id, b):
@@ -440,6 +468,17 @@ def star_subdivide_complex(q: MonoidalComplex, a_id: str,
         else:
             local[b] = trivial_refinement(q.monoids[b])
     return assemble_from_local(q, local)
+
+
+def _lattice_preimage(m: ToricMonoid, mat: la.Mat, v) -> Optional[la.Vec]:
+    """The point of m's lattice that mat sends to v, or None if there is
+    none; mat must be injective on m's lattice."""
+    if la.is_zero(v):
+        return la.zeros(m.ambient_dim)
+    c = la.solve_row(v, la.mat_mul(m.lattice, mat)) if m.dim else None
+    if c is None or any(x.denominator != 1 for x in c):
+        return None
+    return la.apply_row(tuple(int(x) for x in c), m.lattice)
 
 
 def planar_refine_complex(q: MonoidalComplex,

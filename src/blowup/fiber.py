@@ -8,18 +8,17 @@ complex with projection b-maps to both factors.  Each face pair also
 carries a binomial-system model of the local fiber product.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .binomial import BinomialSystem, normal_form
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
-                        fiber_product_complex, natural_smooth_refinement,
-                        pullback_refinement)
+                        fiber_product_complex, natural_smooth_refinement)
 from .errors import NotCompatible, NotTransverse
-from .manifolds import (BMap, CornerComplex, _smooth_coords, _int_vec,
-                        generalized_blowup)
+from .manifolds import (BMap, CornerComplex, _lifted_bmap,
+                        _pulled_back_blowup, _ray_bmap, _smooth_corner,
+                        factor_through_refinement)
 from .monoids import MonoidHom, ToricMonoid
 from .monoids import fiber_product as monoid_fiber_product
 
@@ -31,8 +30,8 @@ class FiberProblem:
     f2: BMap
 
     def __post_init__(self):
-        assert self.f1.target.faces == self.f2.target.faces, \
-            "the two maps must share a target"
+        if self.f1.target.faces != self.f2.target.faces:
+            raise NotCompatible("the two maps must share a target")
 
     def relevant_pairs(self) -> List[Tuple[str, str, str]]:
         """Face pairs (F1, F2) whose images are the same face G; only
@@ -143,30 +142,6 @@ class ResolvedFiberProduct:
     report: FiberReport
 
 
-def _corner_from_smooth(rc: MonoidalComplex) -> CornerComplex:
-    rays = [e for e in rc.elements if rc.monoids[e].dim == 1]
-    incidence = {e: frozenset(w for w in rays if rc.leq(w, e))
-                 for e in rc.elements}
-    order = [(a, b) for (a, b) in rc.order if a != b]
-    return CornerComplex(incidence, order)
-
-
-def _bmap_from_morphism(src: CornerComplex, rc: MonoidalComplex,
-                        target: CornerComplex,
-                        morph: ComplexMorphism) -> BMap:
-    face_map = {e: morph.node_map[e] for e in rc.elements}
-    exps = {}
-    for w in src.hypersurfaces():
-        ax = target.axes(face_map[w])
-        img = morph.hom(w).image_monoid()
-        if img.dim:
-            (gen,) = img.rays
-            for j, h in enumerate(ax):
-                if gen[j]:
-                    exps[(w, h)] = gen[j]
-    return BMap(src, target, face_map, exps)
-
-
 def resolve_fiber_product(p: FiberProblem,
                           r: Optional[ComplexRefinement] = None
                           ) -> ResolvedFiberProduct:
@@ -175,6 +150,7 @@ def resolve_fiber_product(p: FiberProblem,
 
     Raises:
         NotTransverse: if the combinatorial transversality test fails.
+        NotSmooth: if the given refinement is not smooth.
     """
     report = b_normal_transversality(p)
     if not report.transversal:
@@ -184,89 +160,10 @@ def resolve_fiber_product(p: FiberProblem,
     fc, p1, p2 = fiber_complex(p)
     if r is None:
         r = natural_smooth_refinement(fc)
-    assert r.is_smooth(), "the chosen refinement must be smooth"
-    rc = r.source
-    corner = _corner_from_smooth(rc)
-    h1m = r.morphism.compose(p1)
-    h2m = r.morphism.compose(p2)
-    h1 = _bmap_from_morphism(corner, rc, p.f1.source, h1m)
-    h2 = _bmap_from_morphism(corner, rc, p.f2.source, h2m)
+    corner = _smooth_corner(r.source)
+    h1 = _ray_bmap(corner, r.morphism.compose(p1), p.f1.source)
+    h2 = _ray_bmap(corner, r.morphism.compose(p2), p.f2.source)
     return ResolvedFiberProduct(p, fc, r, corner, h1, h2, report)
-
-
-def _lift_witness(psi: ComplexMorphism, r: ComplexRefinement):
-    """None if every image monoid of psi fits in a member of r, else a
-    witness (element, total image vector)."""
-    for z in psi.source.elements:
-        sigma_id = psi.node_map[z]
-        gens = list(psi.homs[z])
-        found = False
-        for e in r.members_over(sigma_id):
-            img = r.morphism.image_in(e, sigma_id)
-            if all(img.contains(g) for g in gens):
-                found = True
-                break
-        if not found:
-            total = la.zeros(psi.target.monoids[sigma_id].ambient_dim)
-            for g in gens:
-                total = la.vadd(total, g)
-            return (z, total)
-    return None
-
-
-def _lift_morphism(psi: ComplexMorphism,
-                   r: ComplexRefinement) -> ComplexMorphism:
-    """Factor psi through the refinement r of its target; psi.source must
-    be a basic complex (free monoids, generator rows)."""
-    rc = r.source
-    node = {}
-    homs = {}
-    for z in psi.source.elements:
-        sigma_id = psi.node_map[z]
-        gens = list(psi.homs[z])
-        best = None
-        for e in r.members_over(sigma_id):
-            img = r.morphism.image_in(e, sigma_id)
-            if all(img.contains(g) for g in gens):
-                if best is None or img.dim < best[1].dim:
-                    best = (e, img)
-        assert best is not None, "psi does not factor through r"
-        e, _ = best
-        node[z] = e
-        incl = la.mat_mul(r.morphism.homs[e],
-                          r.target.face_maps[(r.morphism.node_map[e],
-                                              sigma_id)])
-        src = rc.monoids[e]
-        big = la.mat_mul(src.lattice, incl) if src.dim else ()
-        rows = []
-        for g in gens:
-            if la.is_zero(g):
-                rows.append(la.zeros(src.ambient_dim))
-                continue
-            c = la.solve_row(g, big)
-            assert c is not None
-            rows.append(la.apply_row(_int_vec(c), src.lattice))
-        homs[z] = la.mat(rows) if rows else tuple()
-    return ComplexMorphism(psi.source, rc, node, homs)
-
-
-def _bmap_to_resolved(z: CornerComplex, lifted: ComplexMorphism,
-                      corner: CornerComplex) -> BMap:
-    rc = lifted.target
-    face_map = dict(lifted.node_map)
-    exps = {}
-    for g in z.hypersurfaces():
-        e = face_map[g]
-        m = rc.monoids[e]
-        (img_vec,) = lifted.homs[g]
-        coeffs = _smooth_coords(m, img_vec)
-        for w in corner.incidence[e]:
-            ray_img = MonoidHom(rc.monoids[w], m,
-                                rc.face_maps[(w, e)]).image_monoid()
-            idx = m.rays.index(ray_img.rays[0])
-            if coeffs[idx]:
-                exps[(g, w)] = coeffs[idx]
-    return BMap(z, corner, face_map, exps)
 
 
 def factor_through(p: FiberProblem, g1: BMap, g2: BMap,
@@ -284,7 +181,8 @@ def factor_through(p: FiberProblem, g1: BMap, g2: BMap,
     Raises:
         NotCompatible: if the square does not commute.
     """
-    assert g1.source.faces == g2.source.faces, "common domain required"
+    if g1.source.faces != g2.source.faces:
+        raise NotCompatible("common domain required")
     c1 = g1.compose(p.f1)
     c2 = g2.compose(p.f2)
     if c1 != c2:
@@ -298,8 +196,9 @@ def factor_through(p: FiberProblem, g1: BMap, g2: BMap,
         a = g1.face_map[face]
         b = g2.face_map[face]
         eid = f"{a}*{b}"
-        assert eid in fc.elements, \
-            f"image pair {eid} is missing from the fiber complex"
+        if eid not in fc.elements:
+            raise NotCompatible(
+                f"image pair {eid} is missing from the fiber complex")
         node[face] = eid
         m1 = g1.exponent_matrix(face)
         m2 = g2.exponent_matrix(face)
@@ -307,23 +206,12 @@ def factor_through(p: FiberProblem, g1: BMap, g2: BMap,
                             for r1, r2 in zip(m1, m2))
     psi = ComplexMorphism(pz, fc, node, homs)
     r = resolved.refinement
-    if _lift_witness(psi, r) is None:
-        lifted = _lift_morphism(psi, r)
-        return None, _bmap_to_resolved(z, lifted, resolved.corner)
-    pulled = pullback_refinement(r, psi)
-    s = pulled if pulled.source.is_smooth() else \
-        pulled.compose(natural_smooth_refinement(pulled.source))
-    dom = generalized_blowup(z, s)
-    beta = dom.blowdown
-    pz1 = dom.total.basic_complex()
-    node1 = {}
-    homs1 = {}
-    for face in pz1.elements:
-        base = beta.face_map[face]
-        node1[face] = node[base]
-        homs1[face] = la.mat_mul(beta.exponent_matrix(face), homs[base])
-    psi1 = ComplexMorphism(pz1, fc, node1, homs1)
-    assert _lift_witness(psi1, r) is None, \
-        "pulled back refinement must make the map liftable"
-    lifted = _lift_morphism(psi1, r)
-    return dom, _bmap_to_resolved(dom.total, lifted, resolved.corner)
+    dom = None
+    try:
+        factoring = factor_through_refinement(psi, r)
+    except NotCompatible:
+        dom, _ = _pulled_back_blowup(z, r, psi)
+        factoring = factor_through_refinement(
+            dom.blowdown.induced_morphism().compose(psi), r)
+    return dom, _lifted_bmap(dom.total if dom else z, factoring,
+                             resolved.corner)

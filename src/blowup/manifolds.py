@@ -17,11 +17,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
+                        _lattice_preimage, _order_closure,
                         identity_refinement, natural_smooth_refinement,
                         pullback_refinement, star_subdivide_complex)
-from .errors import (InvariantViolated, NotAComplex, NotAFace, NotCompatible,
-                     NotSmooth)
-from .monoids import MonoidHom, ToricMonoid
+from .errors import (BlowupError, InvariantViolated, NotAComplex, NotAFace,
+                     NotCompatible, NotInSupport, NotSmooth)
+from .monoids import ToricMonoid
+from .refinements import intersect_members
 
 
 class CornerComplex:
@@ -32,16 +34,9 @@ class CornerComplex:
                  order: Sequence[Tuple[str, str]]):
         self.faces = tuple(sorted(incidence))
         self.incidence = {f: frozenset(incidence[f]) for f in self.faces}
-        rel = set((a, a) for a in self.faces)
-        rel.update(order)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(list(rel), list(rel)):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-        self.order = frozenset(rel)
+        self.order = frozenset(
+            (a, b) for a, ups in _order_closure(self.faces, order).items()
+            for b in ups)
 
     def codim(self, f: str) -> int:
         return len(self.incidence[f])
@@ -151,7 +146,7 @@ class BMap:
                 raise NotAComplex(f"negative exponent alpha({g}, {h})")
         for f in self.source.faces:
             expected = frozenset(
-                h for h in _target_hypers(self.target)
+                h for h in self.target.hypersurfaces()
                 if any(self.alpha(g, h) > 0
                        for g in self.source.incidence[f]))
             actual = self.target.incidence[self.face_map[f]]
@@ -178,16 +173,17 @@ class BMap:
 
     def compose(self, then: "BMap") -> "BMap":
         """self followed by then."""
-        assert then.source is self.target or \
-            then.source.faces == self.target.faces
+        if then.source is not self.target and \
+                then.source.faces != self.target.faces:
+            raise NotAComplex("b-maps do not compose: the first target is "
+                              "not the second source")
         face_map = {f: then.face_map[self.face_map[f]]
                     for f in self.source.faces}
         exps = {}
-        mids = _target_hypers(self.target)
+        mids = self.target.hypersurfaces()
         for g in self.source.hypersurfaces():
             for k in then.target.hypersurfaces():
-                val = sum(self.alpha(gh, h) * then.alpha(h, k)
-                          for gh in [g] for h in mids)
+                val = sum(self.alpha(g, h) * then.alpha(h, k) for h in mids)
                 if val:
                     exps[(g, k)] = val
         return BMap(self.source, then.target, face_map, exps)
@@ -199,10 +195,6 @@ class BMap:
             return False
         keys = set(self.exponents) | set(other.exponents)
         return all(self.alpha(*k) == other.alpha(*k) for k in keys)
-
-
-def _target_hypers(x: CornerComplex) -> Tuple[str, ...]:
-    return x.hypersurfaces()
 
 
 def identity_bmap(x: CornerComplex) -> BMap:
@@ -235,26 +227,41 @@ def generalized_blowup(x: CornerComplex, r: ComplexRefinement) -> Blowup:
     Raises:
         NotSmooth: if r is not smooth.
     """
-    rs = r.source
+    total = _smooth_corner(r.source)
+    return Blowup(total, _ray_bmap(total, r.morphism, x), r)
+
+
+def _smooth_corner(rs: MonoidalComplex) -> CornerComplex:
+    """The corner complex of a smooth complex: a face for each element,
+    cut by the hypersurfaces of the rays below it.
+
+    Raises:
+        NotSmooth: if rs is not smooth.
+    """
     if not rs.is_smooth():
         raise NotSmooth("blow-up requires a smooth refinement")
     rays = [e for e in rs.elements if rs.monoids[e].dim == 1]
     incidence = {e: frozenset(w for w in rays if rs.leq(w, e))
                  for e in rs.elements}
-    order = [(a, b) for (a, b) in rs.order if a != b]
-    total = CornerComplex(incidence, order)
-    face_map = {e: r.morphism.node_map[e] for e in rs.elements}
+    return CornerComplex(incidence,
+                         [(a, b) for (a, b) in rs.order if a != b])
+
+
+def _ray_bmap(total: CornerComplex, morphism: ComplexMorphism,
+              target: CornerComplex) -> BMap:
+    """The b-map from the corner complex of morphism.source to target with
+    the face map of morphism: the exponents of a hypersurface are the
+    coordinates of the image of its ray."""
+    face_map = {e: morphism.node_map[e] for e in morphism.source.elements}
     exps = {}
-    for w in rays:
-        tgt_face = face_map[w]
-        ax = x.axes(tgt_face)
-        img = r.morphism.hom(w).image_monoid()
-        (gen,) = img.rays
-        for j, h in enumerate(ax):
-            if gen[j]:
-                exps[(w, h)] = gen[j]
-    blowdown = BMap(total, x, face_map, exps)
-    return Blowup(total, blowdown, r)
+    for w in total.hypersurfaces():
+        img = morphism.hom(w).image_monoid()
+        if img.dim:
+            (gen,) = img.rays
+            for h, k in zip(target.axes(face_map[w]), gen):
+                if k:
+                    exps[(w, h)] = k
+    return BMap(total, target, face_map, exps)
 
 
 def check_basic_complex_iso(b: Blowup) -> bool:
@@ -268,11 +275,7 @@ def check_basic_complex_iso(b: Blowup) -> bool:
                       if rs.monoids[w].dim == 1 and rs.leq(w, e)]
         if len(below_rays) != m.dim or not m.is_smooth():
             return False
-        gens = set()
-        for w in below_rays:
-            img = MonoidHom(rs.monoids[w], m,
-                            rs.face_maps[(w, e)]).image_monoid()
-            gens.add(img.rays[0])
+        gens = set(rs.image_face(w, e).rays[0] for w in below_rays)
         if gens != set(m.rays):
             return False
     return True
@@ -323,7 +326,6 @@ def local_atlas(r: ComplexRefinement) -> ChartAtlas:
     separators = {}
     for e1, e2 in itertools.permutations(sorted(charts), 2):
         m1, m2 = members[e1], members[e2]
-        from .refinements import intersect_members
         common = intersect_members(m1, m2)
         if common.dim != n - 1:
             continue
@@ -335,7 +337,9 @@ def local_atlas(r: ComplexRefinement) -> ChartAtlas:
                    if g not in shared]
         zero = list(shared)
         u = la.lp_feasible(n, strict=strict, zero=zero)
-        assert u is not None, "separating functional must exist"
+        if u is None:
+            raise InvariantViolated(
+                f"charts {e1} and {e2} have no separating functional")
         separators[(e1, e2)] = la.clear_denominators(u) if any(
             Fraction(x) != 0 for x in u) else la.zeros(n)
     return ChartAtlas(n, charts, transitions, separators)
@@ -354,23 +358,73 @@ class Lift:
     factoring: ComplexMorphism
 
 
-def compatibility_witness(f: BMap, r: ComplexRefinement):
-    """None if f is compatible with the refinement r of the target's
-    basic complex, otherwise a witness (face id, interior image vector
-    whose smallest containing member does not contain the whole image)."""
-    for face in f.source.faces:
-        sigma_id = f.face_map[face]
-        local = r.localize(sigma_id)
-        mat = f.exponent_matrix(face)
-        gens = [la.apply_row(e, mat) for e in la.identity(len(mat))]
-        ok = any(all(m.contains(g) for g in gens) for m in local.members)
-        if not ok:
-            return (face, tuple(map(sum, zip(*gens))))
-    return None
+def factor_through_refinement(psi: ComplexMorphism,
+                              r: ComplexRefinement) -> ComplexMorphism:
+    """Factor psi: P -> Q through the refinement r of Q, for P a basic
+    complex (the rows of psi.homs[z] are the images of z's generators).
+
+    Each element z goes to the smallest member of r over psi(z) whose
+    image holds the generators, and they are solved in its lattice.
+
+    Raises:
+        NotCompatible: if no member over psi(z) holds them; the message
+            names z and the sum of the generators.
+    """
+    rs = r.source
+    node = {}
+    homs = {}
+    for z in psi.source.elements:
+        sigma_id = psi.node_map[z]
+        gens = psi.homs[z]
+        best = None
+        for e in r.members_over(sigma_id):
+            img = r.morphism.image_in(e, sigma_id)
+            if (best is None or img.dim < best[1].dim) and \
+                    all(img.contains(g) for g in gens):
+                best = (e, img)
+        if best is None:
+            raise NotCompatible(
+                f"image of face {z} crosses the refinement: "
+                f"direction {tuple(map(sum, zip(*gens)))}")
+        e = node[z] = best[0]
+        incl = la.mat_mul(r.morphism.homs[e],
+                          r.target.face_maps[(r.morphism.node_map[e],
+                                              sigma_id)])
+        rows = []
+        for g in gens:
+            w = _lattice_preimage(rs.monoids[e], incl, g)
+            if w is None:
+                raise InvariantViolated(f"{g} is outside the lattice of {e}")
+            rows.append(w)
+        homs[z] = la.mat(rows)
+    return ComplexMorphism(psi.source, rs, node, homs)
+
+
+def _lifted_bmap(x: CornerComplex, factoring: ComplexMorphism,
+                 total: CornerComplex) -> BMap:
+    """The b-map from x to the corner complex total of factoring.target
+    whose induced morphism is factoring: the exponents of a hypersurface
+    of x are the coordinates of its image in the free basis of rays."""
+    rs = factoring.target
+    exps = {}
+    for g in x.hypersurfaces():
+        e = factoring.node_map[g]
+        m = rs.monoids[e]
+        (img_vec,) = factoring.homs[g]
+        coeffs = _smooth_coords(m, img_vec)
+        for w in total.incidence[e]:
+            idx = m.rays.index(rs.image_face(w, e).rays[0])
+            if coeffs[idx]:
+                exps[(g, w)] = coeffs[idx]
+    return BMap(x, total, dict(factoring.node_map), exps)
 
 
 def is_compatible(f: BMap, r: ComplexRefinement) -> bool:
-    return compatibility_witness(f, r) is None
+    try:
+        factor_through_refinement(f.induced_morphism(), r)
+    except NotCompatible:
+        return False
+    return True
 
 
 def lift_bmap(f: BMap, blowup: Blowup) -> Lift:
@@ -379,59 +433,9 @@ def lift_bmap(f: BMap, blowup: Blowup) -> Lift:
     Raises:
         NotCompatible: if f does not factor through the refinement.
     """
-    r = blowup.refinement
-    rs = r.source
-    px = f.source.basic_complex()
-    node = {}
-    homs = {}
-    for face in f.source.faces:
-        sigma_id = f.face_map[face]
-        mat = f.exponent_matrix(face)
-        gens = [la.apply_row(e, mat) for e in la.identity(len(mat))]
-        best = None
-        for e in r.members_over(sigma_id):
-            img = r.morphism.image_in(e, sigma_id)
-            if all(img.contains(g) for g in gens):
-                if best is None or img.dim < best[1].dim:
-                    best = (e, img)
-        if best is None:
-            raise NotCompatible(
-                f"image of face {face} crosses the refinement: "
-                f"direction {tuple(map(sum, zip(*gens)))}")
-        e, img = best
-        node[face] = e
-        incl = la.mat_mul(r.morphism.homs[e],
-                          r.target.face_maps[(r.morphism.node_map[e],
-                                              sigma_id)])
-        src = rs.monoids[e]
-        big = la.mat_mul(src.lattice, incl) if src.dim else ()
-        rows = []
-        for g in gens:
-            if la.is_zero(g):
-                rows.append(la.zeros(src.ambient_dim))
-                continue
-            c = la.solve_row(g, big)
-            if c is None:
-                raise InvariantViolated(f"{g} is outside the lattice of {e}")
-            rows.append(la.apply_row(_int_vec(c), src.lattice))
-        homs[face] = la.mat(rows) if rows else \
-            la.mat([la.zeros(src.ambient_dim)] * 0)
-    factoring = ComplexMorphism(px, rs, node, homs)
-    # Boundary exponents of the lifted map.
-    exps = {}
-    for g in f.source.hypersurfaces():
-        e = node[g]
-        m = rs.monoids[e]
-        (img_vec,) = homs[g]
-        coeffs = _smooth_coords(m, img_vec)
-        for w in blowup.total.incidence[e]:
-            ray_img = MonoidHom(rs.monoids[w], m,
-                                rs.face_maps[(w, e)]).image_monoid()
-            idx = m.rays.index(ray_img.rays[0])
-            if coeffs[idx]:
-                exps[(g, w)] = coeffs[idx]
-    lifted = BMap(f.source, blowup.total, dict(node), exps)
-    return Lift(lifted, factoring)
+    factoring = factor_through_refinement(f.induced_morphism(),
+                                          blowup.refinement)
+    return Lift(_lifted_bmap(f.source, factoring, blowup.total), factoring)
 
 
 def _smooth_coords(m: ToricMonoid, v) -> la.Vec:
@@ -440,31 +444,24 @@ def _smooth_coords(m: ToricMonoid, v) -> la.Vec:
     if m.dim == 0:
         return ()
     c = la.solve_row(v, la.mat(m.rays))
-    assert c is not None
-    return _int_vec(c)
-
-
-def _int_vec(c) -> la.Vec:
-    out = []
-    for x in c:
-        fr = Fraction(x)
-        assert fr.denominator == 1, "expected an integral solution"
-        out.append(int(fr))
-    return tuple(out)
+    if c is None or any(x.denominator != 1 for x in c):
+        raise InvariantViolated(f"{v} is not a lattice point of the smooth "
+                                f"monoid {m.rays}")
+    return tuple(int(x) for x in c)
 
 
 def chart_lift(delta: la.Mat, nu: la.Mat) -> la.Mat:
     """Exponent matrix mu with delta == mu @ nu, for a map x = a(x') x'^delta
-    factoring through the chart t -> t^nu."""
-    nu_inv = la.inverse_q(nu)
-    mu = la.mat_mul(delta, nu_inv)
-    out = []
-    for row in mu:
-        out.append(_int_vec(row))
-    mu = la.mat(out)
-    assert la.mat_mul(mu, nu) == la.mat(tuple(tuple(int(x) for x in row)
-                                              for row in delta))
-    return mu
+    factoring through the chart t -> t^nu.
+
+    Raises:
+        NotCompatible: if mu is not integral.
+    """
+    mu = la.mat_mul(delta, la.inverse_q(nu))
+    if any(Fraction(x).denominator != 1 for row in mu for x in row):
+        raise NotCompatible(f"{delta} does not factor through the chart "
+                            f"{nu}")
+    return la.mat(tuple(int(x) for x in row) for row in mu)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +483,9 @@ def ordinary_blowup(x: CornerComplex, face_id: str,
     k = x.codim(face_id)
     if weights is None:
         weights = [1] * k
-    assert len(weights) == k and all(w >= 1 for w in weights)
+    if len(weights) != k or any(w < 1 for w in weights):
+        raise NotInSupport(f"weights {tuple(weights)} for {face_id} must "
+                           f"be {k} integers of at least 1")
     v = tuple(int(w) for w in weights)
     r = star_subdivide_complex(px, face_id, v)
     if not r.source.is_smooth():
@@ -540,14 +539,22 @@ def blowup_domain(f: BMap, blowup: Blowup) -> Tuple[Blowup, Lift, bool]:
     Returns the domain blow-up, the lift of f . beta, and whether the
     domain blow-up was already minimal (pullback already smooth).
     """
-    phi = f.induced_morphism()
-    pulled = pullback_refinement(blowup.refinement, phi)
+    dom, minimal = _pulled_back_blowup(f.source, blowup.refinement,
+                                       f.induced_morphism())
+    lifted = lift_bmap(dom.blowdown.compose(f), blowup)
+    return dom, lifted, minimal
+
+
+def _pulled_back_blowup(x: CornerComplex, r: ComplexRefinement,
+                        psi: ComplexMorphism) -> Tuple[Blowup, bool]:
+    """Blow up x along the pullback of r by psi: P_x -> r.target, made
+    smooth by its natural smooth refinement if it is not; also whether
+    the pullback was smooth already."""
+    pulled = pullback_refinement(r, psi)
     minimal = pulled.source.is_smooth()
     s = pulled if minimal else \
         pulled.compose(natural_smooth_refinement(pulled.source))
-    dom = generalized_blowup(f.source, s)
-    lifted = lift_bmap(dom.blowdown.compose(f), blowup)
-    return dom, lifted, minimal
+    return generalized_blowup(x, s), minimal
 
 
 def check_blowdown(f: BMap) -> Tuple[bool, bool]:
@@ -560,7 +567,7 @@ def check_blowdown(f: BMap) -> Tuple[bool, bool]:
     ref = ComplexRefinement(phi)
     try:
         ref.validate()
-    except Exception:
+    except BlowupError:
         return False, False
     if not ref.source.is_smooth():
         return False, False

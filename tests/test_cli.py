@@ -157,6 +157,28 @@ class TestBlowupCommands:
         assert sorted(doc["charts"]) == [[[1, 0], [1, 1]],
                                          [[1, 1], [0, 1]]]
 
+    @pytest.mark.parametrize("optimize", [[], ["-O"]])
+    def test_bad_weights_fail_without_a_document(self, square_doc,
+                                                 tmp_path, optimize):
+        """Too few weights and a zero weight give the same validation
+        exit and write nothing, also under python -O."""
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        codes = []
+        for k, weights in enumerate(["1", "0,1"]):
+            out = tmp_path / f"bl{k}.json"
+            run = subprocess.run(
+                [sys.executable, *optimize, "-m", "blowup.cli", "blowup",
+                 square_doc, "--ordinary", "H1&H2", "--weights", weights,
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            codes.append(run.returncode)
+            assert run.stdout == ""
+            assert "validation failed" in run.stderr
+            assert not out.exists()
+        assert codes == [1, 1]
+
     def test_iterated(self, tmp_path):
         path = write(tmp_path, "cube.json",
                      ser.manifold_to_doc(corner_model(3)))

@@ -16,7 +16,7 @@ from blowup.complexes import (ComplexMorphism, ComplexRefinement,
                               planar_refine_complex, product_complex,
                               pullback_refinement, smooth_complex,
                               star_subdivide_complex, terminal_complex)
-from blowup.errors import NotAComplex, NotARefinement
+from blowup.errors import NotAComplex, NotARefinement, NotInSupport
 from blowup.manifolds import corner_model
 from blowup.monoids import MonoidHom, ToricMonoid
 from blowup.refinements import (MonoidRefinement, star_subdivide,
@@ -142,6 +142,30 @@ class TestStarSubdivideComplex:
         top = top_element(q)
         assert len([e for e in r.members_over(top)
                     if r.source.monoids[e].dim == 3]) == 2
+
+    @pytest.mark.parametrize("sigma, v", [
+        (ToricMonoid.free(3), (0, 1, 1)),
+        (square_cone(), (0, 1, 2)),
+    ])
+    def test_boundary_center_subdivides_its_carrier(self, sigma, v):
+        # v lies on a proper face of the top monoid: the result is the
+        # subdivision at the element carrying that face.
+        q, _ = complex_from_monoid(sigma)
+        top = top_element(q)
+        r = star_subdivide_complex(q, top, v)
+        r.validate()
+        face = q.monoids[top].smallest_face_containing(v).monoid
+        carrier = next(c for c in q.elements if q.monoids[c] == face)
+        direct = star_subdivide_complex(q, carrier, v)
+        assert set(r.localize(top).members) == \
+            set(direct.localize(top).members)
+        assert set(r.localize(carrier).members) == \
+            set(star_subdivide(face, v).members)
+
+    def test_center_outside_the_monoid_is_rejected(self):
+        q, _ = complex_from_monoid(ToricMonoid.free(3))
+        with pytest.raises(NotInSupport):
+            star_subdivide_complex(q, top_element(q), (0, -1, 1))
 
 
 class TestAssemble:

@@ -9,7 +9,8 @@ from blowup.errors import NotCompatible, NotTransverse
 from blowup.fiber import (FiberProblem, b_normal_transversality,
                           factor_through, fiber_complex,
                           resolve_fiber_product, theorem_b_check)
-from blowup.manifolds import BMap, corner_model, identity_bmap
+from blowup.manifolds import (BMap, check_blowdown, corner_model,
+                              identity_bmap, lift_bmap, ordinary_blowup)
 
 
 def sum_map():
@@ -192,6 +193,38 @@ class TestFactorThrough:
         # maps composed with the domain blow-down.
         assert lifted.compose(res.h1) == bl.blowdown.compose(g1)
         assert lifted.compose(res.h2) == bl.blowdown.compose(g1)
+
+    def test_factor_without_blowup_is_the_lift(self):
+        # Over the blow-down of the square's corner and the identity, the
+        # resolution is the blow-up itself (h1 is a diffeomorphism), so the
+        # factoring of (lift of g, g) is the lift of g read through h1.
+        y = corner_model(2)
+        bl, _ = ordinary_blowup(y, "H1&H2")
+        p = FiberProblem(bl.blowdown, identity_bmap(y))
+        res = resolve_fiber_product(p)
+        assert check_blowdown(res.h1) == (True, True)
+        z = corner_model(1, prefix="G")
+        g = BMap(z, y, {"X": "X", "G1": "H1&H2"},
+                 {("G1", "H1"): 1, ("G1", "H2"): 2})
+        lift = lift_bmap(g, bl)
+        dom, h = factor_through(p, lift.bmap, g, res)
+        assert dom is None
+        h.validate()
+        assert h.compose(res.h1) == lift.bmap
+        assert h.compose(res.h2) == g
+
+    def test_different_domains_rejected(self):
+        p = addition_problem()
+        res = resolve_fiber_product(p)
+        g1 = identity_bmap(p.f1.source)
+        g2 = BMap(corner_model(1, prefix="G"), p.f2.source,
+                  {"X": "X", "G1": "H1"}, {("G1", "H1"): 1})
+        with pytest.raises(NotCompatible):
+            factor_through(p, g1, g2, res)
+
+    def test_problem_needs_a_common_target(self):
+        with pytest.raises(NotCompatible):
+            FiberProblem(sum_map(), identity_bmap(corner_model(2)))
 
     def test_noncommuting_rejected(self):
         p = addition_problem()

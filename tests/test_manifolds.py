@@ -1,15 +1,19 @@
 """Tests for corner complexes, b-maps and generalized blow-up."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from blowup import exactla as la
 from blowup.complexes import identity_refinement, star_subdivide_complex
-from blowup.errors import NotAComplex, NotAFace, NotCompatible
+from blowup.errors import (NotAComplex, NotAFace, NotCompatible,
+                           NotInSupport)
 from blowup.manifolds import (BMap, CornerComplex, blowup_domain,
                               chart_lift, check_basic_complex_iso,
                               check_blowdown, corner_model,
+                              factor_through_refinement,
                               generalized_blowup, identity_bmap,
                               is_compatible, iterated_blowup, lift_bmap,
                               lift_face, local_atlas, ordinary_blowup)
@@ -21,6 +25,43 @@ def square():
 
 def corner_blowup():
     return ordinary_blowup(square(), "H1&H2")
+
+
+def fixpoint_closure(faces, order):
+    """Reference: the reflexive transitive closure by repeated passes over
+    all pairs of related pairs, until nothing is added."""
+    rel = set((a, a) for a in faces)
+    rel.update(order)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (c, d) in itertools.product(list(rel), list(rel)):
+            if b == c and (a, d) not in rel:
+                rel.add((a, d))
+                changed = True
+    return frozenset(rel)
+
+
+def covers(x: CornerComplex):
+    """The pairs of x's order one codimension apart."""
+    return [(a, b) for a, b in x.order if x.codim(b) == x.codim(a) + 1]
+
+
+def random_iterated_blowups(rng, count):
+    """Iterated blow-ups of corner models at random centers of
+    codimension at least two, taken in order of decreasing codimension;
+    draws whose later center does not lift are skipped."""
+    out = []
+    while len(out) < count:
+        x = corner_model(rng.choice([2, 3]))
+        deep = [f for f in x.faces if x.codim(f) >= 2]
+        centers = rng.sample(deep, rng.randint(1, len(deep)))
+        centers.sort(key=lambda f: -x.codim(f))
+        try:
+            out.append(iterated_blowup(x, centers))
+        except NotAFace:
+            continue
+    return out
 
 
 class TestCornerComplex:
@@ -44,6 +85,19 @@ class TestCornerComplex:
         q.validate()
         assert q.is_smooth()
         assert q.monoids["H1&H2"].dim == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_order_matches_fixpoint_closure_on_corner_models(self, n):
+        x = corner_model(n)
+        assert x.order == fixpoint_closure(x.faces, covers(x))
+        assert CornerComplex(x.incidence, covers(x)).order == x.order
+
+    def test_order_matches_fixpoint_closure_on_iterated_blowups(self):
+        for bl in random_iterated_blowups(random.Random(7), 4):
+            x = bl.total
+            gens = covers(x)
+            assert CornerComplex(x.incidence, gens).order == \
+                fixpoint_closure(x.faces, gens) == x.order
 
     def test_validate_rejects_missing_subface(self):
         bad = CornerComplex(
@@ -76,6 +130,12 @@ class TestBMap:
         c = f.compose(g)
         c.validate()
         assert c.alpha("H2", "H1") == 6
+
+    def test_compose_rejects_mismatched_middle(self):
+        f = identity_bmap(square())
+        g = identity_bmap(corner_model(1))
+        with pytest.raises(NotAComplex):
+            f.compose(g)
 
 
 class TestOrdinaryBlowup:
@@ -112,6 +172,11 @@ class TestOrdinaryBlowup:
                    if bl.blowdown.face_map[h] == "H1&H2")
         assert bl.blowdown.alpha(exc, "H1") == 1
         assert bl.blowdown.alpha(exc, "H2") == 2
+
+    @pytest.mark.parametrize("weights", [(1,), (0, 1), (1, 2, 3)])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(NotInSupport):
+            ordinary_blowup(square(), "H1&H2", weights=weights)
 
     def test_blowdown_recognized(self):
         bl, _ = corner_blowup()
@@ -178,11 +243,43 @@ class TestLift:
         with pytest.raises(NotCompatible):
             lift_bmap(identity_bmap(square()), bl)
 
+    def test_is_compatible_false(self):
+        bl, _ = corner_blowup()
+        assert not is_compatible(identity_bmap(square()), bl.refinement)
+        assert is_compatible(bl.blowdown, bl.refinement)
+
+    def test_factor_through_refinement_names_the_element(self):
+        # The corner's generators (1, 0) and (0, 1) lie in no one member
+        # of the subdivision at (1, 1).
+        bl, _ = corner_blowup()
+        psi = identity_bmap(square()).induced_morphism()
+        with pytest.raises(NotCompatible) as err:
+            factor_through_refinement(psi, bl.refinement)
+        assert "face H1&H2 " in str(err.value)
+        assert "direction (1, 1)" in str(err.value)
+
+    def test_factoring_composes_back(self):
+        # psi == r . factoring, on the generators of every face.
+        bl, _ = corner_blowup()
+        f = BMap(corner_model(1), square(), {"X": "X", "H1": "H1&H2"},
+                 {("H1", "H1"): 1, ("H1", "H2"): 2})
+        psi = f.induced_morphism()
+        factoring = factor_through_refinement(psi, bl.refinement)
+        factoring.validate()
+        back = factoring.compose(bl.refinement.morphism)
+        assert back.node_map == psi.node_map
+        assert back.homs == psi.homs
+
     def test_chart_lift(self):
         nu = la.mat([(1, 0), (1, 1)])
         delta = la.mat([(1, 1), (2, 3)])
         mu = chart_lift(delta, nu)
         assert la.mat_mul(mu, nu) == delta
+
+    def test_chart_lift_off_the_lattice_rejected(self):
+        nu = la.mat([(1, 1), (1, -1)])
+        with pytest.raises(NotCompatible):
+            chart_lift(la.mat([(1, 0)]), nu)
 
     def test_blowup_domain_makes_liftable(self):
         bl, _ = corner_blowup()
