@@ -4,16 +4,22 @@ All structural identities are established exactly elsewhere; this module
 samples random interior points and evaluates the monomial maps in log
 space to confirm the emitted matrices behave numerically, which guards
 the serialization path and catches transposition-style mistakes.
+
+numpy is imported only inside the sampling code, when a check runs, so
+importing this module (and so `blowup` and `blowup.cli`) does not load it.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import exactla as la
 from .manifolds import ChartAtlas
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -39,15 +45,18 @@ class CheckReport:
 
 
 def _to_float(m) -> np.ndarray:
+    import numpy as np
     return np.array([[float(Fraction(x)) for x in row] for row in m],
                     dtype=float)
 
 
 def _log_samples(rng, count: int, dim: int, plan: SamplePlan) -> np.ndarray:
+    import numpy as np
     return rng.uniform(np.log(plan.low), np.log(plan.high), (count, dim))
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     if a.size == 0:
         return 0.0
@@ -59,6 +68,7 @@ def verify_transitions(atlas: ChartAtlas,
     """Sample each chart overlap: transition round trips must return the
     sampled point and the two blow-down maps must agree across the
     transition."""
+    import numpy as np
     rng = np.random.default_rng(plan.seed)
     worst = 0.0
     failures = []
@@ -94,6 +104,7 @@ def verify_lift(delta: Sequence[Sequence[int]],
                 ) -> CheckReport:
     """Check numerically that the lift x -> a^(nu^-1) x^mu followed by the
     chart map t -> t^nu reproduces x -> a x^delta."""
+    import numpy as np
     assert la.mat_mul(la.mat(mu), la.mat(
         tuple(tuple(Fraction(x) for x in row) for row in nu))) == \
         la.mat(tuple(tuple(Fraction(x) for x in row) for row in delta)), \

@@ -38,15 +38,20 @@ def _read_doc(path: str) -> Dict[str, Any]:
     return ser.loads(text)
 
 
-def _vector(text: str) -> la.Vec:
+def _vector(text: str, length: Optional[int] = None) -> la.Vec:
+    """Comma separated integers; with length, exactly that many."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        v = tuple(int(x) for x in text.split(","))
     except ValueError as e:
         raise MalformedDocument(f"bad vector {text!r}") from e
+    if length is not None and len(v) != length:
+        raise MalformedDocument(
+            f"vector {text!r} has {len(v)} entries, not ambient_dim {length}")
+    return v
 
 
-def _matrix(text: str) -> la.Mat:
-    return la.mat(_vector(row) for row in text.split(";"))
+def _matrix(text: str, width: int) -> la.Mat:
+    return la.mat(_vector(row, width) for row in text.split(";"))
 
 
 def _members_doc(r: MonoidRefinement) -> Dict[str, Any]:
@@ -93,11 +98,11 @@ def _load_monoid(path: str) -> ToricMonoid:
 
 
 def cmd_validate(args) -> Dict[str, Any]:
-    obj = ser.parse_doc(_read_doc(args.input))
+    raw = _read_doc(args.input)
+    obj = ser.parse_doc(raw)
     if hasattr(obj, "validate"):
         obj.validate()
-    return {"kind": "validation", "status": "ok",
-            "input_kind": _read_doc(args.input)["kind"]}
+    return {"kind": "validation", "status": "ok", "input_kind": raw["kind"]}
 
 
 def cmd_hilbert(args) -> Dict[str, Any]:
@@ -118,9 +123,9 @@ def cmd_faces(args) -> Dict[str, Any]:
 def cmd_subdivide(args) -> Dict[str, Any]:
     m = _load_monoid(args.input)
     if args.star:
-        r = star_subdivide(m, _vector(args.star))
+        r = star_subdivide(m, _vector(args.star, m.ambient_dim))
     elif args.planar:
-        r = planar_refine(m, _matrix(args.planar))
+        r = planar_refine(m, _matrix(args.planar, m.ambient_dim))
     elif args.smooth:
         r = smoothing(m)
     else:

@@ -115,6 +115,13 @@ class MonoidalComplex:
         """Raise NotAComplex unless the data is a complete reduced
         monoidal complex."""
         for a, b in self._chains():
+            rows = self.monoids[a].ambient_dim
+            cols = self.monoids[b].ambient_dim
+            m = self.face_maps[(a, b)]
+            if len(m) != rows or any(len(r) != cols for r in m):
+                raise NotAComplex(
+                    f"face map {a} -> {b} is not {rows} x {cols}")
+        for a, b in self._chains():
             h = self.hom(a, b)
             if not h.is_injective():
                 raise NotAComplex(f"face map {a} -> {b} is not injective")

@@ -60,16 +60,21 @@ def _enc_mat(m) -> List[List]:
     return [[_enc_num(x) for x in row] for row in m]
 
 
-def _dec_int_mat(doc) -> la.Mat:
-    if not isinstance(doc, list):
+def _rows(doc) -> List[list]:
+    if not isinstance(doc, list) or \
+            not all(isinstance(row, list) for row in doc):
         raise MalformedDocument("matrix must be a list of rows")
-    return la.mat(tuple(_dec_int(x) for x in row) for row in doc)
+    if len({len(row) for row in doc}) > 1:
+        raise MalformedDocument("matrix rows differ in length")
+    return doc
+
+
+def _dec_int_mat(doc) -> la.Mat:
+    return la.mat(tuple(_dec_int(x) for x in row) for row in _rows(doc))
 
 
 def _dec_q_mat(doc) -> Tuple[Tuple[Fraction, ...], ...]:
-    if not isinstance(doc, list):
-        raise MalformedDocument("matrix must be a list of rows")
-    return tuple(tuple(_dec_num(x) for x in row) for row in doc)
+    return tuple(tuple(_dec_num(x) for x in row) for row in _rows(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -307,4 +312,6 @@ def loads(text: str) -> Dict[str, Any]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedDocument(f"invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise MalformedDocument("invalid JSON: nested too deeply") from e
     return doc

@@ -18,6 +18,7 @@ from blowup.manifolds import BMap, corner_model, identity_bmap, \
     ordinary_blowup
 from blowup.monoids import ToricMonoid
 
+from test_fuzz import BAD_SHAPE_TEXT
 from test_refinements import count_intersections
 
 
@@ -333,9 +334,81 @@ class TestVerifyCommand:
         assert main(["verify", path]) == 1
 
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
+
+
+def run_blowup(*argv, python_flags=()):
+    """A fresh `python -m blowup.cli` process with this checkout's src."""
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "blowup.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=120)
+
+
+class TestNumpyOnlyForVerify:
+    """numpy serves only the numeric verifier, so nothing else loads it."""
+
+    def test_import_does_not_load_numpy(self):
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, blowup, blowup.cli; "
+             "print('numpy' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+            text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False\n"
+
+    def test_only_verify_loads_numpy(self, monoid_doc, tmp_path):
+        """-X importtime names every module the process imports."""
+        hilbert = run_blowup("hilbert", monoid_doc,
+                             python_flags=("-X", "importtime"))
+        assert hilbert.returncode == 0, hilbert.stderr
+        assert "blowup.chartcheck" in hilbert.stderr
+        assert "numpy" not in hilbert.stderr
+        lc = write(tmp_path, "lc.json", {
+            "kind": "lift_check", "version": ser.VERSION,
+            "delta": [[1, 1], [3, 2]], "nu": [[1, 0], [1, 1]],
+            "mu": [[0, 1], [1, 2]]})
+        verify = run_blowup("verify", lc, python_flags=("-X", "importtime"))
+        assert verify.returncode == 0, verify.stderr
+        assert json.loads(verify.stdout)["passed"] is True
+        assert "numpy" in verify.stderr
+
+
 class TestExitCodes:
     def test_missing_file(self):
         assert main(["hilbert", "/nonexistent.json"]) == 2
+
+    def test_deep_nesting_is_malformed(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200_000)
+        run = run_blowup("hilbert", str(p))
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert "error: malformed input" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("flag, value", [("--star", "1,1"),
+                                             ("--planar", "1,-1,0;0,0")])
+    def test_subdivide_argument_of_wrong_length(self, tmp_path, capsys,
+                                                flag, value):
+        path = write(tmp_path, "oct.json",
+                     ser.monoid_to_doc(ToricMonoid.free(3)))
+        assert main(["subdivide", path, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not ambient_dim 3" in captured.err
+
+    @pytest.mark.parametrize("optimize", [(), ("-O",)])
+    def test_misshapen_face_map_fails_validation(self, tmp_path, optimize):
+        """The shape check is not an assert, so it holds under -O."""
+        path = tmp_path / "q.json"
+        path.write_text(BAD_SHAPE_TEXT)
+        run = run_blowup("validate", str(path), python_flags=optimize)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert "face map b -> a is not 1 x 1" in run.stderr
 
     def test_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -81,6 +81,15 @@ class TestComplex:
         with pytest.raises(NotAComplex):
             q.validate()
 
+    def test_validate_checks_face_map_shapes_first(self):
+        # b -> a is 1 x 2 into a 1-dimensional monoid; every other axiom
+        # holds once the MonoidHom shape assert is gone (python -O).
+        q = MonoidalComplex({"a": ToricMonoid.free(1),
+                             "b": ToricMonoid.trivial(1)},
+                            [("b", "a")], {("b", "a"): ((1, 2),)})
+        with pytest.raises(NotAComplex, match="face map b -> a is not 1 x 1"):
+            q.validate()
+
 
 class TestMorphism:
     def test_identity_refinement(self):

@@ -1,0 +1,164 @@
+"""Fuzz of the document parser and the command line.
+
+Valid monoid and complex documents are mutated (wrong types, ragged
+matrices, missing keys, bad numbers, deep nesting) and fed to
+`serialization.parse_doc` and to `cli.main`.  Whatever the input, the
+parser raises only the errors the command line maps to exit 1 or 2, and
+`main` returns 0, 1 or 2 with an `error:` line on every failure.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from blowup import serialization as ser
+from blowup.cli import main
+from blowup.complexes import complex_from_monoid
+from blowup.errors import BlowupError
+from blowup.monoids import ToricMonoid
+from blowup.serialization import MalformedDocument
+
+# What `cli.main` turns into exit 2 (malformed) or exit 1 (validation).
+HANDLED = (MalformedDocument, KeyError, ValueError, TypeError, BlowupError,
+           AssertionError)
+
+MONOID = ser.monoid_to_doc(ToricMonoid.from_generators(
+    2, [(1, 0), (1, 1), (1, 2)]))
+COMPLEX = ser.complex_to_doc(complex_from_monoid(ToricMonoid.free(2))[0])
+
+# Stands for a deeply nested list, spliced into the JSON text, because the
+# encoder cannot write one.
+DEEP = "<deep>"
+
+# Small integers only: a valid document with large entries is not
+# malformed, but its Hilbert basis can be too large to enumerate.
+JUNK = st.sampled_from([
+    None, True, False, 0, 1, -1, 2, 3, 1.5, float("nan"), "", "x", "1/2",
+    "1/0", "1.5", "0x1", "2", "-1", [], {}, [[]], [[1], [1, 2]],
+    [[1, 0], [0]], [1, 2], {"kind": "monoid"}, "monoid", "complex", DEEP])
+
+
+def paths(node, prefix=()):
+    """Every position in a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from paths(v, prefix + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from paths(v, prefix + (i,))
+
+
+def mutate(doc, path, action, junk):
+    """A copy of doc with the node at path replaced by junk, deleted, or
+    given a junk sibling."""
+    doc = _copy(doc)
+    if not path:
+        return junk
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    if action == "replace":
+        parent[key] = junk
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, junk)
+    else:
+        parent[f"{key}_"] = junk
+    return doc
+
+
+def _copy(node):
+    if isinstance(node, dict):
+        return {k: _copy(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_copy(v) for v in node]
+    return node
+
+
+@st.composite
+def documents(draw):
+    """The JSON text of a mutated monoid or complex document."""
+    doc = draw(st.sampled_from([MONOID, COMPLEX]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(paths(doc))))
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        doc = mutate(doc, path, action, draw(JUNK))
+    depth = draw(st.sampled_from([2, 50, 200_000]))
+    return ser.dumps(doc).replace(f'"{DEEP}"', "[" * depth + "]" * depth)
+
+
+DEEP_TEXT = "[" * 200_000
+# A face map b -> a with a 1 x 2 matrix into a 1-dimensional monoid.
+BAD_SHAPE_TEXT = ser.dumps({
+    "kind": "complex", "version": ser.VERSION,
+    "elements": [{"id": "a", "monoid": ser.monoid_to_doc(ToricMonoid.free(1))},
+                 {"id": "b",
+                  "monoid": ser.monoid_to_doc(ToricMonoid.trivial(1))}],
+    "relations": [["b", "a"]],
+    "face_maps": [{"pair": ["b", "a"], "matrix": [[1, 2]]}]})
+RAGGED_TEXT = ser.dumps(mutate(MONOID, ("generators", 1), "replace", [1]))
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_run(code, out, err):
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ")
+    else:
+        assert err == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+@example(DEEP_TEXT)
+@example(BAD_SHAPE_TEXT)
+@example(RAGGED_TEXT)
+def test_parse_doc_raises_only_handled_errors(text):
+    try:
+        ser.parse_doc(ser.loads(text))
+    except HANDLED:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents())
+@example(DEEP_TEXT)
+@example(BAD_SHAPE_TEXT)
+@example(RAGGED_TEXT)
+def test_cli_exits_0_1_or_2_with_a_message(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for command in ("validate", "hilbert", "ns"):
+            check_run(*run_cli([command, path]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["--star", "--planar"]),
+       st.lists(st.lists(st.integers(-2, 2), max_size=4), min_size=1,
+                max_size=3))
+@example("--star", [[1, 1]])
+@example("--planar", [[1, -1, 0], [0, 0]])
+def test_subdivide_arguments_exit_0_1_or_2(flag, rows):
+    text = ";".join(",".join(map(str, row)) for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "free3.json")
+        with open(path, "w") as fh:
+            fh.write(ser.dumps(ser.monoid_to_doc(ToricMonoid.free(3))))
+        # "--star=-1" keeps argparse from reading "-1" as an option.
+        check_run(*run_cli(["subdivide", path, f"{flag}={text}"]))

@@ -118,3 +118,9 @@ class TestMalformed:
     def test_bool_is_not_a_number(self):
         with pytest.raises(MalformedDocument):
             ser._dec_num(True)
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [1]], [[1, 0], "01"]])
+    def test_rows_must_be_lists_of_one_length(self, rows):
+        for decode in (ser._dec_int_mat, ser._dec_q_mat):
+            with pytest.raises(MalformedDocument):
+                decode(rows)
