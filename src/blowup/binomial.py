@@ -10,8 +10,7 @@ are all computed exactly.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
@@ -20,7 +19,6 @@ from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
 from .errors import (DependentDifferentials, NotInSupport, NotSmooth)
 from .manifolds import corner_model
 from .monoids import ToricMonoid
-from .refinements import MonoidRefinement
 
 
 @dataclass(frozen=True)
@@ -52,6 +50,8 @@ def normal_form(pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
     tangential direction to house it.
 
     Raises:
+        ValueError: if there are no equations, or an equation's exponent
+            vectors differ in length or have a negative entry.
         DependentDifferentials: if the dependencies exceed the available
             tangential directions, so the logarithmic differentials of the
             system cannot be independent.
@@ -64,8 +64,12 @@ def normal_form(pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
     gammas: List[la.Vec] = []
     extra_smooth = 0
     for alpha, beta in pairs:
-        assert len(alpha) == n and len(beta) == n
-        assert all(a >= 0 for a in alpha) and all(b >= 0 for b in beta)
+        if len(alpha) != n or len(beta) != n:
+            raise ValueError(f"equation alpha {tuple(alpha)}, beta "
+                             f"{tuple(beta)}: exponents are not {n} long")
+        if any(a < 0 for a in alpha) or any(b < 0 for b in beta):
+            raise ValueError(f"equation alpha {tuple(alpha)}, beta "
+                             f"{tuple(beta)}: negative exponent")
         g = tuple(int(a) - int(b) for a, b in zip(alpha, beta))
         if la.is_zero(g):
             extra_smooth += 1
@@ -124,31 +128,21 @@ def boundary_faces(b: BinomialSystem) -> VarietyComplex:
 
     A coordinate subset S is met iff there is w in W = cap ker(gamma_i)
     with w_i < 0 for i in S and w_j = 0 otherwise: the direction along
-    which interior solutions degenerate into the face.
+    which interior solutions degenerate into the face.  So the met subsets
+    are the supports of the faces of the cone R_+^n cap W, and minus the
+    sum of a face's rays is a witness.
     """
     n = b.boundary_dim
-    basis = _kernel_rows(b.gammas, n)
-    k = len(basis)
-    faces: Dict[Tuple[int, ...], VarietyFace] = {}
-    for size in range(n + 1):
-        for sub in itertools.combinations(range(n), size):
-            s = set(sub)
-            if not sub:
-                witness: Optional[la.Vec] = la.zeros(n)
-            elif k == 0:
-                witness = None
-            else:
-                strict = [tuple(-basis[r][i] for r in range(k))
-                          for i in sub]
-                zero = [tuple(basis[r][j] for r in range(k))
-                        for j in range(n) if j not in s]
-                c = la.lp_feasible(k, strict=strict, zero=zero)
-                witness = None if c is None else \
-                    la.clear_denominators(la.apply_row(c, basis))
-            if witness is None:
-                continue
-            faces[sub] = VarietyFace(sub, witness, _face_monoid(b, sub))
-    return VarietyComplex(b, basis, faces)
+    met = []
+    for f in _face_monoid(b, tuple(range(n))).faces():
+        w = la.zeros(n)
+        for ray in f.monoid.rays:
+            w = la.vsub(w, ray)
+        sub = tuple(i for i in range(n) if w[i])
+        met.append((len(sub), sub, la.primitive(w) if sub else w))
+    faces = {sub: VarietyFace(sub, w, _face_monoid(b, sub))
+             for _, sub, w in sorted(met)}
+    return VarietyComplex(b, _kernel_rows(b.gammas, n), faces)
 
 
 def _face_monoid(b: BinomialSystem, coords: Tuple[int, ...]) -> ToricMonoid:

@@ -31,9 +31,13 @@ class SamplePlan:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        assert 0 < self.low < self.high
-        assert self.tolerance > 0
-        assert self.count > 0
+        if not 0 < self.low < self.high:
+            raise ValueError(f"sample range [{self.low}, {self.high}] is "
+                             "not 0 < low < high")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance {self.tolerance} is not positive")
+        if not self.count > 0:
+            raise ValueError(f"sample count {self.count} is not positive")
 
 
 @dataclass

@@ -35,7 +35,10 @@ def _read_doc(path: str) -> Dict[str, Any]:
             text = fh.read()
     except OSError as e:
         raise MalformedDocument(f"cannot read {path}: {e}") from e
-    return ser.loads(text)
+    doc = ser.loads(text)
+    if not isinstance(doc, dict):
+        raise MalformedDocument("document must be a JSON object")
+    return doc
 
 
 def _vector(text: str, length: Optional[int] = None) -> la.Vec:

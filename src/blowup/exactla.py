@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Tuple
 
+from .errors import NotSharp
+
 Vec = Tuple[int, ...]
 QVec = Tuple[Fraction, ...]
 Mat = Tuple[Vec, ...]
@@ -436,91 +438,75 @@ def inverse_q(m) -> Tuple[QVec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact feasibility of homogeneous linear constraint systems.
-#
-# A system is a list of (coefficient vector, strictness) pairs meaning
-# a . x > 0 (strict) or a . x >= 0.  Equalities are passed separately and
-# eliminated up front by restricting to their kernel.  Solving is by
-# Fourier-Motzkin elimination, which stays exact for strict inequalities:
-# the combination of a lower and an upper bound is strict iff either parent
-# is.  Its constraint count can grow doubly exponentially with the
-# dimension, so only callers that need a witness point use it (the sign
-# search in binomial resolution and the chart separators in
-# manifolds.local_atlas); sharpness, extremality and gradings of toric
-# monoids come from facet normals instead (see monoids).
+# Cone duality by double description.  One routine serves every cone
+# question: extreme rays of a cone given by inequalities, facet normals of
+# a cone given by generators (the same computation, by duality), sections
+# of a cone by a subspace, and feasibility with an exact witness.
 # ---------------------------------------------------------------------------
 
 
-def _fm_eliminate(constraints, dim):
-    """Eliminate variables right-to-left.  Returns the per-level constraint
-    lists for witness back-substitution, or None if infeasible."""
-    levels = [constraints]
-    current = constraints
-    for k in range(dim - 1, -1, -1):
-        nxt = []
-        lowers = []  # (coeffs without x_k, pos coeff, strict): x_k >(=) -rest/c
-        uppers = []
-        for coeffs, strict in current:
-            c = coeffs[k]
-            rest = coeffs[:k]
-            if c == 0:
-                nxt.append((rest, strict))
-            elif c > 0:
-                lowers.append((rest, c, strict))
-            else:
-                uppers.append((rest, -c, strict))
-        for lr, lc, ls in lowers:
-            for ur, uc, us in uppers:
-                # -lr/lc <(=) x_k <(=) ur/uc  ==>  lc*ur + uc*lr >(=) 0.
-                combo = tuple(lc * u + uc * l
-                              for l, u in zip(lr, ur, strict=True))
-                nxt.append((combo, ls or us))
-        # Drop duplicates (up to positive scaling) to keep growth in check.
-        seen = {}
-        for coeffs, strict in nxt:
-            lead = next((x for x in coeffs if x != 0), None)
-            if lead is None:
-                key = coeffs
-            else:
-                s = abs(Fraction(lead))
-                key = tuple(Fraction(x) / s for x in coeffs)
-            seen[key] = seen.get(key, False) or strict
-        current = [(k2, s) for k2, s in seen.items()]
-        levels.append(current)
-    for coeffs, strict in current:
-        assert len(coeffs) == 0
-        if strict:
-            return None
-    return levels
+def cone_rays(ineq, s) -> Mat:
+    """Extreme rays of the pointed cone {y in R^s : a . y >= 0 for rows a}.
+
+    By duality these are also the facet normals of the cone generated by
+    the rows, when the rows span R^s.  Double description (Motzkin's
+    method, as in Fukuda & Prodon 1996): start from the simplicial cone of
+    s independent rows and add the other rows one at a time, keeping each
+    ray with the set of added rows it lies on (a bit mask).  A row splits
+    the rays by sign; each adjacent pair of opposite sign gives the ray
+    where their 2-face crosses the row's hyperplane.  Two rays are
+    adjacent iff no third ray lies on every row that both lie on.
+
+    Raises:
+        NotSharp: if the rows do not span R^s, so the cone contains a line.
+    """
+    rows = tuple(sorted(set(primitive(a) for a in ineq if not is_zero(a))))
+    if s == 0:
+        return ()
+    start = independent_rows(rows)
+    if len(start) < s:
+        raise NotSharp("inequality cone contains a line")
+    rays = []
+    for i in start:
+        others = [rows[j] for j in start if j != i]
+        y = clear_denominators(right_kernel_q(others)[0]) if others else (1,)
+        if dot(rows[i], y) < 0:
+            y = tuple(-x for x in y)
+        rays.append((y, sum(1 << j for j in start if j != i)))
+    for i, a in enumerate(rows):
+        if i in start:
+            continue
+        vals = [dot(a, y) for y, _ in rays]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        bit = 1 << i
+        new = [(y, z | bit) for (y, z), v in zip(rays, vals) if v == 0]
+        new += [rays[k] for k in pos]
+        for p in pos:
+            for q in neg:
+                common = rays[p][1] & rays[q][1]
+                if common.bit_count() < s - 2 or any(
+                        k != p and k != q and z & common == common
+                        for k, (_, z) in enumerate(rays)):
+                    continue
+                y = vsub(vscale(vals[p], rays[q][0]),
+                         vscale(vals[q], rays[p][0]))
+                new.append((primitive(y), common | bit))
+        rays = new
+    return tuple(sorted(set(y for y, _ in rays)))
 
 
-def _fm_witness(levels, dim):
-    x = []
-    for k in range(dim):
-        level = levels[dim - 1 - k]  # constraints mentioning x_0..x_k
-        lo, lo_strict = None, False
-        hi, hi_strict = None, False
-        for coeffs, strict in level:
-            c = Fraction(coeffs[k])
-            if c == 0:
-                continue
-            rest = -sum(Fraction(a) * b for a, b in zip(coeffs[:k], x)) / c
-            if c > 0:
-                if lo is None or rest > lo or (rest == lo and strict):
-                    lo, lo_strict = rest, strict
-            else:
-                if hi is None or rest < hi or (rest == hi and strict):
-                    hi, hi_strict = rest, strict
-        if lo is None and hi is None:
-            x.append(Fraction(0))
-        elif lo is None:
-            x.append(hi - 1 if hi_strict else hi)
-        elif hi is None:
-            x.append(lo + 1 if lo_strict else lo)
-        else:
-            assert lo < hi or (lo == hi and not (lo_strict or hi_strict))
-            x.append((lo + hi) / 2 if (lo_strict or hi_strict) else lo)
-    return tuple(x)
+def cone_section_rays(ineq, k_int) -> Mat:
+    """Extreme rays of {c : a . c >= 0 for rows a of ineq} cap
+    rowspan(k_int), for independent integer rows k_int and a pointed
+    section: primitive integer vectors, sorted."""
+    s = len(k_int)
+    if s == 0:
+        return ()
+    # Coefficient vectors in the parameters y, where c = y @ k_int.
+    ineq_y = [tuple(dot(a, row) for row in k_int) for a in ineq]
+    return tuple(sorted(set(primitive(apply_row(y, k_int))
+                            for y in cone_rays(ineq_y, s))))
 
 
 def lp_feasible(dim: int,
@@ -531,34 +517,23 @@ def lp_feasible(dim: int,
 
     Finds x in Q^dim with a . x > 0 for a in strict, a . x >= 0 for a in
     nonneg and a . x == 0 for a in zero, or returns None if no such x
-    exists.  Deterministic: elimination order is fixed (last variable
-    first) and the witness is built by midpoint back-substitution.
+    exists.  Inside the kernel of zero, the inequalities cut out a cone:
+    the sum of its lineality space and of its section by the row span of
+    the inequalities, which is pointed.  A row is positive somewhere on
+    the cone iff it is positive on an extreme ray of that section, so the
+    sum of those rays is the witness, and if it fails a strict row, no
+    point satisfies them all.
     """
-    if zero:
-        kernel = right_kernel_q(tuple(scale_to_int(z) for z in zero))
-        if not kernel:
-            if any(True for _ in strict):
-                return None
-            return tuple(Fraction(0) for _ in range(dim))
-        # x = y @ kernel_rows; transform the inequality constraints.
-        basis = kernel
-        sub_dim = len(basis)
-
-        def project(a):
-            return tuple(sum(Fraction(a[j]) * b[j] for j in range(dim))
-                         for b in basis)
-
-        constraints = ([(project(a), True) for a in strict]
-                       + [(project(a), False) for a in nonneg])
-        levels = _fm_eliminate(constraints, sub_dim)
-        if levels is None:
-            return None
-        y = _fm_witness(levels, sub_dim)
-        return tuple(sum(y[i] * basis[i][j] for i in range(sub_dim))
-                     for j in range(dim))
-    constraints = ([(tuple(Fraction(c) for c in a), True) for a in strict]
-                   + [(tuple(Fraction(c) for c in a), False) for a in nonneg])
-    levels = _fm_eliminate(constraints, dim)
-    if levels is None:
+    strict, nonneg = list(strict), list(nonneg)
+    basis = tuple(clear_denominators(u) for u in right_kernel_q(
+        mat(scale_to_int(z) for z in zero))) if zero else identity(dim)
+    # x = y @ basis; each inequality as a functional of y.
+    rows = [scale_to_int(tuple(dot(a, b) for b in basis))
+            for a in strict + nonneg]
+    y = zeros(len(basis))
+    for ray in cone_section_rays(rows, mat(_integer_rref(rows)[0])):
+        y = vadd(y, ray)
+    if any(dot(a, y) <= 0 for a in rows[:len(strict)]):
         return None
-    return _fm_witness(levels, dim)
+    x = apply_row(y, basis) if basis else zeros(dim)
+    return tuple(Fraction(c) for c in x)

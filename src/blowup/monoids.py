@@ -10,9 +10,10 @@ are equal iff their canonical data agree.
 Construction decides sharpness and extremality from the facet normals of
 the cone spanned by the generators, with no linear programming: the
 normals are the extreme rays of the dual cone (one routine,
-_enumerate_rays, serves both directions of cone duality); the cone is
-pointed iff they have full rank r, and a generator spans an extreme ray
-iff no generator lies on a strictly larger set of facets.
+exactla.cone_rays, serves both directions of cone duality, and sections
+of a cone by a subspace); the cone is pointed iff they have full rank r,
+and a generator spans an extreme ray iff no generator lies on a strictly
+larger set of facets.
 
 Monoids are interned: while one is alive, every construction with equal
 canonical data returns that same object, so derived data (lattice
@@ -97,7 +98,7 @@ class ToricMonoid:
         coords = sorted(coords)
         if la.rank(coords) != r:
             raise NotPointedLattice("cone does not span the lattice span")
-        facets = _enumerate_rays(coords, r)
+        facets = la.cone_rays(coords, r)
         if la.rank(facets) != r:
             raise NotSharp("cone contains a line")
         # The smallest face containing c is generated by the generators
@@ -212,7 +213,7 @@ class ToricMonoid:
     def facet_normals(self) -> Mat:
         """Primitive integer facet normals, in lattice coordinates."""
         return self._cached(
-            "facets", lambda: _enumerate_rays(self.ray_coords(), self.dim))
+            "facets", lambda: la.cone_rays(self.ray_coords(), self.dim))
 
     def contains(self, v) -> bool:
         """Monoid membership for an integer ambient vector."""
@@ -398,7 +399,7 @@ class ToricMonoid:
                 if not la.is_zero(w)]
             sat = la.saturated_kernel(la.transpose(la.mat(eq))) if eq \
                 else la.identity(r)
-            ray_coords = _cone_section_rays(self.facet_normals(), sat, r)
+            ray_coords = la.cone_section_rays(self.facet_normals(), sat)
             if not ray_coords:
                 return ToricMonoid.trivial(self.ambient_dim)
             span = _saturated_span(ray_coords, r)
@@ -476,72 +477,6 @@ def _saturated_span_ambient(gens, lattice):
             raise InvariantViolated(f"generator {g} outside the lattice span")
         coords.append(la.clear_denominators(c))
     return la.mat_mul(_saturated_span(la.mat(coords), len(lattice)), lattice)
-
-
-def _cone_section_rays(facets, k_int, r):
-    """Extreme rays of {c : facet ineqs >= 0} cap rowspan(k_int), in Z^r
-    coordinates."""
-    s = len(k_int)
-    if s == 0:
-        return ()
-    # Coefficient vectors in the parameters y, where c = y @ k_int.
-    ineq = [tuple(la.dot(u, k_int[i]) for i in range(s)) for u in facets]
-    rays_y = _enumerate_rays(la.mat(ineq), s)
-    out = []
-    for y in rays_y:
-        c = la.apply_row(y, k_int)
-        out.append(la.primitive(c))
-    return tuple(sorted(set(out)))
-
-
-def _enumerate_rays(ineq, s):
-    """Extreme rays of the pointed cone {y in R^s : a . y >= 0 for rows a}.
-
-    By duality these are also the facet normals of the cone generated by
-    the rows, when the rows span R^s.  Double description (Motzkin's
-    method, as in Fukuda & Prodon 1996): start from the simplicial cone of
-    s independent rows and add the other rows one at a time, keeping each
-    ray with the set of added rows it lies on (a bit mask).  A row splits
-    the rays by sign; each adjacent pair of opposite sign gives the ray
-    where their 2-face crosses the row's hyperplane.  Two rays are
-    adjacent iff no third ray lies on every row that both lie on.
-    """
-    rows = tuple(sorted(set(la.primitive(a) for a in ineq
-                            if not la.is_zero(a))))
-    if s == 0:
-        return ()
-    start = la.independent_rows(rows)
-    if len(start) < s:
-        raise NotSharp("inequality cone contains a line")
-    rays = []
-    for i in start:
-        others = [rows[j] for j in start if j != i]
-        y = la.clear_denominators(la.right_kernel_q(others)[0]) \
-            if others else (1,)
-        if la.dot(rows[i], y) < 0:
-            y = tuple(-x for x in y)
-        rays.append((y, sum(1 << j for j in start if j != i)))
-    for i, a in enumerate(rows):
-        if i in start:
-            continue
-        vals = [la.dot(a, y) for y, _ in rays]
-        pos = [k for k, v in enumerate(vals) if v > 0]
-        neg = [k for k, v in enumerate(vals) if v < 0]
-        bit = 1 << i
-        new = [(y, z | bit) for (y, z), v in zip(rays, vals) if v == 0]
-        new += [rays[k] for k in pos]
-        for p in pos:
-            for q in neg:
-                common = rays[p][1] & rays[q][1]
-                if common.bit_count() < s - 2 or any(
-                        k != p and k != q and z & common == common
-                        for k, (_, z) in enumerate(rays)):
-                    continue
-                y = la.vsub(la.vscale(vals[p], rays[q][0]),
-                            la.vscale(vals[q], rays[p][0]))
-                new.append((la.primitive(y), common | bit))
-        rays = new
-    return tuple(sorted(set(y for y, _ in rays)))
 
 
 def _hilbert_basis_coords(coords, r, face_sets, facets):
@@ -730,7 +665,7 @@ def fiber_product(h1: MonoidHom, h2: MonoidHom) -> ToricMonoid:
     # Cone: product of the two support cones, cut by the kernel subspace.
     facets1 = [u + la.zeros(r2) for u in s1.facet_normals()]
     facets2 = [la.zeros(r1) + u for u in s2.facet_normals()]
-    ray_coords = _cone_section_rays(la.mat(facets1 + facets2), kern, r1 + r2)
+    ray_coords = la.cone_section_rays(facets1 + facets2, kern)
     if not ray_coords:
         return ToricMonoid.trivial(d1 + d2)
     span = _saturated_span(ray_coords, r1 + r2)

@@ -26,8 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import exactla as la
 from .errors import (InvariantViolated, NotAFace, NotARefinement,
                      NotInSupport, NotSimplicial)
-from .monoids import (ToricMonoid, _cone_section_rays,
-                      _saturated_span_ambient)
+from .monoids import ToricMonoid, _saturated_span_ambient
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,7 @@ def _cone_intersection_rays(m1: ToricMonoid, m2: ToricMonoid,
         k_int = la.mat(la.clear_denominators(b) for b in basis)
     else:
         k_int = la.identity(d)
-    return _cone_section_rays(ineq, k_int, d)
+    return la.cone_section_rays(ineq, k_int)
 
 
 def trivial_refinement(sigma: ToricMonoid) -> MonoidRefinement:

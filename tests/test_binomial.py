@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup import exactla as la
 from blowup.binomial import (BinomialSystem, boundary_faces,
@@ -12,6 +14,9 @@ from blowup.binomial import (BinomialSystem, boundary_faces,
                              universal_resolution, variety_complex)
 from blowup.complexes import natural_smooth_refinement
 from blowup.errors import (DependentDifferentials, NotInSupport, NotSmooth)
+from blowup.monoids import ToricMonoid
+
+from test_exactla import fm_feasible
 
 
 def diagonal():
@@ -47,6 +52,44 @@ def faces_by_grid(b: BinomialSystem, bound=4):
         if s and all(w[j] == 0 for j in range(n) if j not in s):
             found.add(s)
     return found
+
+
+def kernel_rows(gammas, n):
+    """Integer rows spanning the common kernel of gammas in Q^n."""
+    if not gammas:
+        return la.identity(n)
+    return tuple(la.clear_denominators(u)
+                 for u in la.right_kernel_q(la.mat(gammas)))
+
+
+def faces_by_lp(b: BinomialSystem):
+    """The former boundary_faces, kept as a reference: one exact LP per
+    coordinate subset S, for some w in W with w_i < 0 on S and w_j = 0 off
+    S, solved by Fourier-Motzkin elimination.  Maps each met subset, in
+    order of size and then lexicographically, to the key of its face
+    monoid Z_+^S cap ker(gamma|_S)."""
+    n = b.boundary_dim
+    basis = kernel_rows(b.gammas, n)
+    out = {}
+    for size in range(n + 1):
+        for sub in itertools.combinations(range(n), size):
+            strict = [tuple(-r[i] for r in basis) for i in sub]
+            zero = [tuple(r[j] for r in basis)
+                    for j in range(n) if j not in sub]
+            if sub and (not basis or fm_feasible(
+                    len(basis), strict=strict, zero=zero) is None):
+                continue
+            restricted = [g for g in (tuple(g[i] for i in sub)
+                                      for g in b.gammas) if any(g)]
+            if not sub:
+                m = ToricMonoid.trivial(0)
+            elif not restricted:
+                m = ToricMonoid.free(size)
+            else:
+                m = ToricMonoid.free(size).intersect_with_subspace(
+                    kernel_rows(restricted, size))
+            out[sub] = m.key
+    return out
 
 
 class TestNormalForm:
@@ -103,6 +146,24 @@ class TestBoundaryFaces:
                            if j not in sub)
                 for g in b.gammas:
                     assert la.dot(w, g) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_subset_search(self, seed):
+        """The faces of R_+^n cap W give the subsets and face monoids that
+        one LP per subset finds, in the same order, and each witness is
+        primitive, in W and negative exactly on its subset."""
+        b, = random_systems(random.Random(seed), 1, max_dim=5)
+        vc = boundary_faces(b)
+        expected = faces_by_lp(b)
+        assert [(s, f.monoid.key) for s, f in vc.faces.items()] == \
+            list(expected.items())
+        for sub, vf in vc.faces.items():
+            w = vf.witness
+            assert la.vec_gcd(w) == (1 if sub else 0)
+            assert all((w[i] < 0) == (i in sub) and w[i] <= 0
+                       for i in range(b.boundary_dim))
+            assert all(la.dot(w, g) == 0 for g in b.gammas)
 
     def test_grid_oracle_subset(self):
         rng = random.Random(22)

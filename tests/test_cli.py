@@ -410,6 +410,51 @@ class TestExitCodes:
         assert run.stdout == ""
         assert "face map b -> a is not 1 x 1" in run.stderr
 
+    @pytest.mark.parametrize("optimize", [(), ("-O",)])
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ([1, 1, 0], [0, 2], "exponents are not 3 long"),
+        ([1, -1], [0, 1], "negative exponent")])
+    def test_malformed_binomial_equation(self, tmp_path, optimize, alpha,
+                                         beta, message):
+        """The exponent checks are not asserts, so they hold under -O."""
+        path = write(tmp_path, "eq.json", {
+            "kind": "binomial_input", "version": ser.VERSION,
+            "equations": [{"alpha": alpha, "beta": beta}]})
+        run = run_blowup("binomial", "normal-form", path,
+                         python_flags=optimize)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr.startswith("error: malformed input: equation")
+        assert message in run.stderr
+
+    @pytest.mark.parametrize("optimize", [(), ("-O",)])
+    @pytest.mark.parametrize("flag, message", [
+        ("--samples=0", "sample count 0 is not positive"),
+        ("--tolerance=0", "tolerance 0.0 is not positive"),
+        ("--tolerance=-1", "tolerance -1.0 is not positive"),
+        ("--tolerance=nan", "tolerance nan is not positive")])
+    def test_invalid_verify_flags(self, refinement_doc, optimize, flag,
+                                  message):
+        """A sample plan that would check nothing is malformed input, also
+        under -O."""
+        run = run_blowup("verify", refinement_doc, flag,
+                         python_flags=optimize)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == f"error: malformed input: {message}\n"
+
+    @pytest.mark.parametrize("command", [["binomial", "faces"], ["extend"],
+                                         ["fiber", "analyze"], ["verify"]])
+    def test_document_that_is_not_an_object(self, tmp_path, capsys,
+                                            command):
+        p = tmp_path / "list.json"
+        p.write_text("[1]")
+        assert main([*command, str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: malformed input: document must be a JSON object\n"
+
     def test_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{broken")

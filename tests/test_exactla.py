@@ -340,6 +340,117 @@ class TestSolve:
                    for i in range(2) for j in range(2))
 
 
+def _fm_eliminate(constraints, dim):
+    """Eliminate variables right-to-left.  Returns the per-level constraint
+    lists for witness back-substitution, or None if infeasible."""
+    levels = [constraints]
+    current = constraints
+    for k in range(dim - 1, -1, -1):
+        nxt = []
+        lowers = []  # (coeffs without x_k, pos coeff, strict): x_k >(=) -rest/c
+        uppers = []
+        for coeffs, strict in current:
+            c = coeffs[k]
+            rest = coeffs[:k]
+            if c == 0:
+                nxt.append((rest, strict))
+            elif c > 0:
+                lowers.append((rest, c, strict))
+            else:
+                uppers.append((rest, -c, strict))
+        for lr, lc, ls in lowers:
+            for ur, uc, us in uppers:
+                # -lr/lc <(=) x_k <(=) ur/uc  ==>  lc*ur + uc*lr >(=) 0.
+                combo = tuple(lc * u + uc * l
+                              for l, u in zip(lr, ur, strict=True))
+                nxt.append((combo, ls or us))
+        # Drop duplicates (up to positive scaling) to keep growth in check.
+        seen = {}
+        for coeffs, strict in nxt:
+            lead = next((x for x in coeffs if x != 0), None)
+            if lead is None:
+                key = coeffs
+            else:
+                s = abs(Fraction(lead))
+                key = tuple(Fraction(x) / s for x in coeffs)
+            seen[key] = seen.get(key, False) or strict
+        current = [(k2, s) for k2, s in seen.items()]
+        levels.append(current)
+    for coeffs, strict in current:
+        assert len(coeffs) == 0
+        if strict:
+            return None
+    return levels
+
+
+def _fm_witness(levels, dim):
+    x = []
+    for k in range(dim):
+        level = levels[dim - 1 - k]  # constraints mentioning x_0..x_k
+        lo, lo_strict = None, False
+        hi, hi_strict = None, False
+        for coeffs, strict in level:
+            c = Fraction(coeffs[k])
+            if c == 0:
+                continue
+            rest = -sum(Fraction(a) * b for a, b in zip(coeffs[:k], x)) / c
+            if c > 0:
+                if lo is None or rest > lo or (rest == lo and strict):
+                    lo, lo_strict = rest, strict
+            else:
+                if hi is None or rest < hi or (rest == hi and strict):
+                    hi, hi_strict = rest, strict
+        if lo is None and hi is None:
+            x.append(Fraction(0))
+        elif lo is None:
+            x.append(hi - 1 if hi_strict else hi)
+        elif hi is None:
+            x.append(lo + 1 if lo_strict else lo)
+        else:
+            assert lo < hi or (lo == hi and not (lo_strict or hi_strict))
+            x.append((lo + hi) / 2 if (lo_strict or hi_strict) else lo)
+    return tuple(x)
+
+
+def fm_feasible(dim, strict=(), nonneg=(), zero=()):
+    """The former Fourier-Motzkin lp_feasible, kept as a reference: an
+    x with a . x > 0 on strict, >= 0 on nonneg and == 0 on zero, or
+    None.  Elimination is independent of the double-description code,
+    whatever the number of constraints it makes on the way."""
+    if zero:
+        basis = la.right_kernel_q(tuple(la.scale_to_int(z) for z in zero))
+        if not basis:
+            return None if strict else (Fraction(0),) * dim
+    else:
+        basis = la.identity(dim)
+    k = len(basis)
+    constraints = [(tuple(Fraction(la.dot(a, b)) for b in basis), flag)
+                   for rows, flag in ((strict, True), (nonneg, False))
+                   for a in rows]
+    levels = _fm_eliminate(constraints, k)
+    if levels is None:
+        return None
+    y = _fm_witness(levels, k)
+    return tuple(sum(y[i] * basis[i][j] for i in range(k))
+                 for j in range(dim))
+
+
+def constraint_systems(max_dim=4):
+    """A dimension and strict, non-negative and zero rows, entries in
+    -2..2."""
+    def rows(d, max_size):
+        return st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                        max_size=max_size)
+    return st.integers(1, max_dim).flatmap(lambda d: st.tuples(
+        st.just(d), rows(d, 4), rows(d, 4), rows(d, 2)))
+
+
+def satisfies(x, strict, nonneg, zero):
+    return (all(la.dot(a, x) > 0 for a in strict)
+            and all(la.dot(a, x) >= 0 for a in nonneg)
+            and all(la.dot(a, x) == 0 for a in zero))
+
+
 class TestLP:
     def test_feasible_strict(self):
         w = la.lp_feasible(2, strict=[(1, 0), (0, 1)])
@@ -372,3 +483,17 @@ class TestLP:
                 for y in rng:
                     assert not all(u[0] * x + u[1] * y > 0
                                    for u in strict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraint_systems())
+    def test_matches_fourier_motzkin(self, system):
+        """Double description and Fourier-Motzkin elimination agree on
+        feasibility, and each witness satisfies its system."""
+        dim, strict, nonneg, zero = system
+        w = la.lp_feasible(dim, strict=strict, nonneg=nonneg, zero=zero)
+        ref = fm_feasible(dim, strict=strict, nonneg=nonneg, zero=zero)
+        assert (w is None) == (ref is None)
+        if w is not None:
+            assert len(w) == dim
+            assert satisfies(w, strict, nonneg, zero)
+            assert satisfies(ref, strict, nonneg, zero)

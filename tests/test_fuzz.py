@@ -1,10 +1,11 @@
 """Fuzz of the document parser and the command line.
 
-Valid monoid and complex documents are mutated (wrong types, ragged
-matrices, missing keys, bad numbers, deep nesting) and fed to
-`serialization.parse_doc` and to `cli.main`.  Whatever the input, the
+Valid monoid, complex and binomial input documents are mutated (wrong
+types, ragged matrices, missing keys, bad numbers, deep nesting) and fed
+to `serialization.parse_doc` and to `cli.main`.  Whatever the input, the
 parser raises only the errors the command line maps to exit 1 or 2, and
-`main` returns 0, 1 or 2 with an `error:` line on every failure.
+`main` returns 0, 1 or 2 with an `error:` line on every failure; for
+binomial input, that line also says what went wrong.
 """
 
 import contextlib
@@ -29,6 +30,9 @@ HANDLED = (MalformedDocument, KeyError, ValueError, TypeError, BlowupError,
 MONOID = ser.monoid_to_doc(ToricMonoid.from_generators(
     2, [(1, 0), (1, 1), (1, 2)]))
 COMPLEX = ser.complex_to_doc(complex_from_monoid(ToricMonoid.free(2))[0])
+BINOMIAL = {"kind": "binomial_input", "version": ser.VERSION,
+            "equations": [{"alpha": [1, 1, 0], "beta": [0, 0, 2]}],
+            "smooth_count": 0, "tangential_dim": 1}
 
 # Stands for a deeply nested list, spliced into the JSON text, because the
 # encoder cannot write one.
@@ -83,9 +87,10 @@ def _copy(node):
 
 
 @st.composite
-def documents(draw):
-    """The JSON text of a mutated monoid or complex document."""
-    doc = draw(st.sampled_from([MONOID, COMPLEX]))
+def documents(draw, bases=(MONOID, COMPLEX)):
+    """The JSON text of a mutated document, by default a monoid or a
+    complex."""
+    doc = draw(st.sampled_from(bases))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(paths(doc))))
         action = draw(st.sampled_from(["replace", "delete", "insert"]))
@@ -104,6 +109,10 @@ BAD_SHAPE_TEXT = ser.dumps({
     "relations": [["b", "a"]],
     "face_maps": [{"pair": ["b", "a"], "matrix": [[1, 2]]}]})
 RAGGED_TEXT = ser.dumps(mutate(MONOID, ("generators", 1), "replace", [1]))
+SHORT_BETA_TEXT = ser.dumps(mutate(BINOMIAL, ("equations", 0, "beta", 2),
+                                   "delete", None))
+NEGATIVE_EXPONENT_TEXT = ser.dumps(mutate(
+    BINOMIAL, ("equations", 0, "alpha", 1), "replace", -1))
 
 
 def run_cli(argv):
@@ -146,6 +155,23 @@ def test_cli_exits_0_1_or_2_with_a_message(text):
             fh.write(text)
         for command in ("validate", "hilbert", "ns"):
             check_run(*run_cli([command, path]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents([BINOMIAL]))
+@example(SHORT_BETA_TEXT)
+@example(NEGATIVE_EXPONENT_TEXT)
+@example("null")
+def test_binomial_cli_exits_0_1_or_2_with_a_message(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "eq.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for action in ("normal-form", "faces"):
+            code, out, err = run_cli(["binomial", action, path])
+            check_run(code, out, err)
+            # "error: <kind>: <message>", and the message is not empty.
+            assert not code or err.split(": ", 2)[-1].strip()
 
 
 @settings(max_examples=100, deadline=None)

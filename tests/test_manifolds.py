@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup import exactla as la
 from blowup.complexes import identity_refinement, star_subdivide_complex
@@ -209,6 +211,24 @@ class TestAtlas:
             for g in nu2:
                 if g not in shared:
                     assert la.dot(g, u) < 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_separators_are_the_primitive_facet_normals(self, seed):
+        """A separator vanishes on the shared facet of its two charts and
+        is positive on the first chart's other ray and negative on the
+        second's, which fixes it up to positive scale; it is primitive,
+        which fixes the scale."""
+        bl, = random_iterated_blowups(random.Random(seed), 1)
+        atlas = local_atlas(bl.refinement)
+        for (e1, e2), u in atlas.separators.items():
+            nu1, nu2 = atlas.charts[e1].nu, atlas.charts[e2].nu
+            shared = set(nu1) & set(nu2)
+            assert len(shared) == atlas.n - 1
+            assert la.vec_gcd(u) == 1
+            assert all(la.dot(g, u) == 0 for g in shared)
+            assert all(la.dot(g, u) > 0 for g in nu1 if g not in shared)
+            assert all(la.dot(g, u) < 0 for g in nu2 if g not in shared)
 
     def test_weighted_atlas(self):
         bl, _ = ordinary_blowup(square(), "H1&H2", weights=(2, 3))
