@@ -199,10 +199,6 @@ def variety_complex(b: BinomialSystem,
     return pd, ComplexMorphism(pd, px, node, homs)
 
 
-def is_smooth_complex(pd: MonoidalComplex) -> bool:
-    return pd.is_smooth()
-
-
 @dataclass
 class Resolution:
     """A resolution of a binomial system: a smooth refinement of the

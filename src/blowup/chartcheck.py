@@ -11,11 +11,14 @@ importing this module (and so `blowup` and `blowup.cli`) does not load it.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import exactla as la
+from .errors import NotCompatible
 from .manifolds import ChartAtlas
 
 if TYPE_CHECKING:
@@ -107,22 +110,33 @@ def verify_lift(delta: Sequence[Sequence[int]],
                 coefficients: Optional[Sequence[float]] = None
                 ) -> CheckReport:
     """Check numerically that the lift x -> a^(nu^-1) x^mu followed by the
-    chart map t -> t^nu reproduces x -> a x^delta."""
+    chart map t -> t^nu reproduces x -> a x^delta.
+
+    Raises:
+        NotCompatible: if delta = mu @ nu does not hold exactly.
+        ValueError: if the coefficients are not one finite positive number
+            per chart coordinate.
+    """
+    if la.mat_mul(la.mat(mu), la.mat(
+            tuple(tuple(Fraction(x) for x in row) for row in nu))) != \
+            la.mat(tuple(tuple(Fraction(x) for x in row) for row in delta)):
+        raise NotCompatible("delta = mu @ nu must hold exactly")
+    n = len(nu)
+    a = [1] * n if coefficients is None else list(coefficients)
+    if len(a) != n:
+        raise ValueError(f"{len(a)} coefficients for {n} chart coordinates")
+    for i, c in enumerate(a):
+        if not (isinstance(c, numbers.Real) and 0 < c <= sys.float_info.max):
+            raise ValueError(f"coefficient {i} is {c!r}, not a finite "
+                             "positive number")
     import numpy as np
-    assert la.mat_mul(la.mat(mu), la.mat(
-        tuple(tuple(Fraction(x) for x in row) for row in nu))) == \
-        la.mat(tuple(tuple(Fraction(x) for x in row) for row in delta)), \
-        "delta = mu @ nu must hold exactly"
     d = _to_float(delta)
     nv = _to_float(nu)
     m = _to_float(mu)
-    k, n = d.shape
-    a = np.ones(n) if coefficients is None else np.asarray(
-        [float(c) for c in coefficients])
-    assert np.all(a > 0)
+    k, _ = d.shape
     rng = np.random.default_rng(plan.seed)
     logx = _log_samples(rng, plan.count, k, plan)
-    loga = np.log(a)
+    loga = np.log(np.asarray(a, dtype=float))
     log_lift = loga @ np.linalg.inv(nv) + logx @ m
     via_chart = np.exp(log_lift @ nv)
     direct = np.exp(loga + logx @ d)

@@ -91,9 +91,6 @@ class MonoidalComplex:
     def above(self, a: str) -> Tuple[str, ...]:
         return tuple(sorted(self._above.get(a, ())))
 
-    def maximal_elements(self) -> Tuple[str, ...]:
-        return tuple(a for a in self.elements if len(self._above[a]) == 1)
-
     def hom(self, a: str, b: str) -> MonoidHom:
         return MonoidHom(self.monoids[a], self.monoids[b],
                          self.face_maps[(a, b)])

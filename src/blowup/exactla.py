@@ -67,7 +67,9 @@ def mat_mul(a, b):
 
 def apply_row(v, m):
     """Image of the row vector v under the matrix m, that is v @ m."""
-    assert len(v) == len(m), (len(v), len(m))
+    if len(v) != len(m):
+        raise ValueError(f"vector of length {len(v)} times a matrix with "
+                         f"{len(m)} rows")
     cols = len(m[0]) if m else 0
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(cols))
 

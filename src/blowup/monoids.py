@@ -15,6 +15,10 @@ of a cone by a subspace); the cone is pointed iff they have full rank r,
 and a generator spans an extreme ray iff no generator lies on a strictly
 larger set of facets.
 
+Every monoid cut out of a cone by a linear map (a section by a subspace,
+a fiber product, an intersection of two monoids) is built by one routine,
+_cone_section: saturated kernel, cone section, saturated span, make.
+
 Monoids are interned: while one is alive, every construction with equal
 canonical data returns that same object, so derived data (lattice
 coordinates of the rays, facets, faces, Hilbert basis) is computed once
@@ -382,30 +386,19 @@ class ToricMonoid:
     def intersect_with_subspace(self, subspace_rows: Sequence) -> "ToricMonoid":
         """The full submonoid N cap C cap M for a rational subspace M given
         by spanning rows."""
-        r = self.dim
-        if r == 0:
+        if self.dim == 0:
             return self
         subspace_rows = la.mat(subspace_rows)
 
         def build():
             amb_rows = [m for m in subspace_rows if not la.is_zero(m)]
             # Ambient functionals cutting out the subspace.
-            cutters = la.right_kernel_q(amb_rows) if amb_rows \
+            cutters = [la.clear_denominators(u)
+                       for u in la.right_kernel_q(amb_rows)] if amb_rows \
                 else la.identity(self.ambient_dim)
-            # Pull the cutters back to lattice coordinates: a coordinate
-            # vector c represents the ambient point c @ lattice.
-            eq = [la.clear_denominators(w) for w in (
-                tuple(la.dot(b, u) for b in self.lattice) for u in cutters)
-                if not la.is_zero(w)]
-            sat = la.saturated_kernel(la.transpose(la.mat(eq))) if eq \
-                else la.identity(r)
-            ray_coords = la.cone_section_rays(self.facet_normals(), sat)
-            if not ray_coords:
-                return ToricMonoid.trivial(self.ambient_dim)
-            span = _saturated_span(ray_coords, r)
-            lattice = la.mat_mul(span, self.lattice)
-            rays = [la.apply_row(c, self.lattice) for c in ray_coords]
-            return ToricMonoid.make(self.ambient_dim, lattice, rays)
+            return _cone_section(
+                self.ambient_dim, self.lattice, self.facet_normals(),
+                la.mat_mul(self.lattice, la.transpose(cutters)))
         return self._cached(("section", subspace_rows), build)
 
     def join(self, tau1: "ToricMonoid", tau2: "ToricMonoid") -> "ToricMonoid":
@@ -415,8 +408,12 @@ class ToricMonoid:
             if not self.is_full_submonoid(t):
                 raise NotAFace(f"{t} is not a full submonoid")
         gens = tau1.rays + tau2.rays
-        lattice = _saturated_span_ambient(gens, self.lattice)
-        return ToricMonoid.make(self.ambient_dim, lattice, gens)
+        # Full submonoids carry sublattices, so each ray has integer
+        # coordinates in the lattice of self.
+        span = _saturated_span([self.lattice_coords_int(g) for g in gens],
+                               self.dim)
+        return ToricMonoid.make(self.ambient_dim,
+                                la.mat_mul(span, self.lattice), gens)
 
     def is_full_submonoid(self, tau: "ToricMonoid") -> bool:
         """True if tau equals self cap supp(tau) (with the induced
@@ -465,18 +462,6 @@ def _saturated_span(rows, r):
         return la.identity(r)
     cols = la.transpose(la.mat(la.clear_denominators(u) for u in cutters))
     return la.saturated_kernel(cols)
-
-
-def _saturated_span_ambient(gens, lattice):
-    """Basis of the lattice (an HNF row basis) cap span(gens), in ambient
-    coordinates."""
-    coords = []
-    for g in gens:
-        c = la.solve_row_echelon(g, lattice)
-        if c is None:
-            raise InvariantViolated(f"generator {g} outside the lattice span")
-        coords.append(la.clear_denominators(c))
-    return la.mat_mul(_saturated_span(la.mat(coords), len(lattice)), lattice)
 
 
 def _hilbert_basis_coords(coords, r, face_sets, facets):
@@ -650,27 +635,42 @@ def fiber_product(h1: MonoidHom, h2: MonoidHom) -> ToricMonoid:
         raise InvariantViolated(
             f"fiber product over different targets: ambient dimensions "
             f"{h1.target.ambient_dim} != {h2.target.ambient_dim}")
-    r1, r2 = s1.dim, s2.dim
     d1, d2 = s1.ambient_dim, s2.ambient_dim
-    if r1 == 0 and r2 == 0:
-        return ToricMonoid.trivial(d1 + d2)
-    m1 = la.mat_mul(s1.lattice, h1.matrix) if r1 else ()
-    m2 = la.mat_mul(s2.lattice, h2.matrix) if r2 else ()
-    stacked = la.mat(list(m1) + [tuple(-x for x in row) for row in m2])
-    kern = la.saturated_kernel(stacked)  # rows (x, y) in Z^(r1+r2)
-    if not kern:
-        return ToricMonoid.trivial(d1 + d2)
-    big_lattice = tuple(row + la.zeros(d2) for row in s1.lattice) + \
+    place = tuple(row + la.zeros(d2) for row in s1.lattice) + \
         tuple(la.zeros(d1) + row for row in s2.lattice)
-    # Cone: product of the two support cones, cut by the kernel subspace.
-    facets1 = [u + la.zeros(r2) for u in s1.facet_normals()]
-    facets2 = [la.zeros(r1) + u for u in s2.facet_normals()]
-    ray_coords = la.cone_section_rays(facets1 + facets2, kern)
+    return fiber_section(s1, h1.matrix, s2, h2.matrix, d1 + d2, place)
+
+
+def fiber_section(s1: ToricMonoid, a1: Mat, s2: ToricMonoid, a2: Mat,
+                  ambient_dim: int, place: Mat) -> ToricMonoid:
+    """The pairs (x, y) of lattice points of s1 and s2 with
+    x @ L1 @ a1 == y @ L2 @ a2, placed in Z^ambient_dim as (x, y) @ place.
+
+    Here L1, L2 are the lattice bases of s1, s2, in lattice coordinates
+    x in Z^dim(s1) and y in Z^dim(s2), and place has dim(s1) + dim(s2)
+    rows; it must be injective on the pairs.
+    """
+    r1, r2 = s1.dim, s2.dim
+    facets = [u + la.zeros(r2) for u in s1.facet_normals()] + \
+        [la.zeros(r1) + u for u in s2.facet_normals()]
+    phi = la.mat_mul(s1.lattice, a1) + tuple(
+        tuple(-x for x in row) for row in la.mat_mul(s2.lattice, a2))
+    return _cone_section(ambient_dim, place, facets, phi)
+
+
+def _cone_section(ambient_dim: int, place: Mat, facets, phi: Mat
+                  ) -> ToricMonoid:
+    """The monoid of the points c @ place for c in Z^r with u . c >= 0 for
+    every row u of facets and c @ phi == 0.
+
+    facets are the normals of a pointed cone in Z^r, phi has r rows, and
+    place (r rows, ambient coordinates) must be injective on ker(phi).
+    """
+    ray_coords = la.cone_section_rays(facets, la.saturated_kernel(phi))
     if not ray_coords:
-        return ToricMonoid.trivial(d1 + d2)
-    span = _saturated_span(ray_coords, r1 + r2)
-    # Restrict the equalizer lattice to the span of the section cone so
-    # that the canonical span condition holds.
-    lattice = la.mat_mul(span, big_lattice)
-    rays = [la.apply_row(c, big_lattice) for c in ray_coords]
-    return ToricMonoid.make(d1 + d2, lattice, rays)
+        return ToricMonoid.trivial(ambient_dim)
+    # Restrict the lattice to the span of the section cone so that the
+    # canonical span condition holds.
+    span = _saturated_span(ray_coords, len(place))
+    return ToricMonoid.make(ambient_dim, la.mat_mul(span, place),
+                            [la.apply_row(c, place) for c in ray_coords])

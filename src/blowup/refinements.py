@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import exactla as la
 from .errors import (InvariantViolated, NotAFace, NotARefinement,
                      NotInSupport, NotSimplicial)
-from .monoids import ToricMonoid, _saturated_span_ambient
+from .monoids import ToricMonoid, fiber_section
 
 
 @dataclass(frozen=True)
@@ -194,50 +194,11 @@ def intersect_members(m1: ToricMonoid, m2: ToricMonoid) -> ToricMonoid:
             f"members in different ambient spaces: dimensions "
             f"{m1.ambient_dim} != {m2.ambient_dim}")
     d = m1.ambient_dim
-    if m1 == m2:
-        return m1
-    if m1.dim == 0 or m2.dim == 0:
-        return ToricMonoid.trivial(d)
-    # Lattice intersection: pairs (x, y) with x @ B1 == y @ B2.
-    stacked = la.mat(list(m1.lattice)
-                     + [tuple(-v for v in row) for row in m2.lattice])
-    kern = la.saturated_kernel(stacked)
-    lattice_rows = [la.apply_row(k[:m1.dim], m1.lattice) for k in kern]
-    if not lattice_rows or all(la.is_zero(r) for r in lattice_rows):
-        return ToricMonoid.trivial(d)
-    # Cone intersection, restricted to the span of the lattice
-    # intersection so the canonical span condition holds.
-    rays = _cone_intersection_rays(m1, m2, la.mat(lattice_rows))
-    if not rays:
-        return ToricMonoid.trivial(d)
-    span = _saturated_span_ambient(
-        rays, la.row_space_basis(la.mat(lattice_rows)))
-    return ToricMonoid.make(d, span, rays)
-
-
-def _cone_intersection_rays(m1: ToricMonoid, m2: ToricMonoid,
-                            span_rows=None):
-    """Extreme rays of supp(m1) cap supp(m2) (optionally further cut by
-    the span of span_rows), in ambient coordinates."""
-    d = m1.ambient_dim
-    eq = []
-    ineq = []
-    for m in (m1, m2):
-        for u in la.right_kernel_q(m.lattice):
-            eq.append(la.clear_denominators(u))
-        for f in m.facet_faces():
-            ineq.append(f.functional)
-    if span_rows is not None:
-        for u in la.right_kernel_q(span_rows):
-            eq.append(la.clear_denominators(u))
-    if eq:
-        basis = la.right_kernel_q(la.mat(eq))
-        if not basis:
-            return ()
-        k_int = la.mat(la.clear_denominators(b) for b in basis)
-    else:
-        k_int = la.identity(d)
-    return la.cone_section_rays(ineq, k_int)
+    identity = la.identity(d)
+    # Pairs (x, y) of lattice coordinates with x @ L1 == y @ L2, placed
+    # in the ambient by x @ L1 alone.
+    return fiber_section(m1, identity, m2, identity, d,
+                         m1.lattice + (la.zeros(d),) * m2.dim)
 
 
 def trivial_refinement(sigma: ToricMonoid) -> MonoidRefinement:

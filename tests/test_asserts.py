@@ -15,8 +15,6 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 # Asserts still allowed per module; every module not named here has none.
 ALLOWED = {
     "binomial": 2,
-    "chartcheck": 2,
-    "exactla": 1,
     "monoids": 2,
 }
 

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup import exactla as la
-from blowup.binomial import (BinomialSystem, boundary_faces,
-                             is_smooth_complex, normal_form, resolve,
-                             universal_resolution, variety_complex)
+from blowup.binomial import (BinomialSystem, boundary_faces, normal_form,
+                             resolve, universal_resolution, variety_complex)
 from blowup.complexes import natural_smooth_refinement
 from blowup.errors import (DependentDifferentials, NotInSupport, NotSmooth)
 from blowup.monoids import ToricMonoid
@@ -194,14 +193,14 @@ class TestVarietyComplex:
         pd, inc = variety_complex(diagonal())
         pd.validate()
         inc.validate()
-        assert is_smooth_complex(pd)
+        assert pd.is_smooth()
         corner = pd.monoids["H1&H2"]
         assert corner.rays == ((1, 1),)
 
     def test_addition_pattern_not_smooth(self):
         pd, _ = variety_complex(addition_pattern())
         pd.validate()
-        assert not is_smooth_complex(pd)
+        assert not pd.is_smooth()
         corner = pd.monoids["H1&H2&H3&H4"]
         assert sorted(corner.rays) == [(0, 1, 0, 1), (0, 1, 1, 0),
                                        (1, 0, 0, 1), (1, 0, 1, 0)]

@@ -5,6 +5,7 @@ import pytest
 from blowup import exactla as la
 from blowup.chartcheck import CheckReport, SamplePlan, verify_lift, \
     verify_transitions
+from blowup.errors import NotCompatible
 from blowup.manifolds import corner_model, local_atlas, ordinary_blowup
 
 
@@ -59,5 +60,21 @@ class TestLift:
     def test_wrong_mu_rejected_exactly(self):
         nu = la.mat([(1, 0), (1, 1)])
         delta = la.mat([(1, 1)])
-        with pytest.raises(AssertionError):
+        with pytest.raises(NotCompatible):
             verify_lift(delta, nu, la.mat([(1, 1)]))
+
+    @pytest.mark.parametrize("coefficients, message", [
+        ([-1, 1], "coefficient 0 is -1"),
+        ([2.0, 0], "coefficient 1 is 0"),
+        ([1, float("nan")], "coefficient 1 is nan"),
+        ([float("inf"), 1], "coefficient 0 is inf"),
+        ([1, 10 ** 400], "coefficient 1 is 1000"),
+        (["2", 1], "coefficient 0 is '2'"),
+        ([1.0], "1 coefficients for 2 chart coordinates"),
+        ([1, 2, 3], "3 coefficients for 2 chart coordinates")])
+    def test_bad_coefficients_rejected(self, coefficients, message):
+        nu = la.mat([(1, 0), (1, 1)])
+        mu = la.mat([(0, 1)])
+        with pytest.raises(ValueError, match=message):
+            verify_lift(la.mat_mul(mu, nu), nu, mu,
+                        coefficients=coefficients)

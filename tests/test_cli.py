@@ -401,6 +401,30 @@ class TestExitCodes:
         assert "not ambient_dim 3" in captured.err
 
     @pytest.mark.parametrize("optimize", [(), ("-O",)])
+    @pytest.mark.parametrize("fields, code, message", [
+        ('"mu": [[0, 1]], "coefficients": [-1, 1]', 2,
+         "error: malformed input: coefficient 0 is -1, not a finite "
+         "positive number"),
+        ('"mu": [[0, 1]], "coefficients": [1, Infinity]', 2,
+         "error: malformed input: coefficient 1 is inf"),
+        ('"mu": [[0, 1]], "coefficients": [1]', 2,
+         "error: malformed input: 1 coefficients for 2 chart coordinates"),
+        ('"mu": [[1, 1]]', 1,
+         "error: validation failed: delta = mu @ nu must hold exactly")])
+    def test_lift_check_rejected(self, tmp_path, optimize, fields, code,
+                                 message):
+        """Bad coefficients are malformed input and a wrong mu fails
+        validation, each with a message, also under -O."""
+        path = tmp_path / "lc.json"
+        path.write_text('{"kind": "lift_check", "version": %d, '
+                        '"delta": [[1, 1]], "nu": [[1, 0], [1, 1]], %s}'
+                        % (ser.VERSION, fields))
+        run = run_blowup("verify", str(path), python_flags=optimize)
+        assert run.returncode == code
+        assert run.stdout == ""
+        assert run.stderr.strip().startswith(message), run.stderr
+
+    @pytest.mark.parametrize("optimize", [(), ("-O",)])
     def test_misshapen_face_map_fails_validation(self, tmp_path, optimize):
         """The shape check is not an assert, so it holds under -O."""
         path = tmp_path / "q.json"

@@ -53,7 +53,7 @@ class TestComplex:
         q.validate()
         assert len(q.elements) == 4
         top = top_element(q)
-        assert q.maximal_elements() == (top,)
+        assert [a for a in q.elements if q.above(a) == (a,)] == [top]
         assert len(q.below(top)) == 4
         assert q.dim() == 2
         assert q.is_smooth()

@@ -55,6 +55,11 @@ class TestBasics:
         m = la.mat([(1, 2), (3, 4)])
         assert la.mat_mul(m, la.identity(2)) == m
 
+    def test_apply_row_length_mismatch(self):
+        with pytest.raises(ValueError, match="length 3 times a matrix "
+                                             "with 2 rows"):
+            la.apply_row((1, 2, 3), la.identity(2))
+
     def test_scale_to_int_keeps_common_factors(self):
         assert la.scale_to_int((Fraction(1, 2), Fraction(2, 3), 0)) \
             == (3, 4, 0)

@@ -151,6 +151,30 @@ class TestResolve:
         assert len(res.corner.faces) == len(y.faces)
 
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "la.block_diag reads a block's width from its first row, so a "
+        "face map out of a 0-dimensional element loses its width and "
+        "MonoidHom rejects it: matrix cols mismatch target"))
+    def test_criterion_6_pairs_resolve(self):
+        """The 50 transversal pairs of acceptance criterion 6, drawn as it
+        draws them, resolve to smooth complexes with valid projections.
+        Today 6 of them do."""
+        rng = random.Random(4001)
+        done = 0
+        while done < 50:
+            nt = rng.randint(1, 2)
+            f1 = simple_bmap(rng, rng.randint(1, 3), nt)
+            f2 = simple_bmap(rng, rng.randint(1, 3), nt)
+            p = FiberProblem(f1, f2)
+            if not b_normal_transversality(p).transversal:
+                continue
+            done += 1
+            res = resolve_fiber_product(p)
+            assert res.refinement.source.is_smooth()
+            res.h1.validate()
+            res.h2.validate()
+
+
 class TestFactorThrough:
     def test_edge_factor_without_blowup(self):
         # A map into the smooth (H1, H1) pair factors directly.
