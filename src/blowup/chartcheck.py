@@ -62,6 +62,12 @@ def _log_samples(rng, count: int, dim: int, plan: SamplePlan) -> np.ndarray:
     return rng.uniform(np.log(plan.low), np.log(plan.high), (count, dim))
 
 
+def _shape(m) -> str:
+    """rows x width, or rows x the widths if the rows differ."""
+    widths = sorted({len(row) for row in m})
+    return f"{len(m)} x {' or '.join(map(str, widths)) or 0}"
+
+
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     import numpy as np
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
@@ -114,9 +120,23 @@ def verify_lift(delta: Sequence[Sequence[int]],
 
     Raises:
         NotCompatible: if delta = mu @ nu does not hold exactly.
-        ValueError: if the coefficients are not one finite positive number
+        ValueError: if nu is not a nonsingular k x k matrix with k >= 1,
+            if delta and mu are not equally many rows k wide (at least
+            one), or if the coefficients are not one finite positive number
             per chart coordinate.
     """
+    k = len(nu)
+    if not k or any(len(row) != k for row in nu):
+        raise ValueError(f"nu is {_shape(nu)}, not k x k with k >= 1")
+    for name, m in (("delta", delta), ("mu", mu)):
+        if not m or any(len(row) != k for row in m):
+            raise ValueError(f"{name} is {_shape(m)}, not one or more rows "
+                             f"{k} wide (nu is {k} x {k})")
+    if len(delta) != len(mu):
+        raise ValueError(f"delta has {len(delta)} rows but mu has "
+                         f"{len(mu)}")
+    if la.det(nu) == 0:
+        raise ValueError(f"nu ({k} x {k}) is singular")
     if la.mat_mul(la.mat(mu), la.mat(
             tuple(tuple(Fraction(x) for x in row) for row in nu))) != \
             la.mat(tuple(tuple(Fraction(x) for x in row) for row in delta)):

@@ -53,5 +53,9 @@ class NotTransverse(BlowupError):
     """b-maps fail combinatorial b-transversality."""
 
 
+class EnumerationTooLarge(BlowupError):
+    """A lattice point enumeration would exceed its stated bound."""
+
+
 class InvariantViolated(BlowupError):
     """An algorithm's own invariant failed (a defect, not bad input)."""

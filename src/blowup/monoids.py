@@ -27,11 +27,13 @@ holds strong references to the last _RECENT monoids built.
 
 Constructions are memoized on their inputs: make also files its result
 under its input (make of a canonical key returns that monoid, so one table
-serves both), and images, subspace sections and smallest faces are cached
-on the monoid they come from.  A memo lives as long as its monoid; errors
-are never cached.  No cache refers back to its monoid: a cached result
-that is the monoid itself is stored as a marker, and the face that is the
-whole monoid is built on each call.  So there are no reference cycles, and
+serves both), _cone_section files its result there under its inputs (the
+placement, the facets and the map it cuts by), and images, subspace
+sections, smallest faces and membership tests are cached on the monoid
+they come from.  A memo lives as long as its monoid; errors are never
+cached.  No cache refers back to its monoid: a cached result that is the
+monoid itself is stored as a marker, and the face that is the whole
+monoid is built on each call.  So there are no reference cycles, and
 a monoid is freed once it is unreferenced and has left the recent ring.
 Which constructions hit a memo depends on the order of constructions
 only, never on when the cyclic garbage collector runs.
@@ -39,14 +41,16 @@ only, never on when the cyclic garbage collector runs.
 
 import collections
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import exactla as la
-from .errors import (InvariantViolated, NotAFace, NotInSupport,
-                     NotPointedLattice, NotSaturated, NotSharp, NotSimplicial)
+from .errors import (EnumerationTooLarge, InvariantViolated, NotAFace,
+                     NotInSupport, NotPointedLattice, NotSaturated, NotSharp,
+                     NotSimplicial)
 
 Vec = la.Vec
 Mat = la.Mat
@@ -221,10 +225,14 @@ class ToricMonoid:
 
     def contains(self, v) -> bool:
         """Monoid membership for an integer ambient vector."""
-        c = self.lattice_coords_int(v)
-        if c is None:
-            return False
-        return all(la.dot(u, c) >= 0 for u in self.facet_normals())
+        v = tuple(v)
+
+        def build():
+            c = self.lattice_coords_int(v)
+            if c is None:
+                return False
+            return all(la.dot(u, c) >= 0 for u in self.facet_normals())
+        return self._cached(("contains", v), build)
 
     def in_support(self, v) -> bool:
         """Cone membership for a rational ambient vector."""
@@ -373,7 +381,12 @@ class ToricMonoid:
 
     def hilbert_basis(self) -> Mat:
         """The unique minimal generating set, as ambient vectors sorted
-        lexicographically."""
+        lexicographically.
+
+        Raises:
+            EnumerationTooLarge: if a simplex of the triangulation has
+                |det| over _MAX_PARALLELEPIPED.
+        """
         def build():
             coords = _hilbert_basis_coords(self.ray_coords(), self.dim,
                                            self._face_sets(),
@@ -531,6 +544,14 @@ def _pulling_triangulation(coords, r, face_sets):
     return tri(top)
 
 
+# Most lattice points _parallelepiped_points enumerates: |det| of the
+# simplex, the product of its Smith diagonal.  The largest |det| that the
+# test suite and the benchmark's inputs reach is 63.  The Hilbert basis of
+# the cone of (0, 1) and (N, -1) takes 1.2 s of CPU at N = 10^4 and 12 s
+# at N = 99,999; at N = 10^6 it did not finish in a minute.
+_MAX_PARALLELEPIPED = 10 ** 5
+
+
 def _parallelepiped_points(w, r):
     """Lattice points of {lam @ w : 0 <= lam_i < 1} for a nonsingular
     integer r x r matrix w."""
@@ -538,6 +559,11 @@ def _parallelepiped_points(w, r):
     diag = [d[i][i] for i in range(r)]
     if not all(diag):
         raise InvariantViolated(f"singular simplex {w}")
+    det = math.prod(diag)  # the number of points
+    if det > _MAX_PARALLELEPIPED:
+        raise EnumerationTooLarge(
+            f"a simplex of the Hilbert basis triangulation has |det| {det}, "
+            f"over the enumeration bound {_MAX_PARALLELEPIPED}")
     v_inv = la.inverse_q(v)
     w_inv = la.inverse_q(w)
     points = set()
@@ -666,11 +692,20 @@ def _cone_section(ambient_dim: int, place: Mat, facets, phi: Mat
     facets are the normals of a pointed cone in Z^r, phi has r rows, and
     place (r rows, ambient coordinates) must be injective on ker(phi).
     """
+    given = ("section", ambient_dim, la.mat(place), la.mat(facets),
+             la.mat(phi))
+    monoid = _interned.get(given)
+    if monoid is not None:
+        return monoid
     ray_coords = la.cone_section_rays(facets, la.saturated_kernel(phi))
     if not ray_coords:
-        return ToricMonoid.trivial(ambient_dim)
-    # Restrict the lattice to the span of the section cone so that the
-    # canonical span condition holds.
-    span = _saturated_span(ray_coords, len(place))
-    return ToricMonoid.make(ambient_dim, la.mat_mul(span, place),
-                            [la.apply_row(c, place) for c in ray_coords])
+        monoid = ToricMonoid.trivial(ambient_dim)
+    else:
+        # Restrict the lattice to the span of the section cone so that the
+        # canonical span condition holds.
+        span = _saturated_span(ray_coords, len(place))
+        monoid = ToricMonoid.make(
+            ambient_dim, la.mat_mul(span, place),
+            [la.apply_row(c, place) for c in ray_coords])
+    _interned[given] = monoid
+    return monoid

@@ -78,3 +78,17 @@ class TestLift:
         with pytest.raises(ValueError, match=message):
             verify_lift(la.mat_mul(mu, nu), nu, mu,
                         coefficients=coefficients)
+
+    @pytest.mark.parametrize("delta, nu, mu, message", [
+        ([], [(1, 0), (0, 1)], [], "delta is 0 x 0"),
+        ([(1, 1)], [], [(0, 1)], "nu is 0 x 0"),
+        ([(1, 1)], [(1, 0)], [(0, 1)], "nu is 1 x 2"),
+        ([(1, 1)], [(1, 0), (1,)], [(0, 1)], "nu is 2 x 1 or 2"),
+        ([(1, 1)], [(1, 1), (2, 2)], [(0, 1)], r"nu \(2 x 2\) is singular"),
+        ([(1, 1)], [(1, 0), (1, 1)], [(1, 2, 3)], "mu is 1 x 3"),
+        ([(1,)], [(1, 0), (1, 1)], [(0, 1)], "delta is 1 x 1"),
+        ([(1, 1), (1, 1)], [(1, 0), (1, 1)], [(0, 1)],
+         "delta has 2 rows but mu has 1")])
+    def test_bad_shapes_rejected(self, delta, nu, mu, message):
+        with pytest.raises(ValueError, match=message):
+            verify_lift(delta, nu, mu)

@@ -389,6 +389,23 @@ class TestExitCodes:
         assert "error: malformed input" in run.stderr
         assert "Traceback" not in run.stderr
 
+    @pytest.mark.parametrize("optimize", [(), ("-O",)])
+    @pytest.mark.parametrize("n", [10 ** 20, 10 ** 6])
+    def test_huge_determinant_is_refused(self, tmp_path, optimize, n):
+        """A Hilbert basis simplex of |det| over the bound stops with a
+        message before its parallelepiped is enumerated, also under -O
+        (10 ** 20 used to raise OverflowError, 10 ** 6 to hang)."""
+        path = write(tmp_path, "big.json", {
+            "kind": "monoid", "version": ser.VERSION, "ambient_dim": 2,
+            "generators": [[1, n], [1, 1], [1, 2]]})
+        run = run_blowup("hilbert", path, python_flags=optimize)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr.strip() == (
+            "error: validation failed: a simplex of the Hilbert basis "
+            f"triangulation has |det| {n - 1}, over the enumeration bound "
+            f"{monoids._MAX_PARALLELEPIPED}")
+
     @pytest.mark.parametrize("flag, value", [("--star", "1,1"),
                                              ("--planar", "1,-1,0;0,0")])
     def test_subdivide_argument_of_wrong_length(self, tmp_path, capsys,
@@ -423,6 +440,26 @@ class TestExitCodes:
         assert run.returncode == code
         assert run.stdout == ""
         assert run.stderr.strip().startswith(message), run.stderr
+
+    @pytest.mark.parametrize("optimize", [(), ("-O",)])
+    @pytest.mark.parametrize("fields, message", [
+        ({"delta": [], "mu": []},
+         "delta is 0 x 0, not one or more rows 2 wide (nu is 2 x 2)"),
+        ({"nu": [[1, 0]]}, "nu is 1 x 2, not k x k with k >= 1"),
+        ({"nu": [[1, 1], [1, 1]]}, "nu (2 x 2) is singular"),
+        ({"mu": [[1, 2, 3]]},
+         "mu is 1 x 3, not one or more rows 2 wide (nu is 2 x 2)")])
+    def test_lift_check_shapes_rejected(self, tmp_path, optimize, fields,
+                                        message):
+        """A lift_check document of the wrong shapes is malformed input,
+        with a message naming the field, also under -O."""
+        doc = {"kind": "lift_check", "version": ser.VERSION,
+               "delta": [[1, 1]], "nu": [[1, 0], [1, 1]], "mu": [[0, 1]]}
+        path = write(tmp_path, "lc.json", {**doc, **fields})
+        run = run_blowup("verify", path, python_flags=optimize)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr.strip() == f"error: malformed input: {message}"
 
     @pytest.mark.parametrize("optimize", [(), ("-O",)])
     def test_misshapen_face_map_fails_validation(self, tmp_path, optimize):

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from blowup import exactla as la
 from blowup import monoids
-from blowup.errors import (BlowupError, NotInSupport, NotPointedLattice,
-                           NotSaturated, NotSharp)
+from blowup.errors import (BlowupError, EnumerationTooLarge, NotInSupport,
+                           NotPointedLattice, NotSaturated, NotSharp)
 from blowup.monoids import MonoidHom, ToricMonoid, fiber_product
+from blowup.refinements import intersect_members
 
 from test_exactla import fm_feasible
+from test_sections import monoid_pairs, random_monoid
 
 
 def ray_monoid(ambient_dim, v):
@@ -364,6 +366,22 @@ class TestHilbert:
                     v = la.vadd(v, la.vscale(c, g))
                 assert m.contains(v)
 
+    def test_enumeration_bound(self):
+        """|det| is read off the Smith form before any point is visited: a
+        simplex at the bound is enumerated, one over it raises on every
+        call, and nothing is cached for it."""
+        with mock.patch.object(monoids, "_MAX_PARALLELEPIPED", 6):
+            assert len(monoids._parallelepiped_points(((1, 0), (1, 6)),
+                                                      2)) == 6
+            m = ToricMonoid.make(2, la.identity(2), [(1, 0), (5, 7)])
+            for _ in range(2):
+                with pytest.raises(EnumerationTooLarge,
+                                   match=r"\|det\| 7, over the "
+                                         r"enumeration bound 6$"):
+                    m.hilbert_basis()
+            assert "hilbert" not in m._cache
+        assert m.hilbert_basis() == ((1, 0), (1, 1), (3, 4), (5, 7))
+
 
 class TestFaces:
     def test_quadrant_face_lattice(self):
@@ -491,8 +509,9 @@ class TestInterning:
 
     def test_freed_without_the_cycle_collector(self):
         """Results that are the monoid itself (the whole face, a section by
-        its own span, an identity image) make no reference cycle, so the
-        monoid goes when its last reference does."""
+        its own span, an identity image) make no reference cycle, and
+        neither do the section keys and membership memos, so the monoids
+        go when their last references do."""
         m = ToricMonoid.make(3, la.identity(3),
                              [(1, 0, 0), (1, 7, 0), (1, 0, 9), (1, 5, 8)])
         key = m.key
@@ -502,13 +521,23 @@ class TestInterning:
             m.hilbert_basis()
             assert m.faces()[-1].monoid is m
             assert m.smallest_face_containing(m.interior_point()).monoid is m
+            before = section_keys()
             assert m.intersect_with_subspace(m.lattice) is m
+            h = MonoidHom(m, ToricMonoid.trivial(1), ((1,), (0,), (0,)))
+            fp = fiber_product(h, h)
+            filed = section_keys() - before
+            results = {monoids._interned[k] for k in filed}
+            assert fp in results and results <= {m, fp}
             assert MonoidHom(m, m, la.identity(3)).image_monoid() is m
             assert m.faces()[-1] == m.faces()[-1]
-            del m
-            assert key in monoids._interned
+            for _ in range(2):
+                assert m.contains((2, 5, 8)) and not m.contains((0, 1, 0))
+                assert fp.contains((1, 7, 0, 1, 0, 9))
+            keys = [key, fp.key]
+            del m, h, fp, results
+            assert all(k in monoids._interned for k in keys + list(filed))
             monoids._recent.clear()
-            assert key not in monoids._interned
+            assert not any(k in monoids._interned for k in keys + list(filed))
         finally:
             if enabled:
                 gc.enable()
@@ -688,3 +717,163 @@ class TestMakeMemo:
                 m.smallest_face_containing(v)
         assert not any(k[0] == "smallest_face" for k in m._cache
                        if isinstance(k, tuple))
+
+
+def empty_table():
+    """Patch in an empty intern table: a build under it uses no memo that
+    the table holds."""
+    return mock.patch.object(monoids, "_interned",
+                             weakref.WeakValueDictionary())
+
+
+def rebuilt(m):
+    """A copy of m with empty caches (under empty_table)."""
+    return monoids._intern(*m.key)
+
+
+def section_keys():
+    return {k for k in monoids._interned.keys() if k[0] == "section"}
+
+
+class TestSectionMemo:
+    """_cone_section files its result in the intern table under its
+    inputs: fiber products, intersections and subspace sections return the
+    first call's object on a repeat, with the key of an uncached build."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(monoid_pairs(), st.integers(1, 4), st.integers(0, 4))
+    def test_fiber_product(self, data, d2, dt):
+        d1, seed, low = data
+        rng = random.Random(seed)
+        s1, s2 = random_monoid(rng, d1, low), random_monoid(rng, d2, low)
+        t = ToricMonoid.trivial(dt)
+
+        def matrix(rows):
+            return la.mat(tuple(rng.randint(low, 2) for _ in range(dt))
+                          for _ in range(rows))
+        # Two pairs of maps on the same sources: equal placements and
+        # facets, other maps.
+        for a1, a2 in [(matrix(d1), matrix(d2)) for _ in range(2)]:
+            first = fiber_product(MonoidHom(s1, t, a1), MonoidHom(s2, t, a2))
+            assert fiber_product(MonoidHom(s1, t, a1),
+                                 MonoidHom(s2, t, a2)) is first
+            with empty_table():
+                fresh = fiber_product(MonoidHom(rebuilt(s1), t, a1),
+                                      MonoidHom(rebuilt(s2), t, a2))
+            assert fresh is not first and fresh.key == first.key
+
+    @settings(max_examples=100, deadline=None)
+    @given(monoid_pairs())
+    def test_intersect_members(self, data):
+        d, seed, low = data
+        rng = random.Random(seed)
+        m1, *others = [random_monoid(rng, d, low) for _ in range(3)]
+        # m1 against two others: equal placements, other facets and maps.
+        for m2 in others:
+            first = intersect_members(m1, m2)
+            assert intersect_members(m1, m2) is first
+            with empty_table():
+                fresh = intersect_members(rebuilt(m1), rebuilt(m2))
+            assert fresh.key == first.key
+
+    @settings(max_examples=100, deadline=None)
+    @given(monoid_pairs(), st.integers(0, 4))
+    def test_intersect_with_subspace(self, data, k):
+        d, seed, low = data
+        rng = random.Random(seed)
+        pair = [random_monoid(rng, d, low) for _ in range(2)]
+        rows = [tuple(rng.randint(-2, 2) for _ in range(d))
+                for _ in range(min(k, d))]
+        for m in pair:
+            first = m.intersect_with_subspace(rows)
+            assert m.intersect_with_subspace(rows) is first
+            with empty_table():
+                fresh = rebuilt(m).intersect_with_subspace(rows)
+            assert fresh.key == first.key
+
+    @settings(max_examples=150, deadline=None)
+    @given(monoid_pairs(), st.integers(1, 2), st.integers(0, 1))
+    def test_direct_calls_and_errors(self, data, width, cols):
+        """On arbitrary placements, not always injective, so that some
+        calls raise: a result is filed under the inputs and returned again;
+        an error is raised again on every call and nothing is filed."""
+        d, seed, low = data
+        rng = random.Random(seed)
+        m = random_monoid(rng, d, low)
+        place = la.mat(tuple(rng.randint(-1, 1) for _ in range(width))
+                       for _ in range(m.dim))
+        phi = la.mat(tuple(rng.randint(-1, 1) for _ in range(cols))
+                     for _ in range(m.dim))
+        self.check_call(width, place, m.facet_normals(), phi)
+
+    def test_error_on_a_line(self):
+        """The quadrant placed onto a line contains a line."""
+        assert self.check_call(1, ((1,), (-1,)), la.identity(2),
+                               ((0,), (0,))) is NotSharp
+
+    @staticmethod
+    def check_call(ambient_dim, place, facets, phi):
+        """The type of the error raised, or None; checks the memo."""
+        key = ("section", ambient_dim, place, facets, phi)
+
+        def call():
+            return monoids._cone_section(ambient_dim, place, facets, phi)
+        try:
+            first = call()
+        except BlowupError as e:
+            for _ in range(2):
+                with pytest.raises(type(e)):
+                    call()
+            assert key not in monoids._interned
+            return type(e)
+        assert monoids._interned.get(key) is first and call() is first
+        with empty_table():
+            assert call().key == first.key
+        return None
+
+    def test_inputs_that_differ_in_one_part(self):
+        """Sections that share every input but the facets, or every input
+        but the map, are told apart."""
+        quadrant = ToricMonoid.free(2)
+        wedge = ToricMonoid.make(2, la.identity(2), [(1, 0), (2, 9)])
+        # One lattice (the placement) and one subspace (the map).
+        assert quadrant.intersect_with_subspace([(0, 1)]) == \
+            ray_monoid(2, (0, 1))
+        assert wedge.intersect_with_subspace([(0, 1)]) == \
+            ToricMonoid.trivial(2)
+        # One pair of sources (placement and facets), two maps.
+        point = ToricMonoid.trivial(1)
+        h = MonoidHom(quadrant, point, ((1,), (1,)))
+        g = MonoidHom(quadrant, point, ((1,), (0,)))
+        assert fiber_product(h, h).rays == ((0, 1, 0, 1), (0, 1, 1, 0),
+                                            (1, 0, 0, 1), (1, 0, 1, 0))
+        assert fiber_product(g, g).rays == ((0, 0, 0, 1), (0, 1, 0, 0),
+                                            (1, 0, 1, 0))
+
+
+def uncached_contains(m, v):
+    """ToricMonoid.contains without its memo."""
+    c = m.lattice_coords_int(v)
+    if c is None:
+        return False
+    return all(la.dot(u, c) >= 0 for u in m.facet_normals())
+
+
+class TestContainsMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(monoid_pairs(),
+           st.lists(st.integers(-3, 3), min_size=32, max_size=32))
+    def test_agrees_with_uncached(self, data, entries):
+        d, seed, low = data
+        m = random_monoid(random.Random(seed), d, low)
+        vs = [tuple(entries[i:i + d]) for i in range(0, 8 * d, d)]
+        vs += list(m.rays) + [m.interior_point()]
+        for v in vs + vs[::-1]:  # the second pass hits the memo
+            assert m.contains(v) == uncached_contains(m, v)
+
+    def test_repeat_is_a_cache_hit(self):
+        m = ToricMonoid.make(2, la.identity(2), [(1, 0), (2, 9)])
+        assert m.contains([4, 9]) and not m.contains((0, 1))
+        with mock.patch.object(la, "solve_row_echelon",
+                               side_effect=AssertionError):
+            assert m.contains((4, 9)) and not m.contains(iter([0, 1]))
