@@ -273,8 +273,7 @@ def resolve(b: BinomialSystem,
     for fid in px.elements:
         gs = _restricted(b.gammas, coords_of[fid])
         dim = px.monoids[fid].dim
-        for e in total.members_over(fid):
-            img = total.morphism.image_in(e, fid)
+        for e, img in total.members_over(fid).items():
             if img.dim != dim:
                 continue
             for i, g in enumerate(gs):

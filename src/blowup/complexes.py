@@ -16,8 +16,8 @@ from .errors import (InvariantViolated, NotAComplex, NotARefinement,
                      NotInSupport)
 from .monoids import MonoidHom, ToricMonoid
 from .monoids import fiber_product as monoid_fiber_product
-from .refinements import (MonoidRefinement, planar_refine, smoothing,
-                          star_subdivide, trivial_refinement)
+from .refinements import (MonoidRefinement, cone_over, planar_refine,
+                          smoothing, star_subdivide, trivial_refinement)
 
 
 def _order_closure(elements: Iterable[str],
@@ -269,15 +269,15 @@ class ComplexRefinement:
 
     def localize(self, sigma_id: str) -> MonoidRefinement:
         """The induced refinement of the monoid at a target element."""
-        members = []
-        for e in self.source.elements:
-            if self.target.leq(self.morphism.node_map[e], sigma_id):
-                members.append(self.morphism.image_in(e, sigma_id))
-        return MonoidRefinement(self.target.monoids[sigma_id], members)
+        return MonoidRefinement(self.target.monoids[sigma_id],
+                                self.members_over(sigma_id).values())
 
-    def members_over(self, sigma_id: str) -> Tuple[str, ...]:
-        return tuple(e for e in self.source.elements
-                     if self.target.leq(self.morphism.node_map[e], sigma_id))
+    def members_over(self, sigma_id: str) -> Dict[str, ToricMonoid]:
+        """The source elements over a target element or its faces, in
+        element order, each with its image in that element's monoid."""
+        phi = self.morphism
+        return {e: phi.image_in(e, sigma_id) for e in self.source.elements
+                if self.target.leq(phi.node_map[e], sigma_id)}
 
     def validate(self) -> None:
         self.morphism.validate()
@@ -301,12 +301,11 @@ class ComplexRefinement:
                 raise NotARefinement(
                     f"{e} maps into a proper face of its target")
         for sigma_id in self.target.elements:
-            local = self.localize(sigma_id)
-            over = self.members_over(sigma_id)
-            images = [self.morphism.image_in(e, sigma_id) for e in over]
+            images = list(self.members_over(sigma_id).values())
             if len(set(images)) != len(images):
                 raise NotARefinement(
                     f"two elements have the same image in {sigma_id}")
+            local = MonoidRefinement(self.target.monoids[sigma_id], images)
             failures = local.validate()
             if failures:
                 raise NotARefinement(
@@ -528,12 +527,9 @@ def fiber_product_complex(phi1: ComplexMorphism, phi2: ComplexMorphism
             m = monoid_fiber_product(phi1.hom(a), phi2.hom(b))
             d1 = q1.monoids[a].ambient_dim
             p = m.interior_point()
-            p1, p2 = p[:d1], p[d1:]
-            if not _hits_interior(q1.monoids[a], p1):
-                continue
-            if not _hits_interior(q2.monoids[b], p2):
-                continue
-            pairs.append((a, b, m))
+            if q1.monoids[a].in_relative_interior(p[:d1]) and \
+                    q2.monoids[b].in_relative_interior(p[d1:]):
+                pairs.append((a, b, m))
     monoids = {}
     for a, b, m in pairs:
         monoids[f"{a}*{b}"] = m
@@ -562,12 +558,6 @@ def fiber_product_complex(phi1: ComplexMorphism, phi2: ComplexMorphism
     proj1 = ComplexMorphism(f, q1, node1, homs1)
     proj2 = ComplexMorphism(f, q2, node2, homs2)
     return f, proj1, proj2
-
-
-def _hits_interior(sigma: ToricMonoid, p) -> bool:
-    if all(x == 0 for x in p):
-        return sigma.dim == 0
-    return sigma.smallest_face_containing(p).monoid == sigma
 
 
 def terminal_complex() -> MonoidalComplex:
@@ -603,75 +593,48 @@ def pullback_refinement(r: ComplexRefinement, psi: ComplexMorphism
 
 
 def nsdim(sigma: ToricMonoid) -> int:
-    """Dimension of the largest face supported in the span of the
-    extremals that are dependent on the others; zero iff simplicial."""
+    """Dimension of the largest face all of whose extremals are dependent
+    on the others (in the span of the rest); zero iff simplicial."""
     if sigma.is_simplicial():
         return 0
     rays = sigma.ray_coords()
-    dependent = []
-    for i, c in enumerate(rays):
-        others = [d for j, d in enumerate(rays) if j != i]
-        if la.rank(la.mat(others)) == la.rank(la.mat(list(others) + [c])):
-            dependent.append(c)
-    span = dependent
-    best = 0
-    for fs in sigma._face_sets():
-        sub = [rays[i] for i in fs]
-        if all(_in_span(c, span) for c in sub):
-            best = max(best, la.rank(la.mat(sub)) if sub else 0)
-    return best
-
-
-def _in_span(c, rows) -> bool:
-    if not rows:
-        return la.is_zero(c)
-    return la.solve_row(c, la.mat(rows)) is not None
-
-
-def is_fully_nonsimplicial(sigma: ToricMonoid) -> bool:
-    return sigma.dim > 0 and nsdim(sigma) == sigma.dim
+    dependent = {i for i in range(len(rays))
+                 if la.rank(rays[:i] + rays[i + 1:]) == sigma.dim}
+    return max(la.rank([rays[i] for i in fs])
+               for fs in sigma._face_sets() if fs <= dependent)
 
 
 def natural_smooth_refinement(q: MonoidalComplex) -> ComplexRefinement:
     """The canonical smooth refinement: repeatedly star subdivide a fully
-    non-simplicial monoid of maximal nsdim at the sum of its extremals,
-    then smooth the resulting simplicial complex."""
+    non-simplicial monoid (nsdim equal to its dimension) of maximal nsdim
+    at the sum of its extremals, the least element id among ties, then
+    smooth the resulting simplicial complex.
+
+    The nsdim of every element is computed once per complex; each step
+    must lower the measure (largest nsdim, number of elements with it).
+    """
     total = identity_refinement(q)
     current = q
-    guard = 0
-    while True:
-        guard += 1
-        if guard >= 1000:
-            raise InvariantViolated(
-                "natural smooth refinement did not terminate")
-        scores = {a: nsdim(current.monoids[a]) for a in current.elements}
-        k = max(scores.values(), default=0)
-        if k == 0:
-            break
-        candidates = sorted(a for a in current.elements
-                            if scores[a] == k
-                            and is_fully_nonsimplicial(current.monoids[a]))
-        if not candidates:
-            # The maximal nsdim is always realized on a face which is
-            # fully non-simplicial; subdivide there instead.
-            fully = [a for a in current.elements
-                     if is_fully_nonsimplicial(current.monoids[a])]
-            k = max(scores[a] for a in fully)
-            candidates = sorted(a for a in fully if scores[a] == k)
-        a = candidates[0]
-        count_k = sum(1 for s in scores.values() if s == k)
-        v = current.monoids[a].interior_point()
-        step = star_subdivide_complex(current, a, v)
+    scores = {a: nsdim(q.monoids[a]) for a in q.elements}
+    for _ in range(1000):
+        if max(scores.values(), default=0) == 0:
+            return total.compose(smooth_complex(current))
+        fully = [a for a in current.elements
+                 if scores[a] == current.monoids[a].dim > 0]
+        k = max(scores[a] for a in fully)
+        a = min(a for a in fully if scores[a] == k)
+        step = star_subdivide_complex(current, a,
+                                      current.monoids[a].interior_point())
         total = total.compose(step)
         current = step.source
-        new_scores = {b: nsdim(current.monoids[b])
-                      for b in current.elements}
-        new_k = max(new_scores.values(), default=0)
-        new_count = sum(1 for s in new_scores.values() if s == k)
-        if new_k >= k and new_count >= count_k:
+        new_scores = {b: nsdim(current.monoids[b]) for b in current.elements}
+        if max(new_scores.values()) >= k and \
+                sum(s == k for s in new_scores.values()) >= \
+                sum(s == k for s in scores.values()):
             raise InvariantViolated(
                 "subdivision must strictly reduce the nsdim measure")
-    return total.compose(smooth_complex(current))
+        scores = new_scores
+    raise InvariantViolated("natural smooth refinement did not terminate")
 
 
 # ---------------------------------------------------------------------------
@@ -685,72 +648,40 @@ def extend_refinement(q: MonoidalComplex,
     """Extend a refinement of a downward closed subcomplex to the whole
     complex.
 
-    Proceeds by increasing dimension of the damaged monoids (those with a
-    nontrivially refined face but no refinement of their own), coning the
-    refined boundary of each from the sum of its extremals.  If the given
-    refinement is smooth (or smooth=True), the extension is made smooth
-    with the natural smooth refinement, which leaves the given part
-    untouched.
+    Visits the other elements once, by increasing number of elements
+    below them (then by id): an element has strictly more elements below
+    it than each of its proper faces, so this is a linear extension of the
+    order and every face is refined before the elements above it.  An
+    element none of whose proper faces is refined nontrivially is refined
+    trivially; any other gets the cone over its refined boundary from the
+    sum of its extremals.  If the given refinement is smooth (or
+    smooth=True), the extension is made smooth with the natural smooth
+    refinement, which leaves the given part untouched.
     """
-    keys = set(local0)
-    for b in keys:
+    for b in local0:
         for a in q.below(b):
-            if a not in keys:
+            if a not in local0:
                 raise NotAComplex(
                     f"refined subcomplex is not downward closed at {a}")
     local = dict(local0)
     if smooth is None:
         smooth = all(r.is_smooth() for r in local0.values())
-    domain = set(local)
-    order_by_dim = sorted(q.elements,
-                          key=lambda a: (q.monoids[a].dim, a))
-    while len(domain) < len(q.elements):
-        progressed = False
-        damaged = []
-        for a in order_by_dim:
-            if a in domain:
-                continue
-            harmed = any(b in domain and not local[b].is_trivial()
-                         for b in q.below(a) if b != a)
-            if not harmed and all(b in domain or b == a
-                                  for b in q.below(a)):
-                local[a] = trivial_refinement(q.monoids[a])
-                domain.add(a)
-                progressed = True
-            elif harmed and all(b in domain or b == a
-                                for b in q.below(a)):
-                damaged.append(a)
-        if not damaged:
-            if progressed:
-                continue
-            raise NotAComplex("extension stalled")
-        d = min(q.monoids[a].dim for a in damaged)
-        for a in damaged:
-            if q.monoids[a].dim != d:
-                continue
-            sigma = q.monoids[a]
-            v = sigma.interior_point()
-            boundary = []
-            for b in q.below(a):
-                if b == a:
-                    continue
-                h = q.face_maps[(b, a)]
-                for m in local[b].members:
-                    boundary.append(
-                        MonoidHom(m, sigma, h).image_monoid())
-            boundary = list(set(boundary))
-            members = list(boundary)
-            for m in boundary:
-                lattice = la.mat(list(m.lattice) + [tuple(v)])
-                cone = list(m.rays) + [tuple(v)]
-                members.append(ToricMonoid.make(sigma.ambient_dim,
-                                                lattice, cone))
-            local[a] = MonoidRefinement(sigma, members)
-            domain.add(a)
+    for a in sorted(q.elements, key=lambda a: (len(q.below(a)), a)):
+        if a in local:
+            continue
+        sigma = q.monoids[a]
+        faces = [b for b in q.below(a) if b != a]
+        if all(local[b].is_trivial() for b in faces):
+            local[a] = trivial_refinement(sigma)
+            continue
+        boundary = {MonoidHom(m, sigma, q.face_maps[(b, a)]).image_monoid()
+                    for b in faces for m in local[b].members}
+        v = sigma.interior_point()
+        local[a] = MonoidRefinement(
+            sigma, [*boundary, *(cone_over(m, v) for m in boundary)])
     result = assemble_from_local(q, local)
     if smooth:
-        ns = natural_smooth_refinement(result.source)
-        result = result.compose(ns)
+        result = result.compose(natural_smooth_refinement(result.source))
         for a in local0:
             if set(result.localize(a).members) != set(local0[a].members):
                 raise NotARefinement(

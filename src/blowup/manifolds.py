@@ -314,11 +314,9 @@ def local_atlas(r: ComplexRefinement) -> ChartAtlas:
     q = r.target
     top = max(q.elements, key=lambda a: q.monoids[a].dim)
     n = q.monoids[top].dim
-    local = r.localize(top)
     charts = {}
     members = {}
-    for e in r.members_over(top):
-        img = r.morphism.image_in(e, top)
+    for e, img in r.members_over(top).items():
         if img.dim == n:
             charts[e] = Chart(e, la.mat(img.rays))
             members[e] = img
@@ -377,8 +375,7 @@ def factor_through_refinement(psi: ComplexMorphism,
         sigma_id = psi.node_map[z]
         gens = psi.homs[z]
         best = None
-        for e in r.members_over(sigma_id):
-            img = r.morphism.image_in(e, sigma_id)
+        for e, img in r.members_over(sigma_id).items():
             if (best is None or img.dim < best[1].dim) and \
                     all(img.contains(g) for g in gens):
                 best = (e, img)
@@ -509,9 +506,8 @@ def lift_face(b: Blowup, face_id: str) -> str:
     """
     r = b.refinement
     sigma = r.target.monoids[face_id]
-    for e in r.members_over(face_id):
-        if r.morphism.node_map[e] == face_id and \
-                r.morphism.image_in(e, face_id) == sigma:
+    for e, img in r.members_over(face_id).items():
+        if r.morphism.node_map[e] == face_id and img == sigma:
             return e
     raise NotAFace(f"face {face_id} does not lift to a single face")
 

@@ -222,11 +222,16 @@ def star_subdivide(sigma: ToricMonoid, v) -> MonoidRefinement:
         tau = f.monoid
         if tau.in_support(v):
             continue
-        members.append(tau)
-        lattice = la.mat(list(tau.lattice) + [tuple(v)])
-        cone = list(tau.rays) + [tuple(v)]
-        members.append(ToricMonoid.make(sigma.ambient_dim, lattice, cone))
+        members += [tau, cone_over(tau, v)]
     return MonoidRefinement(sigma, members)
+
+
+def cone_over(tau: ToricMonoid, v) -> ToricMonoid:
+    """The monoid tau + Z_+ v, with lattice that of tau plus Z v, for v
+    outside the span of tau."""
+    return ToricMonoid.make(tau.ambient_dim,
+                            la.mat(list(tau.lattice) + [tuple(v)]),
+                            list(tau.rays) + [tuple(v)])
 
 
 def smoothing(sigma: ToricMonoid) -> MonoidRefinement:

@@ -10,7 +10,7 @@ from blowup.complexes import (ComplexMorphism, ComplexRefinement,
                               MonoidalComplex, assemble_from_local,
                               complex_from_monoid,
                               extend_refinement, fiber_product_complex,
-                              identity_refinement, is_fully_nonsimplicial,
+                              identity_refinement,
                               morphism_to_point, mutual_smooth_refinement,
                               natural_smooth_refinement, nsdim,
                               planar_refine_complex, product_complex,
@@ -231,8 +231,7 @@ class TestNaturalSmooth:
 
     def test_nsdim(self):
         assert nsdim(ToricMonoid.free(3)) == 0
-        assert nsdim(square_cone()) > 0
-        assert is_fully_nonsimplicial(square_cone())
+        assert nsdim(square_cone()) == square_cone().dim
 
 
 class TestPlanarComplex:
