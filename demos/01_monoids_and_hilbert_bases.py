@@ -22,7 +22,7 @@ print("(1,0) in monoid:", m.contains((1, 0)))
 # The face lattice.
 print("\nfaces:")
 for f in m.faces():
-    print(f"  dim {f.monoid.dim}: rays {f.monoid.rays}")
+    print(f"  dim {f.dim}: rays {f.rays}")
 
 # A non-simplicial example: the cone over a square.
 sq = ToricMonoid.make(3, la.identity(3),

@@ -7,7 +7,7 @@ core computation is exact (integer and rational arithmetic); a separate
 floating-point verifier cross-checks chart data numerically.
 """
 
-from .monoids import Face, MonoidHom, ToricMonoid, fiber_product
+from .monoids import MonoidHom, ToricMonoid, fiber_product
 from .refinements import (MonoidRefinement, planar_refine, smoothing,
                           star_subdivide, trivial_refinement)
 from .complexes import (ComplexMorphism, ComplexRefinement,
@@ -45,7 +45,6 @@ __all__ = [
     "ComplexMorphism",
     "ComplexRefinement",
     "CornerComplex",
-    "Face",
     "FiberProblem",
     "FiberReport",
     "Lift",

@@ -16,7 +16,8 @@ from . import exactla as la
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
                         extend_refinement, identity_refinement,
                         natural_smooth_refinement, planar_refine_complex)
-from .errors import (DependentDifferentials, NotInSupport, NotSmooth)
+from .errors import (DependentDifferentials, InvariantViolated,
+                     NotInSupport, NotSmooth)
 from .manifolds import corner_model
 from .monoids import ToricMonoid
 
@@ -136,7 +137,7 @@ def boundary_faces(b: BinomialSystem) -> VarietyComplex:
     met = []
     for f in _face_monoid(b, tuple(range(n))).faces():
         w = la.zeros(n)
-        for ray in f.monoid.rays:
+        for ray in f.rays:
             w = la.vsub(w, ray)
         sub = tuple(i for i in range(n) if w[i])
         met.append((len(sub), sub, la.primitive(w) if sub else w))
@@ -228,8 +229,11 @@ def resolve(b: BinomialSystem,
     whole.  If r_d is None the natural smooth refinement of the variety
     complex is used.
 
-    Asserts the sign uniformity of every transformed exponent vector in
-    every full-dimensional chart, and that the result restricts to r_d.
+    Raises:
+        NotSmooth: if r_d is not smooth.
+        InvariantViolated: if a variety monoid is not a member of the
+            planar refinement, or a transformed exponent vector is
+            indefinite in a full-dimensional chart.
     """
     n = b.boundary_dim
     vc = boundary_faces(b)
@@ -262,8 +266,9 @@ def resolve(b: BinomialSystem,
                     sq.monoids[e] == vf.monoid:
                 e_of[sub] = e
                 break
-        assert sub in e_of, f"variety face {sub} missing from the " \
-            "planar refinement"
+        if sub not in e_of:
+            raise InvariantViolated(f"variety face {sub} missing from the "
+                                    "planar refinement")
     local0 = {e_of[sub]: r_d.localize(_coord_face_id(sub))
               for sub in vc.faces}
     extension = extend_refinement(sq, local0, smooth=True)
@@ -278,8 +283,9 @@ def resolve(b: BinomialSystem,
                 continue
             for i, g in enumerate(gs):
                 beta = tuple(la.dot(row, g) for row in img.rays)
-                assert _single_signed(beta), \
-                    f"indefinite transformed exponent in chart {e}"
+                if not _single_signed(beta):
+                    raise InvariantViolated(
+                        f"indefinite transformed exponent in chart {e}")
                 sign = (1 if any(x > 0 for x in beta)
                         else -1 if any(x < 0 for x in beta) else 0)
                 chart_signs[(e, i)] = sign

@@ -17,7 +17,7 @@ from .binomial import (boundary_faces, normal_form, resolve,
                        universal_resolution, variety_complex)
 from .chartcheck import SamplePlan, verify_lift, verify_transitions
 from .complexes import extend_refinement, natural_smooth_refinement
-from .errors import BlowupError
+from .errors import BlowupError, NotSmooth
 from .fiber import (FiberProblem, b_normal_transversality, factor_through,
                     resolve_fiber_product, theorem_b_check)
 from .manifolds import (Blowup, blowup_domain, generalized_blowup,
@@ -119,7 +119,7 @@ def cmd_hilbert(args) -> Dict[str, Any]:
 def cmd_faces(args) -> Dict[str, Any]:
     m = _load_monoid(args.input)
     faces = [{"dim": f.dim, "rays": ser._enc_mat(f.rays)}
-             for f in m.face_monoids()]
+             for f in m.faces()]
     return {"kind": "faces", "elements": len(faces), "faces": faces}
 
 
@@ -280,7 +280,7 @@ def cmd_binomial(args) -> Dict[str, Any]:
     if args.action == "resolve":
         try:
             res = universal_resolution(b)
-        except BlowupError:
+        except NotSmooth:
             res = resolve(b)
         res.refinement.validate()
         return {"kind": "binomial_resolution", "version": ser.VERSION,

@@ -264,23 +264,6 @@ def _ray_bmap(total: CornerComplex, morphism: ComplexMorphism,
     return BMap(total, target, face_map, exps)
 
 
-def check_basic_complex_iso(b: Blowup) -> bool:
-    """Verify that the basic complex of the blown-up corner complex is
-    isomorphic to the refining complex: each element's monoid is freely
-    generated by the rays below it."""
-    rs = b.refinement.source
-    for e in rs.elements:
-        m = rs.monoids[e]
-        below_rays = [w for w in rs.elements
-                      if rs.monoids[w].dim == 1 and rs.leq(w, e)]
-        if len(below_rays) != m.dim or not m.is_smooth():
-            return False
-        gens = set(rs.image_face(w, e).rays[0] for w in below_rays)
-        if gens != set(m.rays):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Chart atlases for local models.
 # ---------------------------------------------------------------------------

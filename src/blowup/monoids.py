@@ -15,6 +15,10 @@ of a cone by a subspace); the cone is pointed iff they have full rank r,
 and a generator spans an extreme ray iff no generator lies on a strictly
 larger set of facets.
 
+A face is itself a toric monoid: its rays are those on an intersection
+of facets, and its lattice is the saturated sublattice they span.  The
+face that is the whole monoid is the monoid itself.
+
 Every monoid cut out of a cone by a linear map (a section by a subspace,
 a fiber product, an intersection of two monoids) is built by one routine,
 _cone_section: saturated kernel, cone section, saturated span, make.
@@ -32,11 +36,12 @@ placement, the facets and the map it cuts by), and images, subspace
 sections, smallest faces and membership tests are cached on the monoid
 they come from.  A memo lives as long as its monoid; errors are never
 cached.  No cache refers back to its monoid: a cached result that is the
-monoid itself is stored as a marker, and the face that is the whole
-monoid is built on each call.  So there are no reference cycles, and
-a monoid is freed once it is unreferenced and has left the recent ring.
-Which constructions hit a memo depends on the order of constructions
-only, never on when the cyclic garbage collector runs.
+monoid itself is stored as a marker, and faces() caches the proper faces
+only and appends the monoid itself on each call.  So there are no
+reference cycles, and a monoid is freed once it is unreferenced and has
+left the recent ring.  Which constructions hit a memo depends on the
+order of constructions only, never on when the cyclic garbage collector
+runs.
 """
 
 import collections
@@ -297,12 +302,9 @@ class ToricMonoid:
             return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
         return self._cached("face_sets", build)
 
-    def _face_from_set(self, gen_set: frozenset) -> "Face":
+    def _face_from_set(self, gen_set: frozenset) -> "ToricMonoid":
         if len(gen_set) == len(self.rays):
-            # The whole monoid.  This Face holds self, so it is built on
-            # each call rather than cached.
-            return Face(monoid=self, generator_indices=tuple(sorted(gen_set)),
-                        functional=la.zeros(self.ambient_dim))
+            return self
 
         def build():
             coords = self.ray_coords()
@@ -310,48 +312,25 @@ class ToricMonoid:
             span_basis = _saturated_span(sub, self.dim)
             lattice = la.mat_mul(span_basis, self.lattice) \
                 if span_basis else ()
-            monoid = _intern(self.ambient_dim,
-                             la.row_space_basis(lattice) if lattice else (),
-                             tuple(sorted(self.rays[i]
-                                          for i in sorted(gen_set))))
-            vanish = [u for u in self.facet_normals()
-                      if all(la.dot(u, c) == 0 for c in sub)]
-            u_r = la.zeros(self.dim)
-            for u in vanish:
-                u_r = la.vadd(u_r, u)
-            return Face(monoid=monoid,
-                        generator_indices=tuple(sorted(gen_set)),
-                        functional=self._extend_functional(u_r))
+            return _intern(self.ambient_dim,
+                           la.row_space_basis(lattice) if lattice else (),
+                           tuple(sorted(self.rays[i]
+                                        for i in sorted(gen_set))))
         return self._cached(("face", gen_set), build)
 
-    def _extend_functional(self, u_lattice) -> Vec:
-        """Ambient integer functional restricting to u_lattice on the
-        lattice basis."""
-        if self.dim == 0 or la.is_zero(u_lattice):
-            return la.zeros(self.ambient_dim)
-        sol = la.solve_row(u_lattice, la.transpose(self.lattice))
-        if sol is None:
-            raise InvariantViolated(
-                f"functional {u_lattice} does not extend to the ambient")
-        return la.scale_to_int(sol)
-
-    def faces(self) -> Tuple["Face", ...]:
-        """All faces, ordered by dimension then by canonical key."""
+    def faces(self) -> Tuple["ToricMonoid", ...]:
+        """All faces, ordered by dimension then by canonical key; the
+        last is the monoid itself."""
         def build():
             out = [self._face_from_set(s) for s in self._face_sets()[:-1]]
-            out.sort(key=lambda f: (f.monoid.dim, f.monoid.key))
+            out.sort(key=lambda f: (f.dim, f.key))
             return tuple(out)
-        # The whole monoid is the last face set and the last face.
-        return self._cached("faces", build) + \
-            (self._face_from_set(self._face_sets()[-1]),)
+        return self._cached("faces", build) + (self,)
 
-    def face_monoids(self) -> Tuple["ToricMonoid", ...]:
-        return tuple(f.monoid for f in self.faces())
+    def facet_faces(self) -> Tuple["ToricMonoid", ...]:
+        return tuple(f for f in self.faces() if f.dim == self.dim - 1)
 
-    def facet_faces(self) -> Tuple["Face", ...]:
-        return tuple(f for f in self.faces() if f.monoid.dim == self.dim - 1)
-
-    def smallest_face_containing(self, v) -> "Face":
+    def smallest_face_containing(self, v) -> "ToricMonoid":
         """Smallest face whose support contains the rational vector v.
 
         Raises:
@@ -375,7 +354,7 @@ class ToricMonoid:
         return self._face_from_set(self._cached(("smallest_face", v), build))
 
     def is_face_of(self, other: "ToricMonoid") -> bool:
-        return any(self == f for f in other.face_monoids())
+        return self in other.faces()
 
     # -- Hilbert basis -------------------------------------------------------
 
@@ -576,16 +555,6 @@ def _parallelepiped_points(w, r):
         p = la.apply_row(frac, w)
         points.add(tuple(int(e) for e in p))
     return points
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face of a toric monoid, with a supporting functional: an ambient
-    integer functional vanishing on the face and positive on the rest of
-    the monoid's extremals."""
-    monoid: ToricMonoid
-    generator_indices: Tuple[int, ...]
-    functional: Vec
 
 
 @dataclass(frozen=True)

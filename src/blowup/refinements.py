@@ -60,7 +60,7 @@ class MonoidRefinement:
         return tuple(m for m in self.members if m.dim == self.base.dim)
 
     def is_trivial(self) -> bool:
-        return set(self.members) == set(self.base.face_monoids())
+        return set(self.members) == set(self.base.faces())
 
     def is_smooth(self) -> bool:
         return all(m.is_smooth() for m in self.members)
@@ -85,7 +85,7 @@ class MonoidRefinement:
                 if not self.base.in_support(g):
                     failures.append(RefinementFailure(
                         "support", f"ray {g} outside supp(base)", g))
-            for f in m.face_monoids():
+            for f in m.faces():
                 owners.setdefault(f, set()).add(i)
                 if f not in member_set:
                     failures.append(RefinementFailure(
@@ -109,15 +109,17 @@ class MonoidRefinement:
     def _interior_facets(self) -> Dict[tuple, list]:
         """The facets of the maximal members that are not on the boundary
         of supp(base), keyed by their rays: each with its owners, as
-        (maximal member, facet) pairs."""
-        base_facets = [f.functional for f in self.base.facet_faces()]
+        (maximal member, facet) pairs.  A ray outside the span of the base
+        is off every facet of the base."""
+        base = self.base
         facets = {}
         for m in self.maximal_members():
             for f in m.facet_faces():
-                rays = f.monoid.rays
-                if all(la.is_zero(u) or any(la.dot(u, g) for g in rays)
-                       for u in base_facets):
-                    facets.setdefault(rays, []).append((m, f))
+                coords = [base.lattice_coords(g) for g in f.rays]
+                if not any(all(c is not None and la.dot(u, c) == 0
+                               for c in coords)
+                           for u in base.facet_normals()):
+                    facets.setdefault(f.rays, []).append((m, f))
         return facets
 
     def _is_triangulation(self, owners, facets) -> bool:
@@ -128,14 +130,19 @@ class MonoidRefinement:
         if any(all(self.members[i].dim < self.base.dim for i in o)
                for o in owners.values()):
             return False
+        coords = self.base.lattice_coords
         for cone_key, pair in facets.items():
             if len(pair) != 2:
                 return False
             (m1, f1), (m2, f2) = pair
+            if f1 != f2:
+                return False
             far1, far2 = (next(g for g in m.rays if g not in cone_key)
                           for m in (m1, m2))
-            if f1.monoid != f2.monoid or la.dot(f1.functional, far2) >= 0 \
-                    or la.dot(f2.functional, far1) >= 0:
+            # A normal of the facet's hyperplane, in base coordinates (every
+            # ray is in supp(base) here); the far rays are on opposite sides.
+            (u,) = la.right_kernel_q([coords(g) for g in cone_key])
+            if la.dot(u, coords(far1)) * la.dot(u, coords(far2)) >= 0:
                 return False
         p = maximal[0].interior_point()
         return not any(m.in_support(p) for m in maximal[1:])
@@ -202,7 +209,7 @@ def intersect_members(m1: ToricMonoid, m2: ToricMonoid) -> ToricMonoid:
 
 
 def trivial_refinement(sigma: ToricMonoid) -> MonoidRefinement:
-    return MonoidRefinement(sigma, sigma.face_monoids())
+    return MonoidRefinement(sigma, sigma.faces())
 
 
 def star_subdivide(sigma: ToricMonoid, v) -> MonoidRefinement:
@@ -218,8 +225,7 @@ def star_subdivide(sigma: ToricMonoid, v) -> MonoidRefinement:
     if not sigma.contains(v):
         raise NotInSupport(f"{tuple(v)} is not in the monoid")
     members = []
-    for f in sigma.faces():
-        tau = f.monoid
+    for tau in sigma.faces():
         if tau.in_support(v):
             continue
         members += [tau, cone_over(tau, v)]
@@ -256,8 +262,7 @@ def maximal_faces_avoiding(sigma: ToricMonoid,
     """Faces of sigma meeting the subspace only at 0, maximal among
     those."""
     avoiding = []
-    for f in sigma.faces():
-        tau = f.monoid
+    for tau in sigma.faces():
         if tau.dim == 0:
             avoiding.append(tau)
             continue
@@ -280,5 +285,5 @@ def planar_refine(sigma: ToricMonoid, subspace_rows: Sequence
     members = []
     for tau in maximal_faces_avoiding(sigma, subspace_rows):
         joined = sigma.join(mu, tau)
-        members.extend(joined.face_monoids())
+        members.extend(joined.faces())
     return MonoidRefinement(sigma, members)

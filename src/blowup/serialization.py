@@ -238,15 +238,6 @@ def binomial_from_doc(doc) -> BinomialSystem:
         _dec_int(doc["smooth_count"]))
 
 
-def fiber_problem_to_doc(f1: BMap, f2: BMap) -> Dict[str, Any]:
-    return {
-        "kind": "fiber_problem",
-        "version": VERSION,
-        "f1": bmap_to_doc(f1),
-        "f2": bmap_to_doc(f2),
-    }
-
-
 def fiber_problem_from_doc(doc) -> Tuple[BMap, BMap]:
     _expect(doc, "fiber_problem")
     return bmap_from_doc(doc["f1"]), bmap_from_doc(doc["f2"])

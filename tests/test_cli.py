@@ -59,6 +59,11 @@ def sum_bmap():
                 {("H1", "H1"): 1, ("H2", "H1"): 1})
 
 
+def fiber_problem_doc(f1, f2):
+    return {"kind": "fiber_problem", "version": ser.VERSION,
+            "f1": ser.bmap_to_doc(f1), "f2": ser.bmap_to_doc(f2)}
+
+
 class TestBasicCommands:
     def test_validate(self, monoid_doc, tmp_path, capsys):
         assert main(["validate", monoid_doc]) == 0
@@ -264,12 +269,40 @@ class TestBinomialCommands:
         assert doc["indefinite_charts"] == 0
 
 
+# A rank-2 system whose smooth variety complex takes the universal path,
+# where a chart lies across one exponent's hyperplane (defect (a)).
+INDEFINITE_RANK2 = {"kind": "binomial_system", "version": ser.VERSION,
+                    "boundary_dim": 2, "tangential_dim": 0,
+                    "gammas": [[-1, 2], [-2, 1]], "smooth_count": 0}
+INDEFINITE_MESSAGE = ("error: validation failed: indefinite transformed "
+                      "exponent in chart H1&H2/0/0/0")
+
+
+class TestBinomialInvariants:
+    """resolve raises InvariantViolated on an indefinite chart, so the
+    CLI stops with exit 1 and the message also under python -O."""
+
+    def test_in_process(self, tmp_path, capsys):
+        path = write(tmp_path, "rank2.json", INDEFINITE_RANK2)
+        assert main(["binomial", "resolve", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == INDEFINITE_MESSAGE
+
+    def test_optimized_subprocess(self, tmp_path):
+        path = write(tmp_path, "rank2.json", INDEFINITE_RANK2)
+        run = run_blowup("binomial", "resolve", path, python_flags=("-O",))
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr.strip() == INDEFINITE_MESSAGE
+
+
 class TestFiberCommands:
     @pytest.fixture
     def addition_doc(self, tmp_path):
         f = sum_bmap()
         return write(tmp_path, "addition.json",
-                     ser.fiber_problem_to_doc(f, f))
+                     fiber_problem_doc(f, f))
 
     def test_analyze(self, addition_doc, tmp_path):
         out = str(tmp_path / "rep.json")
@@ -575,7 +608,7 @@ class TestRepeatedCalls:
             "equations": [{"alpha": [2, 0], "beta": [0, 3]}]})
         f = sum_bmap()
         addition = write(tmp_path, "addition.json",
-                         ser.fiber_problem_to_doc(f, f))
+                         fiber_problem_doc(f, f))
         cube = write(tmp_path, "cube.json",
                      ser.manifold_to_doc(corner_model(3)))
         lift = write(tmp_path, "f.json", ser.bmap_to_doc(BMap(

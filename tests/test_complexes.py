@@ -90,6 +90,19 @@ class TestComplex:
         with pytest.raises(NotAComplex, match="face map b -> a is not 1 x 1"):
             q.validate()
 
+    def test_composites_along_a_chain_out_of_id_order(self):
+        # A < C < D < B given by its covering maps only: (A, B) comes
+        # before (A, D) and (C, B) in id order, so it is filled from them
+        # on a second pass.
+        monoids = {e: ToricMonoid.free(n)
+                   for e, n in zip("ACDB", (1, 2, 3, 4))}
+        maps = {("A", "C"): ((0, 1),),
+                ("C", "D"): ((0, 0, 1), (1, 0, 0)),
+                ("D", "B"): ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))}
+        q = MonoidalComplex(monoids, list(maps), maps)
+        assert q.face_maps[("A", "B")] == ((0, 1, 0, 0),) == la.mat_mul(
+            la.mat_mul(maps[("A", "C")], maps[("C", "D")]), maps[("D", "B")])
+
 
 class TestMorphism:
     def test_identity_refinement(self):
@@ -163,7 +176,7 @@ class TestStarSubdivideComplex:
         top = top_element(q)
         r = star_subdivide_complex(q, top, v)
         r.validate()
-        face = q.monoids[top].smallest_face_containing(v).monoid
+        face = q.monoids[top].smallest_face_containing(v)
         carrier = next(c for c in q.elements if q.monoids[c] == face)
         direct = star_subdivide_complex(q, carrier, v)
         assert set(r.localize(top).members) == \

@@ -162,7 +162,7 @@ def resolve_extension_inputs(systems):
         for b in systems:
             try:
                 resolve(b)
-            except AssertionError:
+            except InvariantViolated:
                 pass  # defect (a): the extension itself ran
     return seen
 

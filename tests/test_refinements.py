@@ -19,6 +19,7 @@ from blowup.refinements import (MonoidRefinement, RefinementFailure,
                                 trivial_refinement)
 
 from test_monoids import random_positive_monoid
+from test_sections import ambient_facet_functionals
 
 
 def random_point_in(m: ToricMonoid, rng):
@@ -41,6 +42,18 @@ def check_cover(sigma: ToricMonoid, r: MonoidRefinement, rng, points=200):
         assert len(interior_hits) <= 1, f"point {p} interior to several"
 
 
+def ref_interior_facets(r: MonoidRefinement):
+    """Reference for MonoidRefinement._interior_facets that tests the
+    rays of each facet against the base's ambient facet functionals."""
+    functionals = ambient_facet_functionals(r.base)
+    facets = {}
+    for m in r.maximal_members():
+        for f in m.facet_faces():
+            if all(any(la.dot(u, g) for g in f.rays) for u in functionals):
+                facets.setdefault(f.rays, []).append((m, f))
+    return facets
+
+
 def all_pairs_failures(r: MonoidRefinement):
     """Reference for MonoidRefinement.validate that checks the common-face
     axiom on every pair of members."""
@@ -51,7 +64,7 @@ def all_pairs_failures(r: MonoidRefinement):
             if not r.base.in_support(g):
                 failures.append(RefinementFailure(
                     "support", f"ray {g} outside supp(base)", g))
-        for f in m.face_monoids():
+        for f in m.faces():
             if f not in member_set:
                 failures.append(RefinementFailure(
                     "face_closed",
@@ -63,7 +76,7 @@ def all_pairs_failures(r: MonoidRefinement):
                 "common_face",
                 f"intersection of {m1.rays} and {m2.rays} is not a "
                 "common face", inter.rays))
-    return failures + r._check_cover(r._interior_facets())
+    return failures + r._check_cover(ref_interior_facets(r))
 
 
 class TestValidate:
@@ -71,7 +84,7 @@ class TestValidate:
         a = ToricMonoid.make(2, la.identity(2), [(1, 0), (1, 2)])
         b = ToricMonoid.make(2, la.identity(2), [(1, 1), (0, 1)])
         r = MonoidRefinement(ToricMonoid.free(2),
-                             a.face_monoids() + b.face_monoids())
+                             a.faces() + b.faces())
         failures = r.validate()
         assert RefinementFailure(
             "common_face", f"intersection of {b.rays} and {a.rays} is not "
@@ -100,7 +113,7 @@ class TestValidate:
 
 
 def faces_of(*monoids):
-    return [f for m in monoids for f in m.face_monoids()]
+    return [f for m in monoids for f in m.faces()]
 
 
 def count_intersections(monkeypatch):
@@ -157,7 +170,7 @@ def _relattice(base, center):
                 if m.lattice != la.identity(d)), r.maximal_members()[0])
     new = ToricMonoid.make(d, la.identity(d), old.rays)
     return MonoidRefinement(base, [m for m in r.members if m != old]
-                            + list(new.face_monoids()))
+                            + list(new.faces()))
 
 
 def _shared_facet_two_lattices():
@@ -201,7 +214,7 @@ def refinement_families(draw):
                                 + (ToricMonoid.make(base.ambient_dim,
                                                     [p], [p]),))
     extra = star.members if draw(st.booleans()) else ()
-    return MonoidRefinement(base, base.face_monoids() + extra)
+    return MonoidRefinement(base, base.faces() + extra)
 
 
 class TestFastValidation:
@@ -213,6 +226,7 @@ class TestFastValidation:
     @given(refinement_families())
     def test_agrees_with_all_pairs(self, r):
         assert r.validate() == all_pairs_failures(r)
+        assert r._interior_facets() == ref_interior_facets(r)
 
     @pytest.mark.parametrize("family, condition", [
         (_stray_ray, 3), (_nested, 4), (_same_side, 4),

@@ -96,6 +96,13 @@ def ref_fiber_product(h1, h2):
     return ToricMonoid.make(d1 + d2, lattice, rays)
 
 
+def ambient_facet_functionals(m):
+    """The facet normals of m extended to ambient integer functionals:
+    each vanishes on its facet and is positive on the other rays."""
+    return [la.scale_to_int(la.solve_row(u, la.transpose(m.lattice)))
+            for u in m.facet_normals()]
+
+
 def ref_cone_intersection_rays(m1, m2, span_rows):
     """Extreme rays of supp(m1) cap supp(m2) cap span(span_rows), in
     ambient coordinates, from ambient equations and facet functionals."""
@@ -105,8 +112,7 @@ def ref_cone_intersection_rays(m1, m2, span_rows):
     for m in (m1, m2):
         for u in la.right_kernel_q(m.lattice):
             eq.append(la.clear_denominators(u))
-        for f in m.facet_faces():
-            ineq.append(f.functional)
+        ineq.extend(ambient_facet_functionals(m))
     for u in la.right_kernel_q(span_rows):
         eq.append(la.clear_denominators(u))
     if eq:
@@ -164,7 +170,7 @@ def random_monoid(rng, d, low):
         m = ToricMonoid.make(d, gens, gens)
     except (NotSharp, NotPointedLattice):
         return ToricMonoid.trivial(d)
-    return m if rng.random() < 0.5 else rng.choice(m.face_monoids())
+    return m if rng.random() < 0.5 else rng.choice(m.faces())
 
 
 def monoid_pairs(max_dim=4):
