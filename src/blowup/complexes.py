@@ -350,6 +350,15 @@ def assemble_from_local(q: MonoidalComplex,
     on the image face of a are exactly the images of the members of
     local[a].
 
+    The elements whose local refinement is trivial (unrefined) form a
+    downward closed subcomplex, which is copied: an unrefined c becomes
+    c/0 with q.monoids[c], below the copy of each unrefined d above it by
+    q's face map.  On a chain a <= b with both ends unrefined the
+    compatibility check is exactly that the image of sigma_a is a face of
+    sigma_b of the same dimension, and completeness at b that every face
+    of sigma_b is sigma_b or such an image.  Every chain that ends in or
+    starts from a refined element is checked member by member.
+
     Raises:
         NotARefinement: if the family is incompatible.
     """
@@ -358,24 +367,36 @@ def assemble_from_local(q: MonoidalComplex,
             raise NotARefinement(f"no local refinement for {a}")
         if local[a].base != q.monoids[a]:
             raise NotARefinement(f"local refinement at {a} has wrong base")
-    # The rays of the smallest face of q.monoids[a] containing each member.
+    refined = {a for a in q.elements if not local[a].is_trivial()}
+    # The rays of the smallest face of q.monoids[a] containing each member
+    # of a refined local[a]; a member of a trivial one is that face.
     carrier: Dict[Tuple[str, ToricMonoid], FrozenSet[la.Vec]] = {}
     for a in q.elements:
-        sigma = q.monoids[a]
-        for m in local[a].members:
-            carrier[(a, m)] = frozenset(
-                sigma.smallest_face_containing(m.interior_point()).rays
-                if m.dim else ())
-    # images[(a, b)][m]: the image in q.monoids[b] of a member m of local[a].
+        if a in refined:
+            sigma = q.monoids[a]
+            for m in local[a].members:
+                carrier[(a, m)] = frozenset(
+                    sigma.smallest_face_containing(m.interior_point()).rays
+                    if m.dim else ())
+    # images[(a, b)][m]: the image in q.monoids[b] of a member m of
+    # local[a], for refined b; face_image[(a, b)] is the image of sigma_a.
     images: Dict[Tuple[str, str], Dict[ToricMonoid, ToricMonoid]] = {}
+    face_image: Dict[Tuple[str, str], ToricMonoid] = {}
     for a, b in q._chains():
-        img_rays = set(q.image_face(a, b).rays)
-        h = q.face_maps[(a, b)]
-        images[(a, b)] = {m: MonoidHom(m, q.monoids[b], h).image_monoid()
-                          for m in local[a].members}
-        localized = set(m for m in local[b].members
-                        if carrier[(b, m)] <= img_rays)
-        if set(images[(a, b)].values()) != localized:
+        img = face_image[(a, b)] = q.image_face(a, b)
+        if a in refined or b in refined:
+            h = q.face_maps[(a, b)]
+            images[(a, b)] = {m: MonoidHom(m, q.monoids[b], h).image_monoid()
+                              for m in local[a].members}
+            img_rays = set(img.rays)
+            localized = set(m for m in local[b].members
+                            if (carrier[(b, m)] if b in refined
+                                else frozenset(m.rays)) <= img_rays)
+            agree = set(images[(a, b)].values()) == localized
+        else:
+            agree = img.dim == q.monoids[a].dim and \
+                img in q.monoids[b].faces()
+        if not agree:
             raise NotARefinement(
                 f"local refinements at {a} and {b} disagree on the "
                 f"common face")
@@ -388,14 +409,21 @@ def assemble_from_local(q: MonoidalComplex,
     home: Dict[str, str] = {}
     index: Dict[Tuple[str, ToricMonoid], str] = {}
     for c in q.elements:
-        whole = frozenset(q.monoids[c].rays)
-        residents = [m for m in local[c].members if carrier[(c, m)] == whole]
+        sigma = q.monoids[c]
+        whole = frozenset(sigma.rays)
+        residents = [m for m in local[c].members
+                     if carrier[(c, m)] == whole] if c in refined else [sigma]
         for k, m in enumerate(residents):
             eid = f"{c}/{k}"
             monoids[eid] = m
             home[eid] = c
             for a in q.above(c):
-                img = m if a == c else images[(c, a)][m]
+                if a == c:
+                    img = m
+                elif a in refined:
+                    img = images[(c, a)][m]
+                else:
+                    img = face_image[(c, a)]
                 index.setdefault((a, img), eid)
 
     def element_at(a: str, m: ToricMonoid) -> str:
@@ -406,16 +434,29 @@ def assemble_from_local(q: MonoidalComplex,
                 "the image of any glued element")
         return eid
 
+    # Each glued element's order pairs come from its faces at its home.
     order = []
     maps = {}
     for a in q.elements:
-        for m in local[a].members:
-            e_m = element_at(a, m)
+        if a in refined:
+            homed = []
+            for m in local[a].members:
+                e_m = element_at(a, m)
+                if home[e_m] == a:
+                    homed.append((e_m, m))
+        else:
+            if any((a, f) not in index for f in q.monoids[a].faces()):
+                # Name the first member (or face of one) in key order.
+                for m in local[a].members:
+                    for f in (m, *m.faces()):
+                        element_at(a, f)
+            homed = [(f"{a}/0", q.monoids[a])]
+        for e_m, m in homed:
             for f in m.faces():
                 e_f = element_at(a, f)
                 if e_f != e_m:
                     order.append((e_f, e_m))
-                    maps[(e_f, e_m)] = q.face_maps[(home[e_f], home[e_m])]
+                    maps[(e_f, e_m)] = q.face_maps[(home[e_f], a)]
     source = MonoidalComplex(monoids, order, maps)
     node = {eid: home[eid] for eid in source.elements}
     homs = {eid: la.identity(q.monoids[a].ambient_dim)
@@ -493,8 +534,11 @@ def planar_refine_complex(q: MonoidalComplex,
 
 def smooth_complex(q: MonoidalComplex) -> ComplexRefinement:
     """Smoothing of a simplicial complex: smooth each monoid by freeing
-    its extremals."""
-    local = {a: smoothing(q.monoids[a]) for a in q.elements}
+    its extremals.  A smooth monoid is refined trivially: each subset of
+    its extremals spans a saturated sublattice, so its smoothing is its
+    face family."""
+    local = {a: trivial_refinement(m) if m.is_smooth() else smoothing(m)
+             for a, m in q.monoids.items()}
     return assemble_from_local(q, local)
 
 

@@ -264,11 +264,8 @@ class ToricMonoid:
         return len(self.rays) == self.dim
 
     def is_smooth(self) -> bool:
-        if not self.is_simplicial():
-            return False
-        if self.dim == 0:
-            return True
-        return abs(la.det(self.ray_coords())) == 1
+        return self._cached("smooth", lambda: self.is_simplicial() and (
+            self.dim == 0 or abs(la.det(self.ray_coords())) == 1))
 
     def index(self) -> int:
         """Index of the group generated by the extremals in the lattice
