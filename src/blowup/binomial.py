@@ -8,7 +8,6 @@ its resolution by a compatible smooth refinement of the ambient complex
 are all computed exactly.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -18,7 +17,7 @@ from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
                         natural_smooth_refinement, planar_refine_complex)
 from .errors import (DependentDifferentials, InvariantViolated,
                      NotInSupport, NotSmooth)
-from .manifolds import corner_model
+from .manifolds import CornerComplex, corner_model, model_hypersurfaces
 from .monoids import ToricMonoid
 
 
@@ -95,8 +94,9 @@ def normal_form(pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
 
 @dataclass(frozen=True)
 class VarietyFace:
-    """A boundary face met by the zero set: the coordinate subset, an
-    interior witness direction and the face monoid in Z^{|S|}."""
+    """A boundary face met by the zero set: its id, the coordinate subset
+    S in axis order, an interior witness and the face monoid in Z^{|S|}."""
+    face_id: str
     coords: Tuple[int, ...]
     witness: la.Vec
     monoid: ToricMonoid
@@ -105,10 +105,13 @@ class VarietyFace:
 @dataclass
 class VarietyComplex:
     """All boundary faces of a binomial system, with the kernel subspace
-    W of the exponent vectors."""
+    W of the exponent vectors, the corner model of R^n_+ and the axes of
+    each of its faces as coordinates."""
     system: BinomialSystem
     kernel_basis: la.Mat
     faces: Dict[Tuple[int, ...], VarietyFace]
+    corner: CornerComplex
+    coords: Dict[str, Tuple[int, ...]]
 
 
 def _kernel_rows(gammas: Sequence[la.Vec], n: int) -> la.Mat:
@@ -131,19 +134,25 @@ def boundary_faces(b: BinomialSystem) -> VarietyComplex:
     with w_i < 0 for i in S and w_j = 0 otherwise: the direction along
     which interior solutions degenerate into the face.  So the met subsets
     are the supports of the faces of the cone R_+^n cap W, and minus the
-    sum of a face's rays is a witness.
+    sum of a face's rays is a witness.  Each met face takes its id and
+    axis order from corner_model(n).
     """
     n = b.boundary_dim
+    x = corner_model(n)
+    index = {h: i for i, h in enumerate(model_hypersurfaces(n))}
+    coords = {f: tuple(index[h] for h in x.axes(f)) for f in x.faces}
+    face_of = {frozenset(c): f for f, c in coords.items()}
     met = []
     for f in _face_monoid(b, tuple(range(n))).faces():
         w = la.zeros(n)
         for ray in f.rays:
             w = la.vsub(w, ray)
-        sub = tuple(i for i in range(n) if w[i])
-        met.append((len(sub), sub, la.primitive(w) if sub else w))
-    faces = {sub: VarietyFace(sub, w, _face_monoid(b, sub))
-             for _, sub, w in sorted(met)}
-    return VarietyComplex(b, _kernel_rows(b.gammas, n), faces)
+        fid = face_of[frozenset(i for i in range(n) if w[i])]
+        sub = coords[fid]
+        met.append((len(sub), sub, fid, la.primitive(w) if sub else w))
+    faces = {sub: VarietyFace(fid, sub, w, _face_monoid(b, sub))
+             for _, sub, fid, w in sorted(met)}
+    return VarietyComplex(b, _kernel_rows(b.gammas, n), faces, x, coords)
 
 
 def _face_monoid(b: BinomialSystem, coords: Tuple[int, ...]) -> ToricMonoid:
@@ -160,40 +169,20 @@ def _face_monoid(b: BinomialSystem, coords: Tuple[int, ...]) -> ToricMonoid:
     return free.intersect_with_subspace(rows)
 
 
-def _coord_face_id(coords: Sequence[int], prefix: str = "H") -> str:
-    if not coords:
-        return "X"
-    return "&".join(f"{prefix}{i + 1}" for i in sorted(coords))
-
-
-def _inclusion_matrix(small: Sequence[int], big: Sequence[int]) -> la.Mat:
-    cols = {c: j for j, c in enumerate(sorted(big))}
-    rows = []
-    for c in sorted(small):
-        rows.append(tuple(1 if cols[c] == j else 0
-                          for j in range(len(big))))
-    return la.mat(rows)
-
-
 def variety_complex(b: BinomialSystem,
                     vc: Optional[VarietyComplex] = None
                     ) -> Tuple[MonoidalComplex, ComplexMorphism]:
     """The monoidal complex of the zero set, with its injective morphism
-    into the basic complex of the local model."""
+    into the basic complex of the local model: that complex's order and
+    face maps restricted to the met faces, with the variety monoids."""
     if vc is None:
         vc = boundary_faces(b)
-    px = corner_model(b.boundary_dim).basic_complex()
-    monoids = {}
-    order = []
-    maps = {}
-    for sub, vf in vc.faces.items():
-        monoids[_coord_face_id(sub)] = vf.monoid
-    for s1, s2 in itertools.permutations(vc.faces, 2):
-        if set(s1) < set(s2):
-            a, bb = _coord_face_id(s1), _coord_face_id(s2)
-            order.append((a, bb))
-            maps[(a, bb)] = _inclusion_matrix(s1, s2)
-    pd = MonoidalComplex(monoids, order, maps)
+    px = vc.corner.basic_complex()
+    monoids = {vf.face_id: vf.monoid for vf in vc.faces.values()}
+    order = [(a, c) for a in monoids for c in px.above(a)
+             if c != a and c in monoids]
+    pd = MonoidalComplex(monoids, order,
+                         {p: px.face_maps[p] for p in order})
     node = {e: e for e in pd.elements}
     homs = {e: la.identity(pd.monoids[e].ambient_dim)
             for e in pd.elements}
@@ -235,7 +224,6 @@ def resolve(b: BinomialSystem,
             planar refinement, or a transformed exponent vector is
             indefinite in a full-dimensional chart.
     """
-    n = b.boundary_dim
     vc = boundary_faces(b)
     pd, inclusion = variety_complex(b, vc)
     px = inclusion.target
@@ -244,39 +232,33 @@ def resolve(b: BinomialSystem,
     if not r_d.is_smooth():
         raise NotSmooth("the refinement of the variety complex is not "
                         "smooth")
-    x = corner_model(n)
-    coords_of = {}
-    for fid in px.elements:
-        inc = sorted(x.incidence[fid])
-        coords_of[fid] = tuple(int(h[1:]) - 1 for h in inc)
     subspaces = {}
     for fid in px.elements:
-        restricted = [g for g in _restricted(b.gammas, coords_of[fid])
+        restricted = [g for g in _restricted(b.gammas, vc.coords[fid])
                       if not la.is_zero(g)]
-        subspaces[fid] = _kernel_rows(restricted, len(coords_of[fid]))
+        subspaces[fid] = _kernel_rows(restricted, len(vc.coords[fid]))
     planar = planar_refine_complex(px, subspaces)
     sq = planar.source
 
     # Locate the variety monoids among the planar members.
     e_of: Dict[Tuple[int, ...], str] = {}
     for sub, vf in vc.faces.items():
-        fid = _coord_face_id(sub)
         for e in sq.elements:
-            if planar.morphism.node_map[e] == fid and \
+            if planar.morphism.node_map[e] == vf.face_id and \
                     sq.monoids[e] == vf.monoid:
                 e_of[sub] = e
                 break
         if sub not in e_of:
             raise InvariantViolated(f"variety face {sub} missing from the "
                                     "planar refinement")
-    local0 = {e_of[sub]: r_d.localize(_coord_face_id(sub))
-              for sub in vc.faces}
+    local0 = {e_of[sub]: r_d.localize(vf.face_id)
+              for sub, vf in vc.faces.items()}
     extension = extend_refinement(sq, local0, smooth=True)
     total = planar.compose(extension)
 
     chart_signs: Dict[Tuple[str, int], int] = {}
     for fid in px.elements:
-        gs = _restricted(b.gammas, coords_of[fid])
+        gs = _restricted(b.gammas, vc.coords[fid])
         dim = px.monoids[fid].dim
         for e, img in total.members_over(fid).items():
             if img.dim != dim:

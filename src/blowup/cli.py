@@ -453,7 +453,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (MalformedDocument, KeyError, ValueError, TypeError) as e:
         print(f"error: malformed input: {e}", file=sys.stderr)
         return 2
-    except (BlowupError, AssertionError) as e:
+    except BlowupError as e:
         print(f"error: validation failed: {e}", file=sys.stderr)
         return 1
     _emit(doc, args)

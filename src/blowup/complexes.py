@@ -20,27 +20,6 @@ from .refinements import (MonoidRefinement, cone_over, planar_refine,
                           smoothing, star_subdivide, trivial_refinement)
 
 
-def _order_closure(elements: Iterable[str],
-                  order: Iterable[Tuple[str, str]]
-                  ) -> Dict[str, FrozenSet[str]]:
-    """The reflexive transitive closure of order, as everything reachable
-    from each element (itself included), by depth-first search.  Elements
-    named only in order are included."""
-    succ: Dict[str, set] = {a: set() for a in elements}
-    for a, b in order:
-        succ.setdefault(a, set()).add(b)
-        succ.setdefault(b, set())
-    above = {}
-    for a in succ:
-        seen, stack = {a}, [a]
-        while stack:
-            for b in succ[stack.pop()] - seen:
-                seen.add(b)
-                stack.append(b)
-        above[a] = frozenset(seen)
-    return above
-
-
 class MonoidalComplex:
     """A finite poset of elements with a toric monoid for each element and
     a face map for each related pair."""
@@ -50,7 +29,20 @@ class MonoidalComplex:
                  face_maps: Dict[Tuple[str, str], la.Mat]):
         self.elements = tuple(sorted(monoids))
         self.monoids = dict(monoids)
-        self._above = _order_closure(self.elements, order)
+        # The reflexive transitive closure of order, by depth-first search
+        # from each element (elements named only in order included).
+        succ: Dict[str, set] = {a: set() for a in self.elements}
+        for a, b in order:
+            succ.setdefault(a, set()).add(b)
+            succ.setdefault(b, set())
+        self._above = {}
+        for a in succ:
+            seen, stack = {a}, [a]
+            while stack:
+                for b in succ[stack.pop()] - seen:
+                    seen.add(b)
+                    stack.append(b)
+            self._above[a] = frozenset(seen)
         below: Dict[str, set] = {a: set() for a in self._above}
         for a, ups in self._above.items():
             for b in ups:
@@ -111,7 +103,14 @@ class MonoidalComplex:
 
     def validate(self) -> None:
         """Raise NotAComplex unless the data is a complete reduced
-        monoidal complex."""
+        monoidal complex.
+
+        Commutation along a < c is checked on a's lattice through the
+        covers b of a below c only.  The checks before it make each face
+        map send a's lattice into the lattice above it.  So for a < b < c
+        and a cover b' <= b of a, on a's lattice a -> c = (a -> b')(b' -> c)
+        and a -> b = (a -> b')(b' -> b), and induction on the interval
+        [b', c] gives b' -> c = (b' -> b)(b -> c) on the lattice of b'."""
         for a, b in self._chains():
             rows = self.monoids[a].ambient_dim
             cols = self.monoids[b].ambient_dim
@@ -127,9 +126,14 @@ class MonoidalComplex:
             if not img.is_face_of(self.monoids[b]):
                 raise NotAComplex(
                     f"image of {a} in {b} is not a face: {img.rays}")
+        covers = {}
+        for a in self.elements:
+            ups = self._above[a] - {a}
+            covers[a] = [b for b in sorted(ups)
+                         if len(self._below[b] & ups) == 1]
         for a, c in self._chains():
-            for b in self.elements:
-                if b in (a, c) or not (self.leq(a, b) and self.leq(b, c)):
+            for b in covers[a]:
+                if b == c or not self.leq(b, c):
                     continue
                 composite = la.mat_mul(self.face_maps[(a, b)],
                                        self.face_maps[(b, c)])

@@ -13,11 +13,11 @@ with its blow-down b-map.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
-                        _lattice_preimage, _order_closure,
+                        _lattice_preimage,
                         identity_refinement, natural_smooth_refinement,
                         pullback_refinement, star_subdivide_complex)
 from .errors import (BlowupError, InvariantViolated, NotAComplex, NotAFace,
@@ -28,24 +28,28 @@ from .refinements import intersect_members
 
 class CornerComplex:
     """The face poset of a manifold with corners, with hypersurface
-    incidence data."""
+    incidence data; the order is that of its basic complex."""
 
     def __init__(self, incidence: Dict[str, Sequence[str]],
                  order: Sequence[Tuple[str, str]]):
         self.faces = tuple(sorted(incidence))
         self.incidence = {f: frozenset(incidence[f]) for f in self.faces}
-        self.order = frozenset(
-            (a, b) for a, ups in _order_closure(self.faces, order).items()
-            for b in ups)
+        self._relations = tuple(order)
+        self._basic: Optional[MonoidalComplex] = None
+
+    @property
+    def order(self) -> FrozenSet[Tuple[str, str]]:
+        """The reflexive transitive closure of the given relations."""
+        return self.basic_complex().order
 
     def codim(self, f: str) -> int:
         return len(self.incidence[f])
 
     def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self.order
+        return self.basic_complex().leq(a, b)
 
     def below(self, b: str) -> Tuple[str, ...]:
-        return tuple(a for a in self.faces if self.leq(a, b))
+        return self.basic_complex().below(b)
 
     def hypersurfaces(self) -> Tuple[str, ...]:
         return tuple(sorted(f for f in self.faces if self.codim(f) == 1))
@@ -59,8 +63,6 @@ class CornerComplex:
 
     def validate(self) -> None:
         for a, b in self.order:
-            if a != b and (b, a) in self.order:
-                raise NotAComplex(f"face order not antisymmetric: {a}, {b}")
             if not self.incidence[a] <= self.incidence[b]:
                 raise NotAComplex(
                     f"{a} <= {b} but incidence is not nested")
@@ -85,15 +87,17 @@ class CornerComplex:
     def basic_complex(self) -> MonoidalComplex:
         """The basic monoidal complex: the free monoid on the incident
         hypersurfaces over each face, with coordinate inclusion face
-        maps."""
-        monoids = {f: ToricMonoid.free(self.codim(f)) for f in self.faces}
-        order = [(a, b) for (a, b) in self.order if a != b]
-        maps = {}
-        for a, b in order:
-            ax_a, ax_b = self.axes(a), self.axes(b)
-            maps[(a, b)] = la.mat(
-                [tuple(1 if h == k else 0 for k in ax_b) for h in ax_a])
-        return MonoidalComplex(monoids, order, maps)
+        maps, built on first use and kept.  A cyclic order raises
+        NotAComplex."""
+        if self._basic is None:
+            monoids = {f: ToricMonoid.free(self.codim(f)) for f in self.faces}
+            maps = {}
+            for a, b in self._relations:
+                ax_a, ax_b = self.axes(a), self.axes(b)
+                maps[(a, b)] = la.mat(
+                    [tuple(1 if h == k else 0 for k in ax_b) for h in ax_a])
+            self._basic = MonoidalComplex(monoids, self._relations, maps)
+        return self._basic
 
 
 def _subsets(s: frozenset):
@@ -103,10 +107,15 @@ def _subsets(s: frozenset):
             yield frozenset(c)
 
 
+def model_hypersurfaces(n: int, prefix: str = "H") -> Tuple[str, ...]:
+    """The boundary hypersurfaces of R^n_+ in coordinate order."""
+    return tuple(f"{prefix}{i}" for i in range(1, n + 1))
+
+
 def corner_model(n: int, prefix: str = "H") -> CornerComplex:
     """The corner complex of the local model R^n_+: one face for every
     subset of the n boundary hypersurfaces."""
-    hypers = [f"{prefix}{i}" for i in range(1, n + 1)]
+    hypers = model_hypersurfaces(n, prefix)
     incidence = {}
     order = []
     for k in range(n + 1):

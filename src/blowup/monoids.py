@@ -564,9 +564,10 @@ class MonoidHom:
 
     def __post_init__(self):
         rs, cs = la.shape(self.matrix)
-        assert rs == self.source.ambient_dim, "matrix rows mismatch source"
-        assert rs == 0 or cs == self.target.ambient_dim, \
-            "matrix cols mismatch target"
+        if rs != self.source.ambient_dim:
+            raise InvariantViolated("matrix rows mismatch source")
+        if rs != 0 and cs != self.target.ambient_dim:
+            raise InvariantViolated("matrix cols mismatch target")
 
     def apply(self, v) -> Vec:
         if not self.matrix:

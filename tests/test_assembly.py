@@ -18,7 +18,7 @@ from blowup.complexes import (ComplexMorphism, ComplexRefinement,
                               complex_from_monoid, extend_refinement,
                               natural_smooth_refinement, smooth_complex,
                               star_subdivide_complex)
-from blowup.errors import NotARefinement
+from blowup.errors import InvariantViolated, NotARefinement
 from blowup.fiber import FiberProblem, b_normal_transversality, fiber_complex
 from blowup.monoids import MonoidHom, ToricMonoid
 from blowup.refinements import (smoothing, star_subdivide,
@@ -106,7 +106,7 @@ def outcome(assemble, q, local):
     """glued() of the result, or the type and message of the error."""
     try:
         return glued(assemble(q, local))
-    except (NotARefinement, AssertionError) as e:
+    except (NotARefinement, InvariantViolated) as e:
         return type(e).__name__, str(e)
 
 
@@ -124,7 +124,7 @@ def assembled_families(run):
                            side_effect=record):
         try:
             run()
-        except (NotARefinement, AssertionError):
+        except (NotARefinement, InvariantViolated):
             pass
     return seen
 
@@ -200,7 +200,7 @@ class TestAgainstReference:
             families = assembled_families(
                 lambda: natural_smooth_refinement(fc))
             failed += outcome(assemble_from_local,
-                              *families[-1])[0] == "AssertionError"
+                              *families[-1])[0] == "InvariantViolated"
             assert_agree(families)
             done += 1
         assert failed > 0
@@ -296,6 +296,6 @@ class TestErrors:
         top = element_with_rays(q, ((0, 1), (1, 0)))
         bad = with_face_map(q, (ray, top), ((1, 0, 0), (0, 1, 0)))
         local = trivial_family(bad)
-        expected = ("AssertionError", "matrix cols mismatch target")
+        expected = ("InvariantViolated", "matrix cols mismatch target")
         assert outcome(assemble_from_local, bad, local) == expected
         assert outcome(ref_assemble_from_local, bad, local) == expected

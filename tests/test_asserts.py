@@ -13,9 +13,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "blowup")
 
 # Asserts still allowed per module; every module not named here has none.
-ALLOWED = {
-    "monoids": 2,
-}
+ALLOWED = {}
 
 
 def assert_counts():

@@ -13,6 +13,7 @@ from blowup.binomial import (BinomialSystem, boundary_faces, normal_form,
                              resolve, universal_resolution, variety_complex)
 from blowup.complexes import natural_smooth_refinement
 from blowup.errors import (DependentDifferentials, NotInSupport, NotSmooth)
+from blowup.manifolds import corner_model
 from blowup.monoids import ToricMonoid
 
 from test_exactla import fm_feasible
@@ -29,6 +30,17 @@ def cusp():
 def addition_pattern():
     # x1 x2 = x3 x4
     return normal_form([((1, 1, 0, 0), (0, 0, 1, 1))])
+
+
+def ten_variable_pairs():
+    """x1 = x10, x2 = x3, x4 = x5, x6 = x7, x8 = x9.  Face ids sort as
+    strings, so H10 comes between H1 and H2 in every axis order."""
+    pairs = []
+    for i, j in ((1, 10), (2, 3), (4, 5), (6, 7), (8, 9)):
+        alpha, beta = [0] * 10, [0] * 10
+        alpha[i - 1] = beta[j - 1] = 1
+        pairs.append((tuple(alpha), tuple(beta)))
+    return pairs
 
 
 def grid_witnesses(basis, bound=4):
@@ -205,6 +217,26 @@ class TestVarietyComplex:
         assert sorted(corner.rays) == [(0, 1, 0, 1), (0, 1, 1, 0),
                                        (1, 0, 0, 1), (1, 0, 1, 0)]
         assert not corner.is_simplicial()
+
+    def test_ten_variables(self):
+        """Each element's monoid is its face's section in the basic
+        complex of the corner model: the free monoid on the face's axes,
+        in the model's axis order, cut by the restricted exponents."""
+        b = normal_form(ten_variable_pairs())
+        pd, inc = variety_complex(b)
+        pd.validate()
+        inc.validate()
+        assert len(pd.elements) == 32
+        x = corner_model(10)
+        for e in pd.elements:
+            coords = [int(h[1:]) - 1 for h in x.axes(e)]
+            restricted = [r for r in (tuple(g[i] for i in coords)
+                                      for g in b.gammas) if any(r)]
+            section = inc.target.monoids[e]
+            if restricted:
+                section = section.intersect_with_subspace(
+                    kernel_rows(restricted, len(coords)))
+            assert pd.monoids[e] == section
 
 
 class TestResolve:

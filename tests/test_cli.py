@@ -18,6 +18,7 @@ from blowup.manifolds import BMap, corner_model, identity_bmap, \
     ordinary_blowup
 from blowup.monoids import ToricMonoid
 
+from test_binomial import ten_variable_pairs
 from test_fuzz import BAD_SHAPE_TEXT
 from test_refinements import count_intersections
 
@@ -260,6 +261,14 @@ class TestBinomialCommands:
         out = str(tmp_path / "bc.json")
         assert main(["binomial", "complex", cusp_doc, "--out", out]) == 0
         assert read_json(out)["smooth"] is True
+
+    def test_complex_in_ten_variables(self, tmp_path):
+        doc = {"kind": "binomial_input", "version": ser.VERSION,
+               "equations": [{"alpha": list(a), "beta": list(b)}
+                             for a, b in ten_variable_pairs()]}
+        path = write(tmp_path, "ten.json", doc)
+        out = str(tmp_path / "bc10.json")
+        assert main(["binomial", "complex", path, "--out", out]) == 0
 
     def test_resolve(self, cusp_doc, tmp_path):
         out = str(tmp_path / "br.json")

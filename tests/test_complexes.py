@@ -47,6 +47,29 @@ def random_complex(rng, dim, max_elements=12):
             return q
 
 
+def commutes_through_every_middle(q: MonoidalComplex) -> bool:
+    """The former commutation check of MonoidalComplex.validate, kept as a
+    reference: every chain a < c through every element between them."""
+    for a, c in q._chains():
+        for b in q.elements:
+            if b in (a, c) or not (q.leq(a, b) and q.leq(b, c)):
+                continue
+            composite = la.mat_mul(q.face_maps[(a, b)], q.face_maps[(b, c)])
+            direct = q.face_maps[(a, c)]
+            if q.monoids[a].dim and any(
+                    la.apply_row(r, composite) != la.apply_row(r, direct)
+                    for r in q.monoids[a].lattice):
+                return False
+    return True
+
+
+def face_of_free3(q: MonoidalComplex, *axes: int) -> str:
+    """The element of complex_from_monoid(free(3)) on the given axes."""
+    rays = tuple(sorted(la.identity(3)[i] for i in axes))
+    (e,) = [e for e in q.elements if q.monoids[e].rays == rays]
+    return e
+
+
 class TestComplex:
     def test_face_complex_of_quadrant(self):
         q, ids = quadrant_complex()
@@ -102,6 +125,22 @@ class TestComplex:
         q = MonoidalComplex(monoids, list(maps), maps)
         assert q.face_maps[("A", "B")] == ((0, 1, 0, 0),) == la.mat_mul(
             la.mat_mul(maps[("A", "C")], maps[("C", "D")]), maps[("D", "B")])
+
+    @pytest.mark.parametrize("chain", [((0,), (0, 1)),
+                                       ((0,), (0, 1, 2))])
+    def test_validate_rejects_a_broken_face_map(self, chain):
+        # Ray e1 sent onto ray e2 by the face map of a cover (into the
+        # face e1 e2) or of a non-cover (into the top): injective onto a
+        # face, but not equal to the composite through e1 e2.
+        q, _ = complex_from_monoid(ToricMonoid.free(3))
+        pair = tuple(face_of_free3(q, *axes) for axes in chain)
+        swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+        bad = MonoidalComplex(q.monoids, q.order,
+                              {**q.face_maps, pair: swap})
+        assert bad.face_maps[pair] == swap
+        assert not commutes_through_every_middle(bad)
+        with pytest.raises(NotAComplex, match="do not commute"):
+            bad.validate()
 
 
 class TestMorphism:
@@ -241,6 +280,9 @@ class TestNaturalSmooth:
             r = natural_smooth_refinement(q)
             r.validate()
             assert r.source.is_smooth()
+            # validate checks commutation through covers only.
+            assert commutes_through_every_middle(q)
+            assert commutes_through_every_middle(r.source)
 
     def test_nsdim(self):
         assert nsdim(ToricMonoid.free(3)) == 0

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from blowup import exactla as la
-from blowup.errors import NotCompatible, NotTransverse
+from blowup.errors import InvariantViolated, NotCompatible, NotTransverse
 from blowup.fiber import (FiberProblem, b_normal_transversality,
                           factor_through, fiber_complex,
                           resolve_fiber_product, theorem_b_check)
@@ -151,7 +151,7 @@ class TestResolve:
         assert len(res.corner.faces) == len(y.faces)
 
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    @pytest.mark.xfail(strict=True, raises=InvariantViolated, reason=(
         "la.block_diag reads a block's width from its first row, so a "
         "face map out of a 0-dimensional element loses its width and "
         "MonoidHom rejects it: matrix cols mismatch target"))

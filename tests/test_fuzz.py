@@ -24,8 +24,7 @@ from blowup.monoids import ToricMonoid
 from blowup.serialization import MalformedDocument
 
 # What `cli.main` turns into exit 2 (malformed) or exit 1 (validation).
-HANDLED = (MalformedDocument, KeyError, ValueError, TypeError, BlowupError,
-           AssertionError)
+HANDLED = (MalformedDocument, KeyError, ValueError, TypeError, BlowupError)
 
 MONOID = ser.monoid_to_doc(ToricMonoid.from_generators(
     2, [(1, 0), (1, 1), (1, 2)]))

@@ -117,6 +117,16 @@ class TestCornerComplex:
             assert CornerComplex(x.incidence, gens).order == \
                 fixpoint_closure(x.faces, gens) == x.order
 
+    def test_basic_complex_is_built_once(self):
+        x = square()
+        assert x.basic_complex() is x.basic_complex()
+
+    def test_validate_rejects_a_cyclic_order(self):
+        bad = CornerComplex({"X": [], "H1": ["H1"]},
+                            [("X", "H1"), ("H1", "X")])
+        with pytest.raises(NotAComplex, match="not antisymmetric"):
+            bad.validate()
+
     def test_validate_rejects_missing_subface(self):
         bad = CornerComplex(
             {"X": [], "H1&H2": ["H1", "H2"], "H1": ["H1"]},
