@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
-                        _lattice_preimage,
+                        _lattice_preimage, mat_product,
                         identity_refinement, natural_smooth_refinement,
                         pullback_refinement, star_subdivide_complex)
 from .errors import (BlowupError, InvariantViolated, NotAComplex, NotAFace,
@@ -376,9 +376,9 @@ def factor_through_refinement(psi: ComplexMorphism,
                 f"image of face {z} crosses the refinement: "
                 f"direction {tuple(map(sum, zip(*gens)))}")
         e = node[z] = best[0]
-        incl = la.mat_mul(r.morphism.homs[e],
-                          r.target.face_maps[(r.morphism.node_map[e],
-                                              sigma_id)])
+        incl = mat_product(r.morphism.homs[e],
+                           r.target.face_maps[(r.morphism.node_map[e],
+                                               sigma_id)])
         rows = []
         for g in gens:
             w = _lattice_preimage(rs.monoids[e], incl, g)
