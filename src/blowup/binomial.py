@@ -14,8 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import exactla as la
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
                         extend_refinement, identity_refinement,
-                        natural_smooth_refinement, planar_refine_complex,
-                        shared_identity)
+                        natural_smooth_refinement, planar_refine_complex)
 from .errors import (DependentDifferentials, InvariantViolated,
                      NotInSupport, NotSmooth)
 from .manifolds import CornerComplex, corner_model, model_hypersurfaces
@@ -185,7 +184,7 @@ def variety_complex(b: BinomialSystem,
     pd = MonoidalComplex(monoids, order,
                          {p: px.face_maps[p] for p in order})
     node = {e: e for e in pd.elements}
-    homs = {e: shared_identity(pd.monoids[e].ambient_dim)
+    homs = {e: la.identity(pd.monoids[e].ambient_dim)
             for e in pd.elements}
     return pd, ComplexMorphism(pd, px, node, homs)
 

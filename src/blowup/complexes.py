@@ -20,44 +20,6 @@ from .monoids import fiber_product as monoid_fiber_product
 from .refinements import (MonoidRefinement, cone_over, planar_refine,
                           smoothing, star_subdivide, trivial_refinement)
 
-# The identity matrix of each ambient dimension, built on first use.  Every
-# identity hom and self map of this layer is one of these objects, so a
-# product or an image through one is read off by an `is` test.
-_identities: Dict[int, la.Mat] = {}
-
-
-def shared_identity(d: int) -> la.Mat:
-    """The d x d identity matrix, the same object on every call."""
-    ident = _identities.get(d)
-    if ident is None:
-        ident = _identities[d] = la.identity(d)
-    return ident
-
-
-def _is_identity(m) -> bool:
-    # A matrix with no rows is never the identity: () is a singleton.
-    return bool(m) and _identities.get(len(m)) is m
-
-
-def mat_product(a, b):
-    """la.mat_mul(a, b), returning the other factor without work when
-    one factor is a shared identity whose shape agrees with it."""
-    if _is_identity(a) and len(b) == len(a):
-        return b
-    if _is_identity(b) and la.shape(a)[1] == len(b):
-        return a
-    return la.mat_mul(a, b)
-
-
-def image_under(m: ToricMonoid, target: ToricMonoid, mat) -> ToricMonoid:
-    """The image of m under mat in the ambient space of target: m itself
-    when mat is the shared identity of that space, else
-    MonoidHom(m, target, mat).image_monoid(), shape checks included."""
-    if _is_identity(mat) and len(mat) == m.ambient_dim == target.ambient_dim:
-        return m
-    return MonoidHom(m, target, mat).image_monoid()
-
-
 class MonoidalComplex:
     """A finite poset of elements with a toric monoid for each element and
     a face map for each related pair."""
@@ -93,8 +55,7 @@ class MonoidalComplex:
                 raise NotAComplex(f"order is not antisymmetric at {a}, {b}")
         self.face_maps = dict(face_maps)
         for a in self.elements:
-            self.face_maps[(a, a)] = shared_identity(
-                self.monoids[a].ambient_dim)
+            self.face_maps[(a, a)] = la.identity(self.monoids[a].ambient_dim)
         # Fill in composites along chains, pass after pass, until a pass
         # fills none: a composite may need one filled later in its pass.
         missing = [p for p in self._chains() if p not in self.face_maps]
@@ -102,7 +63,7 @@ class MonoidalComplex:
             for a, b in missing:
                 for c in sorted(self._above[a] & self._below[b] - {a, b}):
                     if (a, c) in self.face_maps and (c, b) in self.face_maps:
-                        self.face_maps[(a, b)] = mat_product(
+                        self.face_maps[(a, b)] = la.mat_mul(
                             self.face_maps[(a, c)], self.face_maps[(c, b)])
                         break
             left = [p for p in missing if p not in self.face_maps]
@@ -128,8 +89,7 @@ class MonoidalComplex:
 
     def image_face(self, a: str, b: str) -> ToricMonoid:
         """The image of sigma_a inside sigma_b."""
-        return image_under(self.monoids[a], self.monoids[b],
-                           self.face_maps[(a, b)])
+        return self.hom(a, b).image_monoid()
 
     def is_smooth(self) -> bool:
         return all(m.is_smooth() for m in self.monoids.values())
@@ -174,8 +134,8 @@ class MonoidalComplex:
             for b in covers[a]:
                 if b == c or not self.leq(b, c):
                     continue
-                composite = mat_product(self.face_maps[(a, b)],
-                                        self.face_maps[(b, c)])
+                composite = la.mat_mul(self.face_maps[(a, b)],
+                                       self.face_maps[(b, c)])
                 direct = self.face_maps[(a, c)]
                 ha = self.monoids[a]
                 if ha.dim and any(
@@ -223,7 +183,7 @@ def complex_from_monoid(sigma: ToricMonoid) -> Tuple[MonoidalComplex,
         for j, g in ids.items():
             if i != j and f.is_face_of(g):
                 order.append((i, j))
-    ident = shared_identity(sigma.ambient_dim)
+    ident = la.identity(sigma.ambient_dim)
     maps = {(a, b): ident for a, b in order}
     return MonoidalComplex(ids, order, maps), ids
 
@@ -252,10 +212,11 @@ class ComplexMorphism:
         above node_map[a]."""
         image = self._images.get((a, sigma_id))
         if image is None:
-            m = mat_product(self.homs[a], self.target.face_maps[
+            m = la.mat_mul(self.homs[a], self.target.face_maps[
                 (self.node_map[a], sigma_id)])
-            image = self._images[(a, sigma_id)] = image_under(
-                self.source.monoids[a], self.target.monoids[sigma_id], m)
+            image = self._images[(a, sigma_id)] = MonoidHom(
+                self.source.monoids[a], self.target.monoids[sigma_id],
+                m).image_monoid()
         return image
 
     def validate(self) -> None:
@@ -264,8 +225,8 @@ class ComplexMorphism:
             if not self.target.leq(fa, fb):
                 raise NotAComplex(
                     f"node map is not order preserving on {a} <= {b}")
-            left = mat_product(self.homs[a], self.target.face_maps[(fa, fb)])
-            right = mat_product(self.source.face_maps[(a, b)], self.homs[b])
+            left = la.mat_mul(self.homs[a], self.target.face_maps[(fa, fb)])
+            right = la.mat_mul(self.source.face_maps[(a, b)], self.homs[b])
             src = self.source.monoids[a]
             if src.dim and any(la.apply_row(r, left) != la.apply_row(r, right)
                                for r in src.lattice):
@@ -282,7 +243,7 @@ class ComplexMorphism:
                               "is not the second source")
         node = {a: then.node_map[self.node_map[a]]
                 for a in self.source.elements}
-        homs = {a: mat_product(self.homs[a], then.homs[self.node_map[a]])
+        homs = {a: la.mat_mul(self.homs[a], then.homs[self.node_map[a]])
                 for a in self.source.elements}
         return ComplexMorphism(self.source, then.target, node, homs)
 
@@ -373,7 +334,7 @@ class ComplexRefinement:
 
 def identity_refinement(q: MonoidalComplex) -> ComplexRefinement:
     node = {a: a for a in q.elements}
-    homs = {a: shared_identity(q.monoids[a].ambient_dim) for a in q.elements}
+    homs = {a: la.identity(q.monoids[a].ambient_dim) for a in q.elements}
     return ComplexRefinement(ComplexMorphism(q, q, node, homs))
 
 
@@ -428,7 +389,7 @@ def assemble_from_local(q: MonoidalComplex,
         img = face_image[(a, b)] = q.image_face(a, b)
         if a in refined or b in refined:
             h = q.face_maps[(a, b)]
-            images[(a, b)] = {m: image_under(m, q.monoids[b], h)
+            images[(a, b)] = {m: MonoidHom(m, q.monoids[b], h).image_monoid()
                               for m in local[a].members}
             img_rays = set(img.rays)
             localized = set(m for m in local[b].members
@@ -501,7 +462,7 @@ def assemble_from_local(q: MonoidalComplex,
                     maps[(e_f, e_m)] = q.face_maps[(home[e_f], a)]
     source = MonoidalComplex(monoids, order, maps)
     node = {eid: home[eid] for eid in source.elements}
-    homs = {eid: shared_identity(q.monoids[a].ambient_dim)
+    homs = {eid: la.identity(q.monoids[a].ambient_dim)
             for eid, a in node.items()}
     return ComplexRefinement(ComplexMorphism(source, q, node, homs))
 
@@ -556,7 +517,7 @@ def _lattice_preimage(m: ToricMonoid, mat: la.Mat, v) -> Optional[la.Vec]:
     none; mat must be injective on m's lattice."""
     if la.is_zero(v):
         return la.zeros(m.ambient_dim)
-    c = la.solve_row(v, mat_product(m.lattice, mat)) if m.dim else None
+    c = la.solve_row(v, la.mat_mul(m.lattice, mat)) if m.dim else None
     if c is None or any(x.denominator != 1 for x in c):
         return None
     return la.apply_row(tuple(int(x) for x in c), m.lattice)
@@ -631,9 +592,9 @@ def fiber_product_complex(phi1: ComplexMorphism, phi2: ComplexMorphism
         d1 = q1.monoids[a].ambient_dim
         d2 = q2.monoids[b].ambient_dim
         node1[eid] = a
-        homs1[eid] = shared_identity(d1) + (la.zeros(d1),) * d2
+        homs1[eid] = la.identity(d1) + (la.zeros(d1),) * d2
         node2[eid] = b
-        homs2[eid] = (la.zeros(d2),) * d1 + shared_identity(d2)
+        homs2[eid] = (la.zeros(d2),) * d1 + la.identity(d2)
     proj1 = ComplexMorphism(f, q1, node1, homs1)
     proj2 = ComplexMorphism(f, q2, node2, homs2)
     return f, proj1, proj2

@@ -45,8 +45,25 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b, strict=True))
 
 
+# The identity matrix of each size, built on first use.  Tuples are
+# immutable, so one object serves every caller, and a product or an image
+# through it is read off by an `is` test.
+_identities: dict[int, Mat] = {}
+
+
 def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    """The n x n identity matrix, the same object on every call."""
+    ident = _identities.get(n)
+    if ident is None:
+        ident = _identities[n] = tuple(
+            tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return ident
+
+
+def is_identity(m) -> bool:
+    """True iff m is the object identity(len(m)) returns.  A matrix with
+    no rows never counts: () is a singleton."""
+    return bool(m) and _identities.get(len(m)) is m
 
 
 def shape(m) -> Tuple[int, int]:
@@ -58,7 +75,12 @@ def transpose(m):
 
 
 def mat_mul(a, b):
-    """Matrix product a @ b."""
+    """Matrix product a @ b.  When one factor is identity(n) and the other
+    has the matching height or width, the other factor is returned."""
+    if is_identity(a) and len(b) == len(a):
+        return b
+    if is_identity(b) and shape(a)[1] == len(b):
+        return a
     if not a:
         return ()
     bt = transpose(b)

@@ -17,9 +17,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
-                        _lattice_preimage, mat_product,
-                        identity_refinement, natural_smooth_refinement,
-                        pullback_refinement, star_subdivide_complex)
+                        _lattice_preimage, identity_refinement,
+                        natural_smooth_refinement, pullback_refinement,
+                        star_subdivide_complex)
 from .errors import (BlowupError, InvariantViolated, NotAComplex, NotAFace,
                      NotCompatible, NotInSupport, NotSmooth)
 from .monoids import ToricMonoid
@@ -54,13 +54,6 @@ class CornerComplex:
     def hypersurfaces(self) -> Tuple[str, ...]:
         return tuple(sorted(f for f in self.faces if self.codim(f) == 1))
 
-    def hypersurface_id(self, h: str) -> str:
-        """The face id whose incidence set is {h}."""
-        for f in self.faces:
-            if self.incidence[f] == frozenset([h]):
-                return f
-        raise NotAFace(f"no hypersurface face for {h}")
-
     def validate(self) -> None:
         for a, b in self.order:
             if not self.incidence[a] <= self.incidence[b]:
@@ -74,11 +67,12 @@ class CornerComplex:
                     raise NotAComplex(
                         f"face {f} has {len(hits)} subfaces with "
                         f"incidence {sorted(s)}")
-        hs = set()
-        for f in self.faces:
-            hs.update(self.incidence[f])
-        for h in hs:
-            self.hypersurface_id(h)
+        # Exponents are keyed by the codim-1 face id and axes by the
+        # hypersurface name, so each hypersurface must name its own face.
+        for h in sorted(set().union(*self.incidence.values())):
+            if self.incidence.get(h) != {h}:
+                raise NotAComplex(
+                    f"hypersurface {h} is not a face with incidence {[h]}")
 
     def axes(self, f: str) -> Tuple[str, ...]:
         """The coordinate order of the incident hypersurfaces at f."""
@@ -376,9 +370,9 @@ def factor_through_refinement(psi: ComplexMorphism,
                 f"image of face {z} crosses the refinement: "
                 f"direction {tuple(map(sum, zip(*gens)))}")
         e = node[z] = best[0]
-        incl = mat_product(r.morphism.homs[e],
-                           r.target.face_maps[(r.morphism.node_map[e],
-                                               sigma_id)])
+        incl = la.mat_mul(r.morphism.homs[e],
+                          r.target.face_maps[(r.morphism.node_map[e],
+                                              sigma_id)])
         rows = []
         for g in gens:
             w = _lattice_preimage(rs.monoids[e], incl, g)

@@ -590,7 +590,10 @@ class MonoidHom:
     def image_monoid(self) -> ToricMonoid:
         """The image as a toric monoid (requires injectivity to be the
         isomorphic image), cached on the source: it depends only on the
-        matrix and the target's ambient dimension."""
+        matrix and the target's ambient dimension.  The image through
+        la.identity is the source itself."""
+        if la.is_identity(self.matrix):
+            return self.source
         return self.source._cached(
             ("image", self.target.ambient_dim, la.mat(self.matrix)),
             self._build_image)

@@ -12,7 +12,8 @@ from blowup import exactla as la
 from blowup.binomial import (BinomialSystem, boundary_faces, normal_form,
                              resolve, universal_resolution, variety_complex)
 from blowup.complexes import natural_smooth_refinement
-from blowup.errors import (DependentDifferentials, NotInSupport, NotSmooth)
+from blowup.errors import (DependentDifferentials, InvariantViolated,
+                           NotInSupport, NotSmooth)
 from blowup.manifolds import corner_model
 from blowup.monoids import ToricMonoid
 
@@ -284,6 +285,25 @@ class TestResolve:
     def test_random_resolutions(self):
         rng = random.Random(23)
         for b in random_systems(rng, 8, max_dim=3):
+            res = resolve(b)
+            assert res.refinement.source.is_smooth()
+            assert all(s in (-1, 0, 1)
+                       for s in res.chart_signs.values())
+
+    @pytest.mark.xfail(strict=True, raises=InvariantViolated, reason=(
+        "resolve cuts the ambient complex only by the common kernel of "
+        "the exponent vectors, so with two independent ones a chart can "
+        "lie across one of their hyperplanes: indefinite transformed "
+        "exponent in chart H1&H2/0/0/0"))
+    def test_rank_two_systems_resolve(self):
+        """Two systems with two independent exponent vectors, which
+        test_random_resolutions does not draw: x1^2 x2 = x1 x2^2,
+        x1 = x2^2, and one in three variables."""
+        systems = [normal_form([((2, 1), (1, 2)), ((1, 0), (0, 2))]),
+                   normal_form([((0, 2, 2), (1, 0, 2)),
+                                ((1, 1, 0), (2, 0, 0))], tangential_dim=2)]
+        for b in systems:
+            assert len(b.gammas) == 2
             res = resolve(b)
             assert res.refinement.source.is_smooth()
             assert all(s in (-1, 0, 1)

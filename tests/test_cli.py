@@ -20,6 +20,7 @@ from blowup.monoids import ToricMonoid
 
 from test_binomial import ten_variable_pairs
 from test_fuzz import BAD_SHAPE_TEXT
+from test_manifolds import renamed_square
 from test_refinements import count_intersections
 
 
@@ -574,6 +575,13 @@ class TestExitCodes:
                "relations": [], "face_maps": []}
         path = write(tmp_path, "badq.json", doc)
         assert main(["validate", path]) == 1
+
+    def test_invalid_hypersurface_names(self, tmp_path, capsys):
+        # The square with faces A, B, AB cut by hypersurfaces H1, H2.
+        path = write(tmp_path, "renamed.json",
+                     ser.manifold_to_doc(renamed_square()))
+        assert main(["validate", path]) == 1
+        assert "hypersurface H1 is not a face" in capsys.readouterr().err
 
 
 class TestRepeatedCalls:

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from blowup import exactla as la
+from blowup.binomial import normal_form, variety_complex
 from blowup.complexes import (ComplexMorphism, ComplexRefinement,
                               MonoidalComplex, assemble_from_local,
                               complex_from_monoid,
@@ -348,6 +349,53 @@ class TestProducts:
         pulled = pullback_refinement(r, identity_refinement(q).morphism)
         pulled.validate()
         assert len(pulled.members_over(top)) == len(r.members_over(top))
+
+
+def _identity_homs(morphism):
+    return all(morphism.homs[e] is la.identity(
+        morphism.target.monoids[morphism.node_map[e]].ambient_dim)
+        for e in morphism.source.elements)
+
+
+def _identity_self_maps(q):
+    return all(q.face_maps[(a, a)] is la.identity(q.monoids[a].ambient_dim)
+               for a in q.elements)
+
+
+def _star_at_top(q):
+    top = top_element(q)
+    return star_subdivide_complex(q, top, q.monoids[top].interior_point())
+
+
+class TestIdentityObject:
+    """Products and images through la.identity are free only when the
+    matrix is that object.  A later edit that builds its own identity
+    passes every other test and loses the shortcut; these catch it."""
+
+    def test_assembled_refinements(self):
+        q = corner_model(3).basic_complex()
+        local = {a: trivial_refinement(m) for a, m in q.monoids.items()}
+        ns = natural_smooth_refinement(complex_from_monoid(square_cone())[0])
+        for r in (assemble_from_local(q, local), _star_at_top(q), ns):
+            assert _identity_homs(r.morphism)
+
+    def test_identity_refinement(self):
+        q, _ = complex_from_monoid(square_cone())
+        assert _identity_homs(identity_refinement(q).morphism)
+
+    def test_variety_inclusion(self):
+        pd, inclusion = variety_complex(
+            normal_form([((1, 1, 0, 0), (0, 0, 1, 1))]))
+        assert _identity_homs(inclusion)
+
+    def test_self_maps(self):
+        q = corner_model(3).basic_complex()
+        sq, _ = complex_from_monoid(square_cone())
+        r = _star_at_top(sq)
+        f, _, _ = fiber_product_complex(r.morphism, r.morphism)
+        pd, _ = variety_complex(normal_form([((1, 0), (0, 1))]))
+        for c in (q, sq, r.source, f, pd):
+            assert _identity_self_maps(c)
 
 
 class TestMutual:

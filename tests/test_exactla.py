@@ -70,6 +70,89 @@ class TestBasics:
         assert la.clear_denominators(v) == (3, 2)
 
 
+def integer_matrices(rows, cols):
+    """rows x cols integer matrices; with no columns, rows empty rows."""
+    return st.lists(st.tuples(*[st.integers(-3, 3)] * cols),
+                    min_size=rows, max_size=rows).map(tuple)
+
+
+def schoolbook(a, b):
+    """a @ b entry by entry, or the type of the error it raises: the
+    oracle for la.mat_mul, which skips products through la.identity.  A
+    width of a other than the height of b is a ValueError unless b has no
+    columns, in which case the product is len(a) empty rows."""
+    cols = len(b[0]) if b else 0
+    if cols and any(len(row) != len(b) for row in a):
+        return ValueError
+    return tuple(tuple(sum(row[k] * b[k][j] for k in range(len(b)))
+                       for j in range(cols)) for row in a)
+
+
+def product(a, b):
+    """la.mat_mul(a, b), or the type of the error it raises."""
+    try:
+        return la.mat_mul(a, b)
+    except Exception as e:  # compared by type only
+        return type(e)
+
+
+class TestIdentityShortcut:
+    def test_identity_is_one_object(self):
+        assert la.identity(3) is la.identity(3)
+        assert la.identity(3) == tuple(
+            tuple(int(i == j) for j in range(3)) for i in range(3))
+        assert la.is_identity(la.identity(3))
+        # Equal by value is not enough: the test is `is`.
+        assert not la.is_identity(la.mat(la.identity(3)))
+        assert not la.is_identity(la.hermite_normal_form(la.identity(3))[0])
+
+    def test_no_rows_is_never_the_identity(self):
+        # () is a singleton, so identity(0) is every empty matrix.
+        assert la.identity(0) == ()
+        assert not la.is_identity(la.identity(0))
+        assert not la.is_identity(())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_schoolbook(self, data):
+        r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+        # A width other than k checks mismatched shapes as well.
+        a = data.draw(integer_matrices(
+            r, data.draw(st.sampled_from([k, data.draw(st.integers(0, 4))]))))
+        b = data.draw(integer_matrices(k, c))
+        assert product(a, b) == schoolbook(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_identity_on_either_side(self, data):
+        k, other = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        # A factor of another height or width checks that a shape that
+        # does not fit the identity still takes the general product.
+        fit = data.draw(st.sampled_from([k, other]))
+        b = data.draw(integer_matrices(fit, other))
+        a = data.draw(integer_matrices(other, fit))
+        ident = la.identity(k)
+        assert product(ident, b) == schoolbook(ident, b)
+        assert product(a, ident) == schoolbook(a, ident)
+
+    def test_other_factor_is_returned(self):
+        ident = la.identity(2)
+        b = ((1, 2, 3), (4, 5, 6))
+        a = ((1, 2), (3, 4), (5, 6))
+        assert la.mat_mul(ident, b) is b
+        assert la.mat_mul(a, ident) is a
+        assert la.mat_mul(ident, ident) is ident
+        # A copy of the identity takes the general product.
+        assert la.mat_mul(la.mat(ident), b) is not b
+
+    def test_empty_matrices_match_schoolbook(self):
+        b = ((1, 2),)
+        assert la.mat_mul(la.identity(0), b) == schoolbook((), b) == ()
+        assert la.mat_mul(((), ()), la.identity(0)) == ((), ())
+        assert la.mat_mul(((), ()), ()) == schoolbook(((), ()), ())
+        assert la.mat_mul(la.identity(2), ((), ())) == ((), ())
+
+
 class TestHNF:
     @settings(max_examples=60, deadline=None)
     @given(small_matrix())

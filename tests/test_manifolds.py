@@ -41,6 +41,14 @@ def square():
     return corner_model(2)
 
 
+def renamed_square():
+    """The square with its boundary faces named A, B and AB: the
+    hypersurfaces H1 and H2 are not face ids."""
+    return CornerComplex({"X": [], "A": ["H1"], "B": ["H2"],
+                          "AB": ["H1", "H2"]},
+                         [("X", "A"), ("X", "B"), ("A", "AB"), ("B", "AB")])
+
+
 def corner_blowup():
     return ordinary_blowup(square(), "H1&H2")
 
@@ -125,6 +133,15 @@ class TestCornerComplex:
         bad = CornerComplex({"X": [], "H1": ["H1"]},
                             [("X", "H1"), ("H1", "X")])
         with pytest.raises(NotAComplex, match="not antisymmetric"):
+            bad.validate()
+
+    def test_validate_rejects_hypersurfaces_named_apart_from_faces(self):
+        """Exponents are keyed by face id and axes by hypersurface name,
+        so a corner complex whose hypersurface H1 is the face A passed
+        validate and then broke every b-map built on it."""
+        bad = renamed_square()
+        with pytest.raises(NotAComplex, match="hypersurface H1 is not a "
+                                              "face with incidence"):
             bad.validate()
 
     def test_validate_rejects_missing_subface(self):

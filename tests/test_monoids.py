@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from blowup import exactla as la
 from blowup import monoids
-from blowup.errors import (BlowupError, EnumerationTooLarge, NotInSupport,
+from blowup.errors import (BlowupError, EnumerationTooLarge,
+                           InvariantViolated, NotInSupport,
                            NotPointedLattice, NotSaturated, NotSharp)
 from blowup.monoids import MonoidHom, ToricMonoid, fiber_product
 from blowup.refinements import intersect_members
@@ -632,6 +633,45 @@ class TestImageMonoid:
         assert MonoidHom(m, other, matrix).image_monoid() is first
         assert first == ToricMonoid.make(3, la.mat_mul(m.lattice, matrix),
                                          [(1, 0, 2), (1, 3, 5)])
+
+
+def cone_over_square():
+    return ToricMonoid.make(3, la.identity(3),
+                            [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+
+
+def outcome(f):
+    """f(), or the type of the BlowupError it raises."""
+    try:
+        return f()
+    except BlowupError as e:
+        return type(e)
+
+
+class TestIdentityImage:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_build_image(self, data):
+        m, matrix = data.draw(monoid_and_matrix())
+        d = m.ambient_dim
+        matrix = data.draw(st.sampled_from(
+            [la.identity(d), la.mat(la.identity(d)), matrix]))
+        hom = MonoidHom(m, ToricMonoid.trivial(len(matrix[0])), matrix)
+        # The uncached builder is the oracle: image_monoid skips it for
+        # la.identity.
+        assert outcome(hom.image_monoid) == outcome(hom._build_image)
+
+    def test_identity_image_is_the_source(self):
+        m = cone_over_square()
+        hom = MonoidHom(m, ToricMonoid.free(3), la.identity(3))
+        assert hom.image_monoid() is m
+        assert hom._build_image() is m
+
+    @pytest.mark.parametrize("rows, cols", [(4, 3), (3, 4), (2, 3)])
+    def test_identity_of_the_wrong_size_raises(self, rows, cols):
+        with pytest.raises(InvariantViolated):
+            MonoidHom(cone_over_square(), ToricMonoid.trivial(cols),
+                      la.identity(rows)).image_monoid()
 
 
 @st.composite
