@@ -236,7 +236,8 @@ def resolve(b: BinomialSystem,
     for fid in px.elements:
         restricted = [g for g in _restricted(b.gammas, vc.coords[fid])
                       if not la.is_zero(g)]
-        subspaces[fid] = _kernel_rows(restricted, len(vc.coords[fid]))
+        if restricted:
+            subspaces[fid] = _kernel_rows(restricted, len(vc.coords[fid]))
     planar = planar_refine_complex(px, subspaces)
     sq = planar.source
 

@@ -25,18 +25,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+SAMPLE_LOW, SAMPLE_HIGH = 0.1, 10.0  # range of the log-uniform samples
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     count: int = 100
-    low: float = 0.1
-    high: float = 10.0
     seed: int = 0
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not 0 < self.low < self.high:
-            raise ValueError(f"sample range [{self.low}, {self.high}] is "
-                             "not 0 < low < high")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance {self.tolerance} is not positive")
         if not self.count > 0:
@@ -57,9 +55,9 @@ def _to_float(m) -> np.ndarray:
                     dtype=float)
 
 
-def _log_samples(rng, count: int, dim: int, plan: SamplePlan) -> np.ndarray:
+def _log_samples(rng, count: int, dim: int) -> np.ndarray:
     import numpy as np
-    return rng.uniform(np.log(plan.low), np.log(plan.high), (count, dim))
+    return rng.uniform(np.log(SAMPLE_LOW), np.log(SAMPLE_HIGH), (count, dim))
 
 
 def _shape(m) -> str:
@@ -90,7 +88,7 @@ def verify_transitions(atlas: ChartAtlas,
     for (e1, e2), t12 in atlas.transitions.items():
         m12 = _to_float(t12)
         m21 = _to_float(atlas.transitions[(e2, e1)])
-        logt = _log_samples(rng, plan.count, atlas.n, plan)
+        logt = _log_samples(rng, plan.count, atlas.n)
         total += plan.count
         # Round trip in chart coordinates.
         rt = logt @ m12 @ m21
@@ -155,7 +153,7 @@ def verify_lift(delta: Sequence[Sequence[int]],
     m = _to_float(mu)
     k, _ = d.shape
     rng = np.random.default_rng(plan.seed)
-    logx = _log_samples(rng, plan.count, k, plan)
+    logx = _log_samples(rng, plan.count, k)
     loga = np.log(np.asarray(a, dtype=float))
     log_lift = loga @ np.linalg.inv(nv) + logx @ m
     via_chart = np.exp(log_lift @ nv)

@@ -378,9 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the result document here")
     common.add_argument("--format", choices=["json", "text"],
                         default="json")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument("--samples", type=int, default=100)
 
     p = argparse.ArgumentParser(
         prog="blowup",
@@ -424,7 +421,10 @@ def _build_parser() -> argparse.ArgumentParser:
         s.add_argument("action", choices=actions)
         s.add_argument("input")
 
-    add("verify")
+    s = add("verify")
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--tolerance", type=float, default=1e-9)
+    s.add_argument("--samples", type=int, default=100)
     return p
 
 

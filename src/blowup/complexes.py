@@ -348,31 +348,35 @@ def assemble_from_local(q: MonoidalComplex,
                         ) -> ComplexRefinement:
     """Glue per-element refinements into a refinement of the complex.
 
-    Requires local[a] to refine q.monoids[a] for every element and the
-    family to be compatible: for a <= b, the members of local[b] supported
-    on the image face of a are exactly the images of the members of
-    local[a].
+    local[a] refines q.monoids[a] for each element a the caller refines;
+    an element it omits, or refines trivially, is unrefined: its members
+    are the faces of its monoid.  The family must be compatible: for
+    a <= b, the members of b supported on the image face of a are exactly
+    the images of the members of a.
 
-    The elements whose local refinement is trivial (unrefined) form a
-    downward closed subcomplex, which is copied: an unrefined c becomes
-    c/0 with q.monoids[c], below the copy of each unrefined d above it by
-    q's face map.  On a chain a <= b with both ends unrefined the
-    compatibility check is exactly that the image of sigma_a is a face of
-    sigma_b of the same dimension, and completeness at b that every face
-    of sigma_b is sigma_b or such an image.  Every chain that ends in or
-    starts from a refined element is checked member by member.
+    The unrefined elements form a downward closed subcomplex, which is
+    copied: an unrefined c becomes c/0 with q.monoids[c], below the copy
+    of each unrefined d above it by q's face map.  On a chain a <= b with
+    both ends unrefined the compatibility check is exactly that the image
+    of sigma_a is a face of sigma_b of the same dimension, and
+    completeness at b that every face of sigma_b is sigma_b or such an
+    image.  Every chain that ends in or starts from a refined element is
+    checked member by member.
 
     Raises:
         NotARefinement: if the family is incompatible.
     """
     for a in q.elements:
-        if a not in local:
-            raise NotARefinement(f"no local refinement for {a}")
-        if local[a].base != q.monoids[a]:
+        if a in local and local[a].base != q.monoids[a]:
             raise NotARefinement(f"local refinement at {a} has wrong base")
-    refined = {a for a in q.elements if not local[a].is_trivial()}
+    refined = {a for a in q.elements
+               if a in local and not local[a].is_trivial()}
+
+    def members(a: str) -> Tuple[ToricMonoid, ...]:
+        return local[a].members if a in refined else q.monoids[a].faces()
+
     # The rays of the smallest face of q.monoids[a] containing each member
-    # of a refined local[a]; a member of a trivial one is that face.
+    # of a refined local[a]; a member of an unrefined element is that face.
     carrier: Dict[Tuple[str, ToricMonoid], FrozenSet[la.Vec]] = {}
     for a in q.elements:
         if a in refined:
@@ -381,8 +385,8 @@ def assemble_from_local(q: MonoidalComplex,
                 carrier[(a, m)] = frozenset(
                     sigma.smallest_face_containing(m.interior_point()).rays
                     if m.dim else ())
-    # images[(a, b)][m]: the image in q.monoids[b] of a member m of
-    # local[a], for refined b; face_image[(a, b)] is the image of sigma_a.
+    # images[(a, b)][m]: the image in q.monoids[b] of a member m of a, for
+    # refined b; face_image[(a, b)] is the image of sigma_a.
     images: Dict[Tuple[str, str], Dict[ToricMonoid, ToricMonoid]] = {}
     face_image: Dict[Tuple[str, str], ToricMonoid] = {}
     for a, b in q._chains():
@@ -390,9 +394,9 @@ def assemble_from_local(q: MonoidalComplex,
         if a in refined or b in refined:
             h = q.face_maps[(a, b)]
             images[(a, b)] = {m: MonoidHom(m, q.monoids[b], h).image_monoid()
-                              for m in local[a].members}
+                              for m in members(a)}
             img_rays = set(img.rays)
-            localized = set(m for m in local[b].members
+            localized = set(m for m in members(b)
                             if (carrier[(b, m)] if b in refined
                                 else frozenset(m.rays)) <= img_rays)
             agree = set(images[(a, b)].values()) == localized
@@ -450,7 +454,7 @@ def assemble_from_local(q: MonoidalComplex,
         else:
             if any((a, f) not in index for f in q.monoids[a].faces()):
                 # Name the first member (or face of one) in key order.
-                for m in local[a].members:
+                for m in trivial_refinement(q.monoids[a]).members:
                     for f in (m, *m.faces()):
                         element_at(a, f)
             homed = [(f"{a}/0", q.monoids[a])]
@@ -502,13 +506,9 @@ def star_subdivide_complex(q: MonoidalComplex, a_id: str,
                 return star_subdivide_complex(q, c, w)
         raise NotAComplex(f"no element of the complex maps onto the face "
                           f"{face.rays} of {a_id}")
-    local = {}
-    for b in q.elements:
-        if q.leq(a_id, b):
-            vb = la.apply_row(v, q.face_maps[(a_id, b)])
-            local[b] = star_subdivide(q.monoids[b], vb)
-        else:
-            local[b] = trivial_refinement(q.monoids[b])
+    local = {b: star_subdivide(q.monoids[b],
+                               la.apply_row(v, q.face_maps[(a_id, b)]))
+             for b in q.above(a_id)}
     return assemble_from_local(q, local)
 
 
@@ -517,31 +517,30 @@ def _lattice_preimage(m: ToricMonoid, mat: la.Mat, v) -> Optional[la.Vec]:
     none; mat must be injective on m's lattice."""
     if la.is_zero(v):
         return la.zeros(m.ambient_dim)
-    c = la.solve_row(v, la.mat_mul(m.lattice, mat)) if m.dim else None
-    if c is None or any(x.denominator != 1 for x in c):
-        return None
-    return la.apply_row(tuple(int(x) for x in c), m.lattice)
+    c = la.solve_row_int(v, la.mat_mul(m.lattice, mat)) if m.dim else None
+    return None if c is None else la.apply_row(c, m.lattice)
 
 
 def planar_refine_complex(q: MonoidalComplex,
                           subspaces: Dict[str, Sequence]
                           ) -> ComplexRefinement:
     """Planar refinement of a smooth complex: refine each monoid by the
-    given subspace (rows spanning it, in that monoid's ambient space).
-    The family must be face compatible: the subspace cut of a face must
-    agree with the face of the subspace cut."""
+    given subspace (rows spanning it, in that monoid's ambient space); an
+    element without one is not cut.  The family must be face compatible:
+    the subspace cut of a face must agree with the face of the subspace
+    cut."""
     local = {a: planar_refine(q.monoids[a], subspaces[a])
-             for a in q.elements}
+             for a in q.elements if a in subspaces}
     return assemble_from_local(q, local)
 
 
 def smooth_complex(q: MonoidalComplex) -> ComplexRefinement:
     """Smoothing of a simplicial complex: smooth each monoid by freeing
-    its extremals.  A smooth monoid is refined trivially: each subset of
-    its extremals spans a saturated sublattice, so its smoothing is its
-    face family."""
-    local = {a: trivial_refinement(m) if m.is_smooth() else smoothing(m)
-             for a, m in q.monoids.items()}
+    its extremals.  A smooth monoid is left out, so refined trivially:
+    each subset of its extremals spans a saturated sublattice, so its
+    smoothing is its face family."""
+    local = {a: smoothing(m) for a, m in q.monoids.items()
+             if not m.is_smooth()}
     return assemble_from_local(q, local)
 
 
@@ -703,19 +702,18 @@ def extend_refinement(q: MonoidalComplex,
             if a not in local0:
                 raise NotAComplex(
                     f"refined subcomplex is not downward closed at {a}")
-    local = dict(local0)
+    local = {a: r for a, r in local0.items() if not r.is_trivial()}
     if smooth is None:
         smooth = all(r.is_smooth() for r in local0.values())
     for a in sorted(q.elements, key=lambda a: (len(q.below(a)), a)):
-        if a in local:
+        faces = [b for b in q.below(a) if b != a]
+        if a in local0 or not any(b in local for b in faces):
             continue
         sigma = q.monoids[a]
-        faces = [b for b in q.below(a) if b != a]
-        if all(local[b].is_trivial() for b in faces):
-            local[a] = trivial_refinement(sigma)
-            continue
+        # Unrefined faces add their images; their faces come from those below.
         boundary = {MonoidHom(m, sigma, q.face_maps[(b, a)]).image_monoid()
-                    for b in faces for m in local[b].members}
+                    for b in faces for m in (local[b].members if b in local
+                                             else (q.monoids[b],))}
         v = sigma.interior_point()
         local[a] = MonoidRefinement(
             sigma, [*boundary, *(cone_over(m, v) for m in boundary)])

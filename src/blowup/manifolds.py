@@ -426,11 +426,11 @@ def _smooth_coords(m: ToricMonoid, v) -> la.Vec:
     monoid, following the ray order of m.rays."""
     if m.dim == 0:
         return ()
-    c = la.solve_row(v, la.mat(m.rays))
-    if c is None or any(x.denominator != 1 for x in c):
+    c = la.solve_row_int(v, la.mat(m.rays))
+    if c is None:
         raise InvariantViolated(f"{v} is not a lattice point of the smooth "
                                 f"monoid {m.rays}")
-    return tuple(int(x) for x in c)
+    return c
 
 
 def chart_lift(delta: la.Mat, nu: la.Mat) -> la.Mat:

@@ -32,10 +32,10 @@ from test_refinement_drivers import random_downward_closed_refinement
 
 def ref_assemble_from_local(q, local):
     """The former gluing: every element's members are located, imaged
-    into every element above and indexed there."""
+    into every element above and indexed there.  It took a refinement for
+    every element, so an element local omits gets its trivial one."""
+    local = {**trivial_family(q), **local}
     for a in q.elements:
-        if a not in local:
-            raise NotARefinement(f"no local refinement for {a}")
         if local[a].base != q.monoids[a]:
             raise NotARefinement(f"local refinement at {a} has wrong base")
     carrier = {}
@@ -212,6 +212,27 @@ class TestAgainstReference:
                 if f.is_smooth():
                     assert set(smoothing(f).members) == \
                         set(trivial_refinement(f).members)
+
+
+class TestOmittedElements:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_trivial_entries_may_be_dropped(self, seed):
+        """On the families of test_random_complex_families, a local family
+        with every element given and the same family without its trivial
+        entries glue to the same refinement, ids included."""
+        rng = random.Random(seed)
+        q = random_complex(rng, rng.choice([2, 3]))
+        families = assembled_families(lambda: random_star(q, rng))
+        families += assembled_families(lambda: natural_smooth_refinement(q))
+        local0 = random_downward_closed_refinement(q, rng)
+        families += assembled_families(
+            lambda: extend_refinement(q, local0, smooth=False))
+        for fq, local in families:
+            full = {**trivial_family(fq), **local}
+            refined = {a: r for a, r in full.items() if not r.is_trivial()}
+            assert outcome(assemble_from_local, fq, refined) == \
+                outcome(assemble_from_local, fq, full)
 
 
 class TestErrors:

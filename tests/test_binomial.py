@@ -3,11 +3,13 @@ resolutions, with brute-force oracles where possible."""
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup import complexes
 from blowup import exactla as la
 from blowup.binomial import (BinomialSystem, boundary_faces, normal_form,
                              resolve, universal_resolution, variety_complex)
@@ -281,6 +283,14 @@ class TestResolve:
         res.refinement.validate()
         assert res.refinement.source.is_smooth()
         assert res.lifted
+
+    def test_faces_no_equation_touches_are_not_cut(self):
+        # x1 x2 = x3 x4 restricts to a nonzero vector on every face of
+        # R^4_+ but the interior, so 15 of the 16 are cut.
+        with mock.patch.object(complexes, "planar_refine",
+                               wraps=complexes.planar_refine) as cut:
+            resolve(addition_pattern())
+        assert cut.call_count == 15
 
     def test_random_resolutions(self):
         rng = random.Random(23)

@@ -547,6 +547,15 @@ class TestExitCodes:
         assert run.stdout == ""
         assert run.stderr == f"error: malformed input: {message}\n"
 
+    @pytest.mark.parametrize("flag", ["--seed", "--tolerance", "--samples"])
+    def test_sampling_flags_only_for_verify(self, monoid_doc, capsys, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main(["hilbert", monoid_doc, flag, "1"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 1" in captured.err
+
     @pytest.mark.parametrize("command", [["binomial", "faces"], ["extend"],
                                          ["fiber", "analyze"], ["verify"]])
     def test_document_that_is_not_an_object(self, tmp_path, capsys,

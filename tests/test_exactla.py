@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blowup import exactla as la
@@ -348,6 +348,22 @@ class TestIntegerElimination:
         assert to_sympy([x], len(m)) * to_sympy(m, cols) == to_sympy([v], cols)
         pivots = mt.rref()[1]
         assert all(c == 0 for j, c in enumerate(x) if j not in pivots)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda c: st.lists(
+        st.tuples(*[small_ints] * c), min_size=1, max_size=c)), st.data())
+    def test_solve_row_int_on_independent_rows(self, rows, data):
+        """With independent rows the solution is unique, so the integer
+        solve is the rational one when that is integral, else None."""
+        m = la.mat(rows)
+        assume(la.rank(m) == len(m))
+        entries = st.one_of(small_ints, small_fractions)
+        v = la.apply_row(data.draw(st.tuples(*[entries] * len(m))), m)
+        x = la.solve_row(v, m)
+        integral = all(c.denominator == 1 for c in x)
+        got = la.solve_row_int(v, m)
+        assert got == (tuple(map(int, x)) if integral else None)
+        assert got is None or all(type(c) is int for c in got)
 
     def test_solve_row_degenerate_shapes(self):
         assert la.solve_row((), ()) == gauss_jordan_solve_row((), ()) == ()

@@ -257,3 +257,66 @@ class TestNaturalSmoothSelection:
         r = natural_smooth_refinement(q)
         assert shape(r) == shape(selection_ns(q))
         assert r.source.is_smooth()
+
+
+def relabeled(q: MonoidalComplex, rng):
+    """q with its elements renamed at random, so they sort in a random
+    order; returns the complex and the map old id -> new id."""
+    names = rng.sample(range(10 ** 6), len(q.elements))
+    new = {a: f"e{k}" for a, k in zip(q.elements, names)}
+    return MonoidalComplex(
+        {new[a]: m for a, m in q.monoids.items()},
+        [(new[a], new[b]) for a, b in q.order if a != b],
+        {(new[a], new[b]): m for (a, b), m in q.face_maps.items()}), new
+
+
+def id_free(r):
+    """The sorted monoid keys of the source, each with the key of its
+    target monoid, and the order's shape: each pair a < b of the source
+    as the keys of its ends."""
+    s, phi = r.source, r.morphism
+    key = {e: s.monoids[e].key for e in s.elements}
+    return (sorted((key[e], r.target.monoids[phi.node_map[e]].key)
+                   for e in s.elements),
+            sorted((key[a], key[b]) for a, b in s.order if a != b))
+
+
+class TestRelabeling:
+    """The drivers name elements by construction order, but the ids of
+    their input do not leak into the result."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_star_subdivision(self, seed):
+        rng = random.Random(seed)
+        q = random_complex(rng, rng.choice([2, 3]))
+        p, new = relabeled(q, rng)
+        a = rng.choice([e for e in q.elements if q.monoids[e].dim > 0])
+        v = la.zeros(q.monoids[a].ambient_dim)
+        for g in q.monoids[a].rays:
+            v = la.vadd(v, la.vscale(rng.randint(1, 2), g))
+        assert id_free(star_subdivide_complex(p, new[a], v)) == \
+            id_free(star_subdivide_complex(q, a, v))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_smoothing(self, seed):
+        rng = random.Random(seed)
+        q = random_complex(rng, rng.choice([2, 3]))
+        while not q.is_simplicial():
+            q = random_complex(rng, 3)
+        p, _ = relabeled(q, rng)
+        assert id_free(smooth_complex(p)) == id_free(smooth_complex(q))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_extension(self, seed):
+        """Without the smoothing, whose natural smooth refinement breaks
+        ties by least id."""
+        rng = random.Random(seed)
+        q = random_complex(rng, rng.choice([2, 3]))
+        local0 = random_downward_closed_refinement(q, rng)
+        p, new = relabeled(q, rng)
+        moved = {new[a]: r for a, r in local0.items()}
+        assert id_free(extend_refinement(p, moved, smooth=False)) == \
+            id_free(extend_refinement(q, local0, smooth=False))
