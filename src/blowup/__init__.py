@@ -3,8 +3,8 @@
 Toric monoids and their refinements, monoidal complexes, the boundary
 combinatorics of manifolds with corners and b-maps, blow-up chart atlases,
 resolution of binomial subvarieties, and fiber products of b-maps.  All
-core computation is exact (integer and rational arithmetic); a separate
-floating-point verifier cross-checks chart data numerically.
+computation is exact (integer and rational arithmetic), the verification
+of chart data included.
 """
 
 from .monoids import MonoidHom, ToricMonoid, fiber_product
@@ -30,8 +30,7 @@ from .fiber import (FiberProblem, FiberReport, ResolvedFiberProduct,
                     b_normal_transversality, factor_through,
                     fiber_complex, resolve_fiber_product,
                     theorem_b_check)
-from .chartcheck import CheckReport, SamplePlan, verify_lift, \
-    verify_transitions
+from .chartcheck import CheckReport, verify_lift, verify_transitions
 from .errors import BlowupError
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "MonoidalComplex",
     "Resolution",
     "ResolvedFiberProduct",
-    "SamplePlan",
     "ToricMonoid",
     "b_normal_transversality",
     "blowup_domain",

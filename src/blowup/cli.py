@@ -15,7 +15,7 @@ from . import exactla as la
 from . import serialization as ser
 from .binomial import (boundary_faces, normal_form, resolve,
                        universal_resolution, variety_complex)
-from .chartcheck import SamplePlan, verify_lift, verify_transitions
+from .chartcheck import verify_lift, verify_transitions
 from .complexes import extend_refinement, natural_smooth_refinement
 from .errors import BlowupError, NotSmooth
 from .fiber import (FiberProblem, b_normal_transversality, factor_through,
@@ -73,7 +73,7 @@ def _summary_lines(doc: Dict[str, Any]) -> List[str]:
     out = [f"kind: {doc.get('kind')}"]
     for key in ("status", "smooth", "transversal", "passed", "universal",
                 "minimal", "hypersurfaces", "elements", "members",
-                "max_rel_error", "offenders", "exit_note"):
+                "offenders", "exit_note"):
         if key in doc:
             out.append(f"{key}: {doc[key]}")
     return out
@@ -345,25 +345,20 @@ def cmd_fiber(args) -> Dict[str, Any]:
 
 def cmd_verify(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
-    plan = SamplePlan(count=args.samples, seed=args.seed,
-                      tolerance=args.tolerance)
     if raw.get("kind") == "refinement":
-        atlas = local_atlas(ser.refinement_from_doc(raw))
-        rep = verify_transitions(atlas, plan)
+        rep = verify_transitions(local_atlas(ser.refinement_from_doc(raw)))
     elif raw.get("kind") == "lift_check":
         rep = verify_lift(ser._dec_int_mat(raw["delta"]),
                           ser._dec_q_mat(raw["nu"]),
                           ser._dec_int_mat(raw["mu"]),
-                          plan,
                           raw.get("coefficients"))
     else:
         raise MalformedDocument(
             "verify expects a refinement or lift_check document")
     doc = {"kind": "verification", "version": ser.VERSION,
-           "passed": rep.passed, "max_rel_error": rep.max_rel_error,
-           "samples": rep.samples, "failures": rep.failures}
+           "passed": rep.passed, "failures": rep.failures}
     if not rep.passed:
-        raise BlowupError(f"numeric verification failed: {rep.failures}")
+        raise BlowupError(f"chart verification failed: {rep.failures}")
     return doc
 
 
@@ -421,10 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
         s.add_argument("action", choices=actions)
         s.add_argument("input")
 
-    s = add("verify")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--tolerance", type=float, default=1e-9)
-    s.add_argument("--samples", type=int, default=100)
+    add("verify")
     return p
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from blowup import exactla as la
 from blowup import monoids
-from blowup.chartcheck import SamplePlan, verify_transitions
+from blowup.chartcheck import verify_transitions
 from blowup.complexes import (ComplexRefinement, complex_from_monoid,
                               identity_refinement,
                               natural_smooth_refinement,
@@ -296,15 +296,17 @@ def test_criterion_8_numeric_atlases():
     rng = random.Random(5003)
     for _ in range(3):
         atlases.append(random_blowup(corner_model(3), rng).refinement)
-    plan = SamplePlan(count=100, tolerance=1e-9, seed=7)
+    overlaps = 0
     for r in atlases:
-        rep = verify_transitions(local_atlas(r), plan)
-        assert rep.passed, rep.failures
-        assert rep.max_rel_error <= 1e-9
+        atlas = local_atlas(r)
+        rep = verify_transitions(atlas)
+        assert rep.failures == []
+        overlaps += len(atlas.transitions)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
-    report(8, f"{len(atlases)} atlases verified numerically at 100 "
-              "samples per overlap, max relative error <= 1e-9", t0)
+    report(8, f"{len(atlases)} atlases verified exactly: transition @ nu2 = "
+              f"nu1 and a reverse transition on all {overlaps} ordered "
+              "overlaps", t0)
 
 
 def test_criterion_9_extension():

@@ -15,7 +15,7 @@ from blowup import serialization as ser
 from blowup.cli import main
 from blowup.complexes import complex_from_monoid, star_subdivide_complex
 from blowup.manifolds import BMap, corner_model, identity_bmap, \
-    ordinary_blowup
+    local_atlas, ordinary_blowup
 from blowup.monoids import ToricMonoid
 
 from test_binomial import ten_variable_pairs
@@ -354,11 +354,11 @@ class TestFiberCommands:
 class TestVerifyCommand:
     def test_refinement_atlas(self, refinement_doc, tmp_path):
         out = str(tmp_path / "ver.json")
-        assert main(["verify", refinement_doc, "--samples", "120",
-                     "--out", out]) == 0
+        assert main(["verify", refinement_doc, "--out", out]) == 0
         doc = read_json(out)
+        assert set(doc) == {"kind", "version", "passed", "failures"}
         assert doc["passed"] is True
-        assert doc["samples"] >= 120
+        assert doc["failures"] == []
 
     def test_lift_check(self, tmp_path):
         nu = [[1, 0], [1, 1]]
@@ -376,6 +376,34 @@ class TestVerifyCommand:
         path = write(tmp_path, "bad.json", doc)
         assert main(["verify", path]) == 1
 
+    def test_lift_check_with_large_exponents(self, tmp_path):
+        """Entries whose powers overflow a float."""
+        path = write(tmp_path, "lc.json", {
+            "kind": "lift_check", "version": ser.VERSION,
+            "delta": [[200, 0], [200, 200]], "nu": [[1, 0], [1, 1]],
+            "mu": [[200, 0], [0, 200]]})
+        run = run_blowup("verify", path)
+        assert run.returncode == 0
+        assert run.stderr == ""
+        assert json.loads(run.stdout)["passed"] is True
+
+    def test_corrupted_transition_names_the_pair(self, refinement_doc,
+                                                 monkeypatch, capsys):
+        def corrupted_atlas(r):
+            atlas = local_atlas(r)
+            key = min(atlas.transitions)
+            atlas.transitions[key] = tuple(
+                tuple(x + 1 for x in row) for row in atlas.transitions[key])
+            return atlas
+
+        monkeypatch.setattr(cli, "local_atlas", corrupted_atlas)
+        assert main(["verify", refinement_doc]) == 1
+        bl, _ = ordinary_blowup(corner_model(2), "H1&H2")
+        e1, e2 = min(local_atlas(bl.refinement).transitions)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"blow-down mismatch {e1}->{e2}" in captured.err
+
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
@@ -389,8 +417,8 @@ def run_blowup(*argv, python_flags=()):
         text=True, timeout=120)
 
 
-class TestNumpyOnlyForVerify:
-    """numpy serves only the numeric verifier, so nothing else loads it."""
+class TestNoNumpy:
+    """Every computation is exact, so nothing loads numpy."""
 
     def test_import_does_not_load_numpy(self):
         run = subprocess.run(
@@ -402,21 +430,19 @@ class TestNumpyOnlyForVerify:
         assert run.returncode == 0, run.stderr
         assert run.stdout == "False\n"
 
-    def test_only_verify_loads_numpy(self, monoid_doc, tmp_path):
+    def test_no_command_loads_numpy(self, monoid_doc, refinement_doc,
+                                    tmp_path):
         """-X importtime names every module the process imports."""
-        hilbert = run_blowup("hilbert", monoid_doc,
-                             python_flags=("-X", "importtime"))
-        assert hilbert.returncode == 0, hilbert.stderr
-        assert "blowup.chartcheck" in hilbert.stderr
-        assert "numpy" not in hilbert.stderr
         lc = write(tmp_path, "lc.json", {
             "kind": "lift_check", "version": ser.VERSION,
             "delta": [[1, 1], [3, 2]], "nu": [[1, 0], [1, 1]],
             "mu": [[0, 1], [1, 2]]})
-        verify = run_blowup("verify", lc, python_flags=("-X", "importtime"))
-        assert verify.returncode == 0, verify.stderr
-        assert json.loads(verify.stdout)["passed"] is True
-        assert "numpy" in verify.stderr
+        for argv in (["hilbert", monoid_doc], ["verify", refinement_doc],
+                     ["verify", lc]):
+            run = run_blowup(*argv, python_flags=("-X", "importtime"))
+            assert run.returncode == 0, run.stderr
+            assert "blowup.chartcheck" in run.stderr
+            assert "numpy" not in run.stderr, argv
 
 
 class TestExitCodes:
@@ -532,29 +558,17 @@ class TestExitCodes:
         assert message in run.stderr
 
     @pytest.mark.parametrize("optimize", [(), ("-O",)])
-    @pytest.mark.parametrize("flag, message", [
-        ("--samples=0", "sample count 0 is not positive"),
-        ("--tolerance=0", "tolerance 0.0 is not positive"),
-        ("--tolerance=-1", "tolerance -1.0 is not positive"),
-        ("--tolerance=nan", "tolerance nan is not positive")])
-    def test_invalid_verify_flags(self, refinement_doc, optimize, flag,
-                                  message):
-        """A sample plan that would check nothing is malformed input, also
-        under -O."""
-        run = run_blowup("verify", refinement_doc, flag,
-                         python_flags=optimize)
+    @pytest.mark.parametrize("command", ["hilbert", "verify"])
+    @pytest.mark.parametrize("flag", ["--seed", "--tolerance", "--samples"])
+    def test_sampling_flags_rejected(self, monoid_doc, refinement_doc,
+                                     optimize, command, flag):
+        """No command takes the former float sampler's flags, also under
+        -O."""
+        doc = refinement_doc if command == "verify" else monoid_doc
+        run = run_blowup(command, doc, flag, "1", python_flags=optimize)
         assert run.returncode == 2
         assert run.stdout == ""
-        assert run.stderr == f"error: malformed input: {message}\n"
-
-    @pytest.mark.parametrize("flag", ["--seed", "--tolerance", "--samples"])
-    def test_sampling_flags_only_for_verify(self, monoid_doc, capsys, flag):
-        with pytest.raises(SystemExit) as exit_:
-            main(["hilbert", monoid_doc, flag, "1"])
-        assert exit_.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"unrecognized arguments: {flag} 1" in captured.err
+        assert f"unrecognized arguments: {flag} 1" in run.stderr
 
     @pytest.mark.parametrize("command", [["binomial", "faces"], ["extend"],
                                          ["fiber", "analyze"], ["verify"]])
