@@ -2,7 +2,10 @@
 
 Reads versioned JSON documents, dispatches to the library and writes a
 result document plus a short summary.  Exit codes: 0 success, 1 a
-validation failure in well-formed input, 2 malformed input.
+validation failure in well-formed input, 2 malformed input.  Inputs that
+a command relies on are validated before it computes: the refinement of
+`atlas` and `verify` (which must also be smooth), the manifold of
+`blowup`, `lift` and `blowup-domain`, and the b-maps of `fiber`.
 """
 
 import argparse
@@ -16,13 +19,14 @@ from . import serialization as ser
 from .binomial import (boundary_faces, normal_form, resolve,
                        universal_resolution, variety_complex)
 from .chartcheck import verify_lift, verify_transitions
-from .complexes import extend_refinement, natural_smooth_refinement
+from .complexes import (ComplexRefinement, extend_refinement,
+                        natural_smooth_refinement)
 from .errors import BlowupError, NotSmooth
 from .fiber import (FiberProblem, b_normal_transversality, factor_through,
                     resolve_fiber_product, theorem_b_check)
-from .manifolds import (Blowup, blowup_domain, generalized_blowup,
-                        iterated_blowup, lift_bmap, local_atlas,
-                        ordinary_blowup)
+from .manifolds import (Blowup, CornerComplex, blowup_domain,
+                        generalized_blowup, iterated_blowup, lift_bmap,
+                        local_atlas, ordinary_blowup)
 from .monoids import ToricMonoid
 from .refinements import (MonoidRefinement, planar_refine, smoothing,
                           star_subdivide)
@@ -180,8 +184,16 @@ def _blowup_result(b: Blowup) -> Dict[str, Any]:
     }
 
 
+def _valid_manifold(path: str) -> CornerComplex:
+    """A manifold document that passes validation: the blow-down reads
+    the ray of each hypersurface off the face of the same id."""
+    x = ser.manifold_from_doc(_read_doc(path))
+    x.validate()
+    return x
+
+
 def cmd_blowup(args) -> Dict[str, Any]:
-    x = ser.manifold_from_doc(_read_doc(args.input))
+    x = _valid_manifold(args.input)
     if args.ordinary:
         weights = _vector(args.weights) if args.weights else None
         b, charts = ordinary_blowup(x, args.ordinary, weights)
@@ -198,8 +210,18 @@ def cmd_blowup(args) -> Dict[str, Any]:
         "one of --ordinary/--iterated/--refinement required")
 
 
+def _smooth_refinement(doc) -> ComplexRefinement:
+    """A refinement document that passes validation and is smooth: the
+    atlas reads its charts and adjacency off such a refinement only."""
+    r = ser.refinement_from_doc(doc)
+    r.validate()
+    if not r.is_smooth():
+        raise NotSmooth("chart atlases need a smooth refinement")
+    return r
+
+
 def cmd_atlas(args) -> Dict[str, Any]:
-    r = ser.refinement_from_doc(_read_doc(args.input))
+    r = _smooth_refinement(_read_doc(args.input))
     atlas = local_atlas(r)
     return {
         "kind": "atlas",
@@ -217,7 +239,7 @@ def cmd_atlas(args) -> Dict[str, Any]:
 
 def _load_blowup(args) -> Blowup:
     r = ser.refinement_from_doc(_read_doc(args.refinement))
-    x = ser.manifold_from_doc(_read_doc(args.manifold))
+    x = _valid_manifold(args.manifold)
     return generalized_blowup(x, r)
 
 
@@ -294,14 +316,13 @@ def cmd_binomial(args) -> Dict[str, Any]:
 def cmd_fiber(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
     if raw.get("kind") == "factor_problem":
-        f1 = ser.bmap_from_doc(raw["f1"])
-        f2 = ser.bmap_from_doc(raw["f2"])
-        g1 = ser.bmap_from_doc(raw["g1"])
-        g2 = ser.bmap_from_doc(raw["g2"])
-        p = FiberProblem(f1, f2)
+        maps = f1, f2, g1, g2 = [ser.bmap_from_doc(raw[k])
+                                 for k in ("f1", "f2", "g1", "g2")]
     else:
-        f1, f2 = ser.fiber_problem_from_doc(raw)
-        p = FiberProblem(f1, f2)
+        maps = f1, f2 = ser.fiber_problem_from_doc(raw)
+    for f in maps:
+        f.validate()
+    p = FiberProblem(f1, f2)
     if args.action == "analyze":
         rep = b_normal_transversality(p)
         return {
@@ -346,7 +367,7 @@ def cmd_fiber(args) -> Dict[str, Any]:
 def cmd_verify(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
     if raw.get("kind") == "refinement":
-        rep = verify_transitions(local_atlas(ser.refinement_from_doc(raw)))
+        rep = verify_transitions(local_atlas(_smooth_refinement(raw)))
     elif raw.get("kind") == "lift_check":
         rep = verify_lift(ser._dec_int_mat(raw["delta"]),
                           ser._dec_q_mat(raw["nu"]),

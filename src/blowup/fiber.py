@@ -4,8 +4,9 @@ Given two b-maps with a common target, the combinatorial fiber product is
 the fiber product of their basic monoidal complexes.  When every fiber
 monoid is smooth the result is the universal fiber product; otherwise a
 smooth refinement (by default the natural one) resolves it into a corner
-complex with projection b-maps to both factors.  Each face pair also
-carries a binomial-system model of the local fiber product.
+complex with projection b-maps to both factors, read off the free ray
+bases of the refinement as a blow-down is.  Each face pair also carries a
+binomial-system model of the local fiber product.
 """
 
 from dataclasses import dataclass
@@ -16,8 +17,8 @@ from .binomial import BinomialSystem, normal_form
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
                         fiber_product_complex, natural_smooth_refinement)
 from .errors import NotCompatible, NotTransverse
-from .manifolds import (BMap, CornerComplex, _lifted_bmap,
-                        _pulled_back_blowup, _ray_bmap, _smooth_corner,
+from .manifolds import (BMap, CornerComplex, _pulled_back_blowup,
+                        _ray_exponents, _smooth_corner,
                         factor_through_refinement)
 from .monoids import MonoidHom, ToricMonoid
 from .monoids import fiber_product as monoid_fiber_product
@@ -161,8 +162,8 @@ def resolve_fiber_product(p: FiberProblem,
     if r is None:
         r = natural_smooth_refinement(fc)
     corner = _smooth_corner(r.source)
-    h1 = _ray_bmap(corner, r.morphism.compose(p1), p.f1.source)
-    h2 = _ray_bmap(corner, r.morphism.compose(p2), p.f2.source)
+    h1 = _ray_exponents(corner, r.morphism.compose(p1), p.f1.source)
+    h2 = _ray_exponents(corner, r.morphism.compose(p2), p.f2.source)
     return ResolvedFiberProduct(p, fc, r, corner, h1, h2, report)
 
 
@@ -213,5 +214,5 @@ def factor_through(p: FiberProblem, g1: BMap, g2: BMap,
         dom, _ = _pulled_back_blowup(z, r, psi)
         factoring = factor_through_refinement(
             dom.blowdown.induced_morphism().compose(psi), r)
-    return dom, _lifted_bmap(dom.total if dom else z, factoring,
-                             resolved.corner)
+    return dom, _ray_exponents(dom.total if dom else z, factoring,
+                               resolved.corner)

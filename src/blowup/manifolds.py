@@ -7,7 +7,10 @@ is a face map together with a matrix of nonnegative boundary exponents.
 The basic monoidal complex of a corner complex assigns the free monoid on
 the incident hypersurfaces to each face; generalized blow-up turns a
 smooth refinement of this complex back into a corner complex together
-with its blow-down b-map.
+with its blow-down b-map.  Every member of a smooth refinement is free on
+its rays, so chart atlases and the exponents of every b-map into a
+blown-up space (blow-downs, lifts, fiber-product projections) are read
+off those ray bases.
 """
 
 import itertools
@@ -23,7 +26,6 @@ from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
 from .errors import (BlowupError, InvariantViolated, NotAComplex, NotAFace,
                      NotCompatible, NotInSupport, NotSmooth)
 from .monoids import ToricMonoid
-from .refinements import intersect_members
 
 
 class CornerComplex:
@@ -155,8 +157,8 @@ class BMap:
             actual = self.target.incidence[self.face_map[f]]
             if expected != actual:
                 raise NotAComplex(
-                    f"face {f}: exponents vanish on {sorted(expected)} but "
-                    f"the image face is cut by {sorted(actual)}")
+                    f"face {f}: exponents are positive on {sorted(expected)} "
+                    f"but the image face is cut by {sorted(actual)}")
 
     def exponent_matrix(self, f: str) -> la.Mat:
         """The matrix of the induced monoid map at face f, rows indexed by
@@ -231,7 +233,7 @@ def generalized_blowup(x: CornerComplex, r: ComplexRefinement) -> Blowup:
         NotSmooth: if r is not smooth.
     """
     total = _smooth_corner(r.source)
-    return Blowup(total, _ray_bmap(total, r.morphism, x), r)
+    return Blowup(total, _ray_exponents(total, r.morphism, x), r)
 
 
 def _smooth_corner(rs: MonoidalComplex) -> CornerComplex:
@@ -250,21 +252,25 @@ def _smooth_corner(rs: MonoidalComplex) -> CornerComplex:
                          [(a, b) for (a, b) in rs.order if a != b])
 
 
-def _ray_bmap(total: CornerComplex, morphism: ComplexMorphism,
-              target: CornerComplex) -> BMap:
-    """The b-map from the corner complex of morphism.source to target with
-    the face map of morphism: the exponents of a hypersurface are the
-    coordinates of the image of its ray."""
-    face_map = {e: morphism.node_map[e] for e in morphism.source.elements}
+def _ray_exponents(x: CornerComplex, phi: ComplexMorphism,
+                   y: CornerComplex) -> BMap:
+    """The b-map from x to y with the face map of phi: P_x -> P_y, for y
+    the corner complex of the smooth complex phi.target.  The exponents
+    of a hypersurface h of x are the coordinates of the image of its ray
+    in the free basis of rays of phi(h), the ray of w being the image of
+    the hypersurface w of y."""
+    q = phi.target
     exps = {}
-    for w in total.hypersurfaces():
-        img = morphism.hom(w).image_monoid()
-        if img.dim:
-            (gen,) = img.rays
-            for h, k in zip(target.axes(face_map[w]), gen):
-                if k:
-                    exps[(w, h)] = k
-    return BMap(total, target, face_map, exps)
+    for h in x.hypersurfaces():
+        e = phi.node_map[h]
+        m = q.monoids[e]
+        coeffs = _smooth_coords(
+            m, phi.hom(h).apply(phi.source.monoids[h].rays[0]))
+        for w in y.incidence[e]:
+            k = coeffs[m.rays.index(q.image_face(w, e).rays[0])]
+            if k:
+                exps[(h, w)] = k
+    return BMap(x, y, dict(phi.node_map), exps)
 
 
 # ---------------------------------------------------------------------------
@@ -296,36 +302,36 @@ class ChartAtlas:
 
 def local_atlas(r: ComplexRefinement) -> ChartAtlas:
     """Atlas of a smooth refinement of the face complex of Z_+^n (the
-    local model of a depth-n corner)."""
+    local model of a depth-n corner).
+
+    Two charts are adjacent when they share n - 1 rays, the facet in
+    which two members of a refinement meet.  The rows of nu2 are a basis
+    dual to the columns of nu2^{-1}, so minus the column of nu2's ray off
+    that facet vanishes on it and is negative on nu2's other ray; it
+    separates when it is positive on nu1's other ray.
+    """
     q = r.target
     top = max(q.elements, key=lambda a: q.monoids[a].dim)
     n = q.monoids[top].dim
-    charts = {}
-    members = {}
-    for e, img in r.members_over(top).items():
-        if img.dim == n:
-            charts[e] = Chart(e, la.mat(img.rays))
-            members[e] = img
+    charts = {e: Chart(e, la.mat(img.rays))
+              for e, img in r.members_over(top).items() if img.dim == n}
+    inverses = {e: la.inverse_q(c.nu) for e, c in charts.items()}
     transitions = {}
     separators = {}
     for e1, e2 in itertools.permutations(sorted(charts), 2):
-        m1, m2 = members[e1], members[e2]
-        common = intersect_members(m1, m2)
-        if common.dim != n - 1:
-            continue
         nu1, nu2 = charts[e1].nu, charts[e2].nu
-        transitions[(e1, e2)] = la.mat_mul(nu1, la.inverse_q(nu2))
-        shared = set(common.rays)
-        strict = [g for g in m1.rays if g not in shared]
-        strict += [tuple(-x for x in g) for g in m2.rays
-                   if g not in shared]
-        zero = list(shared)
-        u = la.lp_feasible(n, strict=strict, zero=zero)
-        if u is None:
+        shared = set(nu1) & set(nu2)
+        if len(shared) != n - 1:
+            continue
+        inv2 = inverses[e2]
+        transitions[(e1, e2)] = la.mat_mul(nu1, inv2)
+        (j,) = (i for i, g in enumerate(nu2) if g not in shared)
+        u = la.clear_denominators(tuple(-row[j] for row in inv2))
+        (far1,) = (g for g in nu1 if g not in shared)
+        if la.dot(far1, u) <= 0:
             raise InvariantViolated(
                 f"charts {e1} and {e2} have no separating functional")
-        separators[(e1, e2)] = la.clear_denominators(u) if any(
-            Fraction(x) != 0 for x in u) else la.zeros(n)
+        separators[(e1, e2)] = u
     return ChartAtlas(n, charts, transitions, separators)
 
 
@@ -383,25 +389,6 @@ def factor_through_refinement(psi: ComplexMorphism,
     return ComplexMorphism(psi.source, rs, node, homs)
 
 
-def _lifted_bmap(x: CornerComplex, factoring: ComplexMorphism,
-                 total: CornerComplex) -> BMap:
-    """The b-map from x to the corner complex total of factoring.target
-    whose induced morphism is factoring: the exponents of a hypersurface
-    of x are the coordinates of its image in the free basis of rays."""
-    rs = factoring.target
-    exps = {}
-    for g in x.hypersurfaces():
-        e = factoring.node_map[g]
-        m = rs.monoids[e]
-        (img_vec,) = factoring.homs[g]
-        coeffs = _smooth_coords(m, img_vec)
-        for w in total.incidence[e]:
-            idx = m.rays.index(rs.image_face(w, e).rays[0])
-            if coeffs[idx]:
-                exps[(g, w)] = coeffs[idx]
-    return BMap(x, total, dict(factoring.node_map), exps)
-
-
 def is_compatible(f: BMap, r: ComplexRefinement) -> bool:
     try:
         factor_through_refinement(f.induced_morphism(), r)
@@ -418,7 +405,8 @@ def lift_bmap(f: BMap, blowup: Blowup) -> Lift:
     """
     factoring = factor_through_refinement(f.induced_morphism(),
                                           blowup.refinement)
-    return Lift(_lifted_bmap(f.source, factoring, blowup.total), factoring)
+    return Lift(_ray_exponents(f.source, factoring, blowup.total),
+                factoring)
 
 
 def _smooth_coords(m: ToricMonoid, v) -> la.Vec:

@@ -3,16 +3,18 @@
 Integers that do not fit a double are written as decimal strings so
 arbitrary precision survives transport; rationals are written "p/q".
 Serialization is canonical: keys sorted, element ids sorted, matrices
-written row by row.
+written row by row.  A binomial system document is read back only if it
+is its own normal form.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Dict, List, Sequence, Tuple
 
 from . import exactla as la
 from .complexes import ComplexMorphism, ComplexRefinement, MonoidalComplex
-from .binomial import BinomialSystem
+from .binomial import BinomialSystem, normal_form
 from .errors import BlowupError
 from .manifolds import BMap, CornerComplex
 from .monoids import ToricMonoid
@@ -230,12 +232,34 @@ def binomial_to_doc(b: BinomialSystem) -> Dict[str, Any]:
 
 
 def binomial_from_doc(doc) -> BinomialSystem:
+    """A binomial system document, which must be its own normal form:
+    normal_form of its gammas (alpha the positive part, beta the negative
+    part), smooth count and tangential dimension gives it back.  Its
+    errors propagate; any other mismatch is malformed."""
     _expect(doc, "binomial_system")
-    return BinomialSystem(
+    b = BinomialSystem(
         _dec_int(doc["boundary_dim"]),
         _dec_int(doc["tangential_dim"]),
         _dec_int_mat(doc["gammas"]),
         _dec_int(doc["smooth_count"]))
+    if min(b.boundary_dim, b.tangential_dim, b.smooth_count) < 0:
+        raise MalformedDocument("binomial system with a negative dimension "
+                                "or count")
+    for g in b.gammas:
+        if len(g) != b.boundary_dim:
+            raise MalformedDocument(f"exponent vector {list(g)} is not "
+                                    f"boundary_dim {b.boundary_dim} long")
+    pairs = [(tuple(max(x, 0) for x in g), tuple(max(-x, 0) for x in g))
+             for g in b.gammas]
+    # With no gammas normal_form cannot see the boundary dimension.
+    nf = replace(normal_form(pairs, b.smooth_count, b.tangential_dim),
+                 boundary_dim=b.boundary_dim)
+    if nf != b:
+        raise MalformedDocument(
+            f"binomial system is not in normal form, which has gammas "
+            f"{[list(g) for g in nf.gammas]} and smooth_count "
+            f"{nf.smooth_count}")
+    return b
 
 
 def fiber_problem_from_doc(doc) -> Tuple[BMap, BMap]:

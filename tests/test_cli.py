@@ -13,14 +13,15 @@ from blowup import exactla as la
 from blowup import monoids
 from blowup import serialization as ser
 from blowup.cli import main
-from blowup.complexes import complex_from_monoid, star_subdivide_complex
+from blowup.complexes import (complex_from_monoid, identity_refinement,
+                              star_subdivide_complex)
 from blowup.manifolds import BMap, corner_model, identity_bmap, \
     local_atlas, ordinary_blowup
 from blowup.monoids import ToricMonoid
 
 from test_binomial import ten_variable_pairs
 from test_fuzz import BAD_SHAPE_TEXT
-from test_manifolds import renamed_square
+from test_manifolds import overlapping_square_refinement, renamed_square
 from test_refinements import count_intersections
 
 
@@ -403,6 +404,165 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"blow-down mismatch {e1}->{e2}" in captured.err
+
+
+# b-maps from the square to the half line that BMap.validate rejects:
+# H2 goes to the face H1 with no exponent there, or to the interior with
+# one.
+INVALID_TO_HALF_LINE = [
+    ({"X": "X", "H1": "H1", "H2": "H1", "H1&H2": "H1"},
+     {("H1", "H1"): 1},
+     "face H2: exponents are positive on [] but the image face is cut by "
+     "['H1']"),
+    ({"X": "X", "H1": "H1", "H2": "X", "H1&H2": "H1"},
+     {("H1", "H1"): 1, ("H2", "H1"): 1},
+     "face H2: exponents are positive on ['H1'] but the image face is cut "
+     "by []")]
+
+
+class TestRejectedInput:
+    """atlas and verify validate their refinement, fiber validates its
+    b-maps, and a binomial_system document must be its own normal form."""
+
+    @pytest.mark.parametrize("command", ["atlas", "verify"])
+    def test_overlapping_refinement(self, tmp_path, capsys, command):
+        path = write(tmp_path, "overlap.json",
+                     ser.refinement_to_doc(overlapping_square_refinement()))
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: validation failed: images over H1&H2 are not a "
+            "refinement: common_face")
+
+    @pytest.mark.parametrize("command", ["atlas", "verify"])
+    def test_refinement_that_is_not_smooth(self, tmp_path, capsys, command):
+        m = ToricMonoid.make(2, la.identity(2), [(1, 0), (1, 2)])
+        r = identity_refinement(complex_from_monoid(m)[0])
+        path = write(tmp_path, "cone.json", ser.refinement_to_doc(r))
+        assert main([command, path]) == 1
+        assert capsys.readouterr().err == (
+            "error: validation failed: chart atlases need a smooth "
+            "refinement\n")
+
+    def test_manifold_is_validated(self, tmp_path, capsys, refinement_doc):
+        """The blow-down reads each hypersurface's ray off the face of the
+        same id, so a manifold whose hypersurfaces name no face fails."""
+        renamed = write(tmp_path, "renamed.json",
+                        ser.manifold_to_doc(renamed_square()))
+        f = write(tmp_path, "f.json",
+                  ser.bmap_to_doc(identity_bmap(corner_model(2))))
+        for argv in (["blowup", renamed, "--ordinary", "AB"],
+                     ["lift", f, "--manifold", renamed,
+                      "--refinement", refinement_doc]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "hypersurface H1 is not a face" in captured.err
+
+    @pytest.mark.parametrize("action", ["analyze", "check-smooth",
+                                        "resolve", "factor"])
+    @pytest.mark.parametrize("face_map, exponents, message",
+                             INVALID_TO_HALF_LINE,
+                             ids=["no-exponent", "exponent-off-the-face"])
+    def test_fiber_maps_are_validated(self, tmp_path, capsys, action,
+                                      face_map, exponents, message):
+        f = BMap(corner_model(2), corner_model(1), face_map, exponents)
+        g = identity_bmap(corner_model(2))
+        doc = {"kind": "factor_problem", "version": ser.VERSION,
+               "f1": ser.bmap_to_doc(f), "f2": ser.bmap_to_doc(f),
+               "g1": ser.bmap_to_doc(g), "g2": ser.bmap_to_doc(g)}
+        path = write(tmp_path, "bad.json", doc)
+        assert main(["fiber", action, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: validation failed: {message}\n"
+
+    @pytest.mark.parametrize("which", ["g1", "g2"])
+    def test_factor_maps_are_validated(self, tmp_path, capsys, which):
+        f = sum_bmap()
+        z = corner_model(1, prefix="G")
+        g = BMap(z, f.source, {"X": "X", "G1": "H1"}, {("G1", "H1"): 1})
+        bad = BMap(z, f.source, {"X": "X", "G1": "H1"}, {})
+        doc = {"kind": "factor_problem", "version": ser.VERSION,
+               "f1": ser.bmap_to_doc(f), "f2": ser.bmap_to_doc(f),
+               "g1": ser.bmap_to_doc(g), "g2": ser.bmap_to_doc(g),
+               which: ser.bmap_to_doc(bad)}
+        path = write(tmp_path, "bad.json", doc)
+        assert main(["fiber", "factor", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: validation failed: face G1: exponents are positive on "
+            "[] but the image face is cut by ['H1']\n")
+
+    @pytest.mark.parametrize("command", [["binomial", "faces"],
+                                         ["binomial", "resolve"],
+                                         ["validate"]])
+    @pytest.mark.parametrize("fields, code, message", [
+        pytest.param({"gammas": [[1, -1, 0]]}, 2, "malformed input: "
+                     "exponent vector [1, -1, 0] is not boundary_dim 2 long",
+                     id="long-gamma"),
+        pytest.param({"boundary_dim": -1}, 2, "malformed input: binomial "
+                     "system with a negative dimension or count",
+                     id="negative-dim"),
+        pytest.param({"smooth_count": -1}, 2, "malformed input: binomial "
+                     "system with a negative dimension or count",
+                     id="negative-count"),
+        pytest.param({"gammas": [[1, 1]]}, 1, "validation failed: exponent "
+                     "vector (1, 1) is single-signed; the zero set does not "
+                     "meet the corner of the local model",
+                     id="single-signed"),
+        pytest.param({"gammas": [[0, 0]]}, 1, "validation failed: 1 smooth "
+                     "equations but only 0 tangential directions",
+                     id="zero-gamma"),
+        pytest.param({"gammas": [[1, -1], [2, -2]]}, 1, "validation failed: "
+                     "1 smooth equations but only 0 tangential directions",
+                     id="dependent"),
+        pytest.param({"gammas": [[1, -1], [2, -2]], "tangential_dim": 1}, 2,
+                     "malformed input: binomial system is not in normal "
+                     "form, which has gammas [[1, -1]] and smooth_count 1",
+                     id="dependent-housed"),
+        pytest.param({"gammas": [[0, 0]], "tangential_dim": 1}, 2,
+                     "malformed input: binomial system is not in normal "
+                     "form, which has gammas [] and smooth_count 1",
+                     id="zero-gamma-housed"),
+        pytest.param({"gammas": []}, 2, "malformed input: empty system",
+                     id="empty")])
+    def test_binomial_system_must_be_its_normal_form(
+            self, tmp_path, capsys, command, fields, code, message):
+        doc = {"kind": "binomial_system", "version": ser.VERSION,
+               "boundary_dim": 2, "tangential_dim": 0,
+               "gammas": [[1, -1]], "smooth_count": 0}
+        path = write(tmp_path, "system.json", {**doc, **fields})
+        assert main([*command, path]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("system", [
+        {"boundary_dim": 2, "tangential_dim": 0, "gammas": [[2, -3]],
+         "smooth_count": 0},
+        {"boundary_dim": 2, "tangential_dim": 1, "gammas": [],
+         "smooth_count": 1},
+        INDEFINITE_RANK2])
+    def test_normal_forms_read_back(self, tmp_path, system):
+        doc = {"kind": "binomial_system", "version": ser.VERSION, **system}
+        path = write(tmp_path, "system.json", doc)
+        out = str(tmp_path / "nf.json")
+        assert main(["binomial", "normal-form", path, "--out", out]) == 0
+        assert read_json(out) == doc
+
+    def test_fiber_pair_systems_read_back(self, tmp_path):
+        """Every binomial system that fiber analyze writes is accepted."""
+        path = write(tmp_path, "addition.json",
+                     fiber_problem_doc(sum_bmap(), sum_bmap()))
+        out = str(tmp_path / "rep.json")
+        assert main(["fiber", "analyze", path, "--out", out]) == 0
+        systems = [q["system"] for q in read_json(out)["pairs"]
+                   if q["system"]]
+        assert systems
+        for system in systems:
+            assert ser.binomial_to_doc(ser.binomial_from_doc(system)) == \
+                system
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,

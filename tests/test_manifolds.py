@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup import exactla as la
-from blowup.complexes import identity_refinement, star_subdivide_complex
-from blowup.errors import (NotAComplex, NotAFace, NotCompatible,
-                           NotInSupport)
+from blowup.complexes import (assemble_from_local, identity_refinement,
+                              star_subdivide_complex)
+from blowup.errors import (InvariantViolated, NotAComplex, NotAFace,
+                           NotCompatible, NotInSupport)
 from blowup.manifolds import (BMap, CornerComplex, blowup_domain,
                               chart_lift, check_blowdown, corner_model,
                               factor_through_refinement,
                               generalized_blowup, identity_bmap,
                               is_compatible, iterated_blowup, lift_bmap,
                               lift_face, local_atlas, ordinary_blowup)
+from blowup.monoids import ToricMonoid
+from blowup.refinements import MonoidRefinement, intersect_members
 
 
 def check_basic_complex_iso(b) -> bool:
@@ -88,6 +91,68 @@ def random_iterated_blowups(rng, count):
         except NotAFace:
             continue
     return out
+
+
+def former_atlas(r):
+    """The former atlas construction, kept as an oracle: charts are
+    adjacent when their cones meet in an n - 1 dimensional cone, and the
+    separator is a cleared solution of the linear program: zero on the
+    shared rays, positive on the first chart's other ray and negative on
+    the second's."""
+    q = r.target
+    top = max(q.elements, key=lambda a: q.monoids[a].dim)
+    n = q.monoids[top].dim
+    members = {e: img for e, img in r.members_over(top).items()
+               if img.dim == n}
+    transitions = {}
+    separators = {}
+    for e1, e2 in itertools.permutations(sorted(members), 2):
+        m1, m2 = members[e1], members[e2]
+        common = intersect_members(m1, m2)
+        if common.dim != n - 1:
+            continue
+        transitions[(e1, e2)] = la.mat_mul(la.mat(m1.rays),
+                                           la.inverse_q(la.mat(m2.rays)))
+        shared = set(common.rays)
+        strict = [g for g in m1.rays if g not in shared]
+        strict += [tuple(-x for x in g) for g in m2.rays if g not in shared]
+        u = la.lp_feasible(n, strict=strict, zero=list(shared))
+        separators[(e1, e2)] = la.clear_denominators(u)
+    charts = {e: la.mat(m.rays) for e, m in members.items()}
+    return n, charts, transitions, separators
+
+
+def former_ray_bmap(total, morphism, target):
+    """The former blow-down readout, kept as an oracle: the exponents of
+    a hypersurface are the coordinates of the ray of its image monoid in
+    the target's axes."""
+    exps = {}
+    for w in total.hypersurfaces():
+        img = morphism.hom(w).image_monoid()
+        if img.dim:
+            (gen,) = img.rays
+            for h, k in zip(target.axes(morphism.node_map[w]), gen):
+                if k:
+                    exps[(w, h)] = k
+    return dict(morphism.node_map), exps
+
+
+def weighted_blowup(weights):
+    """The weighted blow-up of the corner of R^k_+, k = len(weights)."""
+    x = corner_model(len(weights))
+    return ordinary_blowup(x, max(x.faces, key=x.codim), weights)[0]
+
+
+def overlapping_square_refinement():
+    """The faces of cone((1, 0), (1, 1)) and of cone((1, 0), (0, 1))
+    glued over the corner of the square: the cones overlap, so this is
+    not a refinement."""
+    q = square().basic_complex()
+    cones = [ToricMonoid.from_generators(2, gens)
+             for gens in ([(1, 0), (1, 1)], [(1, 0), (0, 1)])]
+    members = [f for c in cones for f in c.faces()]
+    return assemble_from_local(
+        q, {"H1&H2": MonoidRefinement(q.monoids["H1&H2"], members)})
 
 
 class TestCornerComplex:
@@ -279,6 +344,46 @@ class TestAtlas:
         assert len(atlas.charts) >= 2
         for t in atlas.transitions.values():
             assert la.det(t) != 0
+
+    def test_overlapping_charts_have_no_separator(self):
+        """On the overlapping non-refinement the two charts share a ray
+        but lie on one side of it."""
+        with pytest.raises(InvariantViolated,
+                           match="have no separating functional"):
+            local_atlas(overlapping_square_refinement())
+
+
+def assert_matches_former(bl):
+    """The atlas and the blow-down of bl equal the former constructions,
+    key order included."""
+    atlas = local_atlas(bl.refinement)
+    n, charts, transitions, separators = former_atlas(bl.refinement)
+    assert atlas.n == n
+    assert {e: c.nu for e, c in atlas.charts.items()} == charts
+    assert list(atlas.transitions.items()) == list(transitions.items())
+    assert list(atlas.separators.items()) == list(separators.items())
+    f = bl.blowdown
+    assert (f.face_map, f.exponents) == former_ray_bmap(
+        bl.total, bl.refinement.morphism, f.target)
+
+
+class TestFormerConstructions:
+    """local_atlas reads adjacency and separators off the chart matrices
+    and their inverses, and the blow-down reads exponents in the free ray
+    basis; both agree with the general constructions they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_iterated_blowups(self, seed):
+        bl, = random_iterated_blowups(random.Random(seed), 1)
+        assert_matches_former(bl)
+
+    @pytest.mark.parametrize("weights",
+                             [(1, 2), (2, 3), (3, 5), (1, 2, 3)])
+    def test_weighted_blowups(self, weights):
+        bl = weighted_blowup(weights)
+        assert len(local_atlas(bl.refinement).separators) >= 2
+        assert_matches_former(bl)
 
 
 class TestLift:
