@@ -2,22 +2,26 @@
 
 Reads versioned JSON documents, dispatches to the library and writes a
 result document plus a short summary.  Exit codes: 0 success, 1 a
-validation failure in well-formed input, 2 malformed input.  Inputs that
-a command relies on are validated before it computes: the refinement of
-`atlas` and `verify` (which must also be smooth), the manifold of
-`blowup`, `lift` and `blowup-domain`, and the b-maps of `fiber`.
+validation failure in well-formed input, 2 malformed input.  The parser
+owns the command line: it declares each command with its handler, and
+the modes of `subdivide` and of `blowup` as required exclusive groups;
+`main` returns its exit status, 2 on a malformed command line.
+`serialization` decodes every input document, checking its kind and
+version.  Inputs that a command relies on are validated before it
+computes: the refinement of `atlas` and `verify` (which must also be
+smooth), the manifold of `blowup`, `lift` and `blowup-domain`, and the
+b-maps of `fiber`.
 """
 
 import argparse
 import functools
-import json
 import sys
 from typing import Any, Dict, List, Optional
 
 from . import exactla as la
 from . import serialization as ser
-from .binomial import (boundary_faces, normal_form, resolve,
-                       universal_resolution, variety_complex)
+from .binomial import (boundary_faces, resolve, universal_resolution,
+                       variety_complex)
 from .chartcheck import verify_lift, verify_transitions
 from .complexes import (ComplexRefinement, extend_refinement,
                         natural_smooth_refinement)
@@ -129,14 +133,12 @@ def cmd_faces(args) -> Dict[str, Any]:
 
 def cmd_subdivide(args) -> Dict[str, Any]:
     m = _load_monoid(args.input)
-    if args.star:
+    if args.star is not None:
         r = star_subdivide(m, _vector(args.star, m.ambient_dim))
-    elif args.planar:
+    elif args.planar is not None:
         r = planar_refine(m, _matrix(args.planar, m.ambient_dim))
-    elif args.smooth:
-        r = smoothing(m)
     else:
-        raise MalformedDocument("one of --star/--planar/--smooth required")
+        r = smoothing(m)
     failures = r.validate()
     if failures:
         raise BlowupError(f"subdivision invalid: {failures[0].detail}")
@@ -157,16 +159,8 @@ def cmd_ns(args) -> Dict[str, Any]:
 
 
 def cmd_extend(args) -> Dict[str, Any]:
-    raw = _read_doc(args.input)
-    if raw.get("kind") != "extension_problem":
-        raise MalformedDocument("expected an extension_problem document")
-    q = ser.complex_from_doc(raw["complex"])
-    local = {}
-    for entry in raw["given"]:
-        eid = entry["id"]
-        members = [ser.monoid_from_doc(d) for d in entry["members"]]
-        local[eid] = MonoidRefinement(q.monoids[eid], members)
-    r = extend_refinement(q, local)
+    r = extend_refinement(
+        *ser.extension_problem_from_doc(_read_doc(args.input)))
     r.validate()
     doc = ser.refinement_to_doc(r)
     doc["elements"] = len(r.source.elements)
@@ -194,20 +188,16 @@ def _valid_manifold(path: str) -> CornerComplex:
 
 def cmd_blowup(args) -> Dict[str, Any]:
     x = _valid_manifold(args.input)
-    if args.ordinary:
+    if args.ordinary is not None:
         weights = _vector(args.weights) if args.weights else None
         b, charts = ordinary_blowup(x, args.ordinary, weights)
         doc = _blowup_result(b)
         doc["charts"] = [ser._enc_mat(c) for c in charts]
         return doc
-    if args.iterated:
-        b = iterated_blowup(x, args.iterated.split(","))
-        return _blowup_result(b)
-    if args.refinement:
-        r = ser.refinement_from_doc(_read_doc(args.refinement))
-        return _blowup_result(generalized_blowup(x, r))
-    raise MalformedDocument(
-        "one of --ordinary/--iterated/--refinement required")
+    if args.iterated is not None:
+        return _blowup_result(iterated_blowup(x, args.iterated.split(",")))
+    r = ser.refinement_from_doc(_read_doc(args.refinement))
+    return _blowup_result(generalized_blowup(x, r))
 
 
 def _smooth_refinement(doc) -> ComplexRefinement:
@@ -263,21 +253,12 @@ def cmd_blowup_domain(args) -> Dict[str, Any]:
             "lift": ser.bmap_to_doc(lift.bmap)}
 
 
-def _load_system(doc) -> Any:
-    if doc.get("kind") == "binomial_system":
-        return ser.binomial_from_doc(doc)
-    if doc.get("kind") == "binomial_input":
-        pairs = [(tuple(ser._dec_int(x) for x in e["alpha"]),
-                  tuple(ser._dec_int(x) for x in e["beta"]))
-                 for e in doc["equations"]]
-        return normal_form(pairs,
-                           smooth_count=int(doc.get("smooth_count", 0)),
-                           tangential_dim=int(doc.get("tangential_dim", 0)))
-    raise MalformedDocument("expected a binomial system document")
-
-
 def cmd_binomial(args) -> Dict[str, Any]:
-    b = _load_system(_read_doc(args.input))
+    raw = _read_doc(args.input)
+    if raw.get("kind") == "binomial_input":
+        b = ser.binomial_input_from_doc(raw)
+    else:
+        b = ser.binomial_from_doc(raw)
     if args.action == "normal-form":
         return ser.binomial_to_doc(b)
     if args.action == "faces":
@@ -299,25 +280,23 @@ def cmd_binomial(args) -> Dict[str, Any]:
                 "smooth": pd.is_smooth(),
                 "complex": ser.complex_to_doc(pd),
                 "inclusion": ser.morphism_to_doc(inat)}
-    if args.action == "resolve":
-        try:
-            res = universal_resolution(b)
-        except NotSmooth:
-            res = resolve(b)
-        res.refinement.validate()
-        return {"kind": "binomial_resolution", "version": ser.VERSION,
-                "universal": res.universal,
-                "refinement": ser.refinement_to_doc(res.refinement),
-                "lifted": list(res.lifted),
-                "indefinite_charts": 0}
-    raise MalformedDocument(f"unknown binomial action {args.action!r}")
+    # resolve, the last of the parser's choices
+    try:
+        res = universal_resolution(b)
+    except NotSmooth:
+        res = resolve(b)
+    res.refinement.validate()
+    return {"kind": "binomial_resolution", "version": ser.VERSION,
+            "universal": res.universal,
+            "refinement": ser.refinement_to_doc(res.refinement),
+            "lifted": list(res.lifted),
+            "indefinite_charts": 0}
 
 
 def cmd_fiber(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
-    if raw.get("kind") == "factor_problem":
-        maps = f1, f2, g1, g2 = [ser.bmap_from_doc(raw[k])
-                                 for k in ("f1", "f2", "g1", "g2")]
+    if args.action == "factor" or raw.get("kind") == "factor_problem":
+        maps = f1, f2, g1, g2 = ser.factor_problem_from_doc(raw)
     else:
         maps = f1, f2 = ser.fiber_problem_from_doc(raw)
     for f in maps:
@@ -350,18 +329,12 @@ def cmd_fiber(args) -> Dict[str, Any]:
                 "h1": ser.bmap_to_doc(res.h1),
                 "h2": ser.bmap_to_doc(res.h2),
                 "refinement": ser.refinement_to_doc(res.refinement)}
-    if args.action == "factor":
-        if raw.get("kind") != "factor_problem":
-            raise MalformedDocument("factor requires a factor_problem "
-                                    "document with g1 and g2")
-        res = resolve_fiber_product(p)
-        dom, g = factor_through(p, g1, g2, res)
-        g.validate()
-        return {"kind": "fiber_factorization", "version": ser.VERSION,
-                "domain_blowup": None if dom is None
-                else _blowup_result(dom),
-                "g": ser.bmap_to_doc(g)}
-    raise MalformedDocument(f"unknown fiber action {args.action!r}")
+    # factor, the last of the parser's choices
+    dom, g = factor_through(p, g1, g2, resolve_fiber_product(p))
+    g.validate()
+    return {"kind": "fiber_factorization", "version": ser.VERSION,
+            "domain_blowup": None if dom is None else _blowup_result(dom),
+            "g": ser.bmap_to_doc(g)}
 
 
 def cmd_verify(args) -> Dict[str, Any]:
@@ -369,10 +342,7 @@ def cmd_verify(args) -> Dict[str, Any]:
     if raw.get("kind") == "refinement":
         rep = verify_transitions(local_atlas(_smooth_refinement(raw)))
     elif raw.get("kind") == "lift_check":
-        rep = verify_lift(ser._dec_int_mat(raw["delta"]),
-                          ser._dec_q_mat(raw["nu"]),
-                          ser._dec_int_mat(raw["mu"]),
-                          raw.get("coefficients"))
+        rep = verify_lift(*ser.lift_check_from_doc(raw))
     else:
         raise MalformedDocument(
             "verify expects a refinement or lift_check document")
@@ -400,69 +370,66 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact combinatorics of generalized boundary blow-up")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name):
+    def add(name, handler, actions=None):
         s = sub.add_parser(name, parents=[common])
+        if actions:
+            s.add_argument("action", choices=actions)
         s.add_argument("input")
+        s.set_defaults(handler=handler)
         return s
 
-    add("validate")
-    add("hilbert")
-    add("faces")
+    add("validate", cmd_validate)
+    add("hilbert", cmd_hilbert)
+    add("faces", cmd_faces)
 
-    s = add("subdivide")
-    s.add_argument("--star", help="center vector, comma separated")
-    s.add_argument("--planar", help="subspace rows, ';' separated")
-    s.add_argument("--smooth", action="store_true")
+    mode = add("subdivide", cmd_subdivide).add_mutually_exclusive_group(
+        required=True)
+    mode.add_argument("--star", help="center vector, comma separated")
+    mode.add_argument("--planar", help="subspace rows, ';' separated")
+    mode.add_argument("--smooth", action="store_true")
 
-    add("ns")
-    add("extend")
+    add("ns", cmd_ns)
+    add("extend", cmd_extend)
 
-    s = add("blowup")
-    s.add_argument("--ordinary", help="face id to blow up")
+    s = add("blowup", cmd_blowup)
+    mode = s.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--ordinary", help="face id to blow up")
+    mode.add_argument("--iterated", help="comma separated face ids")
+    mode.add_argument("--refinement", help="refinement document")
     s.add_argument("--weights", help="weight vector for --ordinary")
-    s.add_argument("--iterated", help="comma separated face ids")
-    s.add_argument("--refinement", help="refinement document")
 
-    add("atlas")
+    add("atlas", cmd_atlas)
 
-    for name in ("lift", "blowup-domain"):
-        s = add(name)
+    for name, handler in (("lift", cmd_lift),
+                          ("blowup-domain", cmd_blowup_domain)):
+        s = add(name, handler)
         s.add_argument("--manifold", required=True)
         s.add_argument("--refinement", required=True)
 
-    for name, actions in (
-            ("binomial", ["normal-form", "faces", "complex", "resolve"]),
-            ("fiber", ["analyze", "check-smooth", "resolve", "factor"])):
-        s = sub.add_parser(name, parents=[common])
-        s.add_argument("action", choices=actions)
-        s.add_argument("input")
-
-    add("verify")
+    add("binomial", cmd_binomial,
+        ["normal-form", "faces", "complex", "resolve"])
+    add("fiber", cmd_fiber, ["analyze", "check-smooth", "resolve", "factor"])
+    add("verify", cmd_verify)
     return p
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "hilbert": cmd_hilbert,
-    "faces": cmd_faces,
-    "subdivide": cmd_subdivide,
-    "ns": cmd_ns,
-    "extend": cmd_extend,
-    "blowup": cmd_blowup,
-    "atlas": cmd_atlas,
-    "lift": cmd_lift,
-    "blowup-domain": cmd_blowup_domain,
-    "binomial": cmd_binomial,
-    "fiber": cmd_fiber,
-    "verify": cmd_verify,
-}
+def _parse(argv: Optional[List[str]]) -> argparse.Namespace:
+    """The parsed command line; argparse exits 2 with a message if it is
+    malformed."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "weights", None) is not None and args.ordinary is None:
+        parser.error("--weights requires --ordinary")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        doc = _HANDLERS[args.command](args)
+        args = _parse(argv)
+    except SystemExit as e:
+        return e.code
+    try:
+        doc = args.handler(args)
     except (MalformedDocument, KeyError, ValueError, TypeError) as e:
         print(f"error: malformed input: {e}", file=sys.stderr)
         return 2

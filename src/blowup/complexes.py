@@ -471,13 +471,6 @@ def assemble_from_local(q: MonoidalComplex,
     return ComplexRefinement(ComplexMorphism(source, q, node, homs))
 
 
-def reassemble(r: ComplexRefinement) -> ComplexRefinement:
-    """Renormalize a refinement so every source monoid lives in the
-    ambient space of its target element with an identity hom."""
-    local = {a: r.localize(a) for a in r.target.elements}
-    return assemble_from_local(r.target, local)
-
-
 # ---------------------------------------------------------------------------
 # Subdivisions of complexes.
 # ---------------------------------------------------------------------------
@@ -549,6 +542,11 @@ def smooth_complex(q: MonoidalComplex) -> ComplexRefinement:
 # ---------------------------------------------------------------------------
 
 
+def fiber_pair_id(a: str, b: str) -> str:
+    """The id of the fiber product element over the pair (a, b)."""
+    return f"{a}*{b}"
+
+
 def fiber_product_complex(phi1: ComplexMorphism, phi2: ComplexMorphism
                           ) -> Tuple[MonoidalComplex, ComplexMorphism,
                                      ComplexMorphism]:
@@ -570,24 +568,18 @@ def fiber_product_complex(phi1: ComplexMorphism, phi2: ComplexMorphism
             p = m.interior_point()
             if q1.monoids[a].in_relative_interior(p[:d1]) and \
                     q2.monoids[b].in_relative_interior(p[d1:]):
-                pairs.append((a, b, m))
-    monoids = {}
-    for a, b, m in pairs:
-        monoids[f"{a}*{b}"] = m
+                pairs.append((fiber_pair_id(a, b), a, b, m))
+    monoids = {eid: m for eid, _, _, m in pairs}
     order = []
     maps = {}
-    for (a, b, m), (c, d, n) in itertools.product(pairs, repeat=2):
-        if (a, b) == (c, d):
-            continue
-        if q1.leq(a, c) and q2.leq(b, d):
-            e1, e2 = f"{a}*{b}", f"{c}*{d}"
+    for (e1, a, b, _), (e2, c, d, _) in itertools.product(pairs, repeat=2):
+        if (a, b) != (c, d) and q1.leq(a, c) and q2.leq(b, d):
             order.append((e1, e2))
             maps[(e1, e2)] = la.block_diag(q1.face_maps[(a, c)],
                                            q2.face_maps[(b, d)])
     f = MonoidalComplex(monoids, order, maps)
     node1, homs1, node2, homs2 = {}, {}, {}, {}
-    for a, b, m in pairs:
-        eid = f"{a}*{b}"
+    for eid, a, b, _ in pairs:
         d1 = q1.monoids[a].ambient_dim
         d2 = q2.monoids[b].ambient_dim
         node1[eid] = a
@@ -622,8 +614,12 @@ def pullback_refinement(r: ComplexRefinement, psi: ComplexMorphism
                         ) -> ComplexRefinement:
     """Pull a refinement of Q back along psi: Q1 -> Q to a refinement of
     Q1 (the fiber product Q1 x_Q R with its first projection)."""
-    f, p1, _ = fiber_product_complex(psi, r.morphism)
-    return reassemble(ComplexRefinement(p1))
+    _, p1, _ = fiber_product_complex(psi, r.morphism)
+    pulled = ComplexRefinement(p1)
+    # Regluing puts every source monoid in the ambient space of its target
+    # element, with an identity hom.
+    return assemble_from_local(
+        psi.source, {a: pulled.localize(a) for a in psi.source.elements})
 
 
 # ---------------------------------------------------------------------------

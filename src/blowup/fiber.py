@@ -10,12 +10,13 @@ binomial-system model of the local fiber product.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import exactla as la
 from .binomial import BinomialSystem, normal_form
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
-                        fiber_product_complex, natural_smooth_refinement)
+                        fiber_pair_id, fiber_product_complex,
+                        natural_smooth_refinement)
 from .errors import NotCompatible, NotTransverse
 from .manifolds import (BMap, CornerComplex, _pulled_back_blowup,
                         _ray_exponents, _smooth_corner,
@@ -66,43 +67,32 @@ class FiberReport:
                  "tangential directions are outside this model")
 
 
-def _pair_data(p: FiberProblem, a: str, b: str):
-    n1 = p.f1.exponent_matrix(a)
-    n2 = p.f2.exponent_matrix(b)
-    d1, d2 = len(n1), len(n2)
-    g = p.f1.face_map[a]
-    dg = p.f1.target.codim(g)
-    h1 = MonoidHom(ToricMonoid.free(d1), ToricMonoid.free(dg), n1)
-    h2 = MonoidHom(ToricMonoid.free(d2), ToricMonoid.free(dg), n2)
-    return n1, n2, d1, d2, dg, h1, h2
-
-
-def _pair_system(n1, n2, d1, d2, dg) -> Optional[BinomialSystem]:
-    """The binomial model of the local fiber product: one equation per
-    target coordinate, comparing the two pulled back defining functions."""
-    if dg == 0:
-        return None
-    pairs = []
-    for i in range(dg):
-        alpha = tuple(n1[r][i] for r in range(d1)) + la.zeros(d2)
-        beta = la.zeros(d1) + tuple(n2[r][i] for r in range(d2))
-        pairs.append((alpha, beta))
-    gs = [tuple(x - y for x, y in zip(al, be)) for al, be in pairs]
-    dependent = dg - la.rank(la.mat(gs))
-    return normal_form(pairs, tangential_dim=dependent)
-
-
 def b_normal_transversality(p: FiberProblem) -> FiberReport:
     """Rank test per relevant face pair: the combined exponent matrices
-    must surject onto the normal directions of the common image face."""
+    must surject onto the normal directions of the common image face.
+    Each pair also gets its fiber monoid and, unless the image face is the
+    interior, a binomial model of the local fiber product: one equation
+    per target coordinate, comparing the two pulled back defining
+    functions."""
     reports = []
     for a, b, g in p.relevant_pairs():
-        n1, n2, d1, d2, dg, h1, h2 = _pair_data(p, a, b)
-        stacked = la.mat(list(n1) + list(n2))
-        tv = dg == 0 or la.rank(stacked) == dg
+        n1 = p.f1.exponent_matrix(a)
+        n2 = p.f2.exponent_matrix(b)
+        d1, d2 = len(n1), len(n2)
+        dg = p.f1.target.codim(g)
+        h1 = MonoidHom(ToricMonoid.free(d1), ToricMonoid.free(dg), n1)
+        h2 = MonoidHom(ToricMonoid.free(d2), ToricMonoid.free(dg), n2)
+        tv = dg == 0 or la.rank(la.mat(list(n1) + list(n2))) == dg
         m = monoid_fiber_product(h1, h2)
-        reports.append(PairReport(a, b, g, m, m.is_smooth(), tv,
-                                  _pair_system(n1, n2, d1, d2, dg)))
+        system = None
+        if dg:
+            eqs = [(tuple(row[i] for row in n1) + la.zeros(d2),
+                    la.zeros(d1) + tuple(row[i] for row in n2))
+                   for i in range(dg)]
+            gs = [tuple(x - y for x, y in zip(al, be)) for al, be in eqs]
+            system = normal_form(eqs,
+                                 tangential_dim=dg - la.rank(la.mat(gs)))
+        reports.append(PairReport(a, b, g, m, m.is_smooth(), tv, system))
     return FiberReport(reports,
                        transversal=all(r.transversal for r in reports),
                        smooth=all(r.smooth for r in reports))
@@ -196,7 +186,7 @@ def factor_through(p: FiberProblem, g1: BMap, g2: BMap,
     for face in pz.elements:
         a = g1.face_map[face]
         b = g2.face_map[face]
-        eid = f"{a}*{b}"
+        eid = fiber_pair_id(a, b)
         if eid not in fc.elements:
             raise NotCompatible(
                 f"image pair {eid} is missing from the fiber complex")

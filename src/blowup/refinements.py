@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exactla as la
-from .errors import (InvariantViolated, NotAFace, NotARefinement,
-                     NotInSupport, NotSimplicial)
+from .errors import InvariantViolated, NotAFace, NotInSupport, NotSimplicial
 from .monoids import ToricMonoid, fiber_section
 
 
@@ -176,21 +175,6 @@ class MonoidRefinement:
         members = [m for m in self.members
                    if all(tau.in_support(g) for g in m.rays)]
         return MonoidRefinement(tau, members)
-
-    def member_containing(self, v) -> ToricMonoid:
-        """The smallest member whose support contains v.
-
-        Raises:
-            NotInSupport: if no member support contains v.
-        """
-        best = None
-        for m in self.members:
-            if m.in_support(v):
-                if best is None or m.dim < best.dim:
-                    best = m
-        if best is None:
-            raise NotInSupport(f"{tuple(v)} is not covered by any member")
-        return best
 
 
 def intersect_members(m1: ToricMonoid, m2: ToricMonoid) -> ToricMonoid:

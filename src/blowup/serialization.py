@@ -3,21 +3,23 @@
 Integers that do not fit a double are written as decimal strings so
 arbitrary precision survives transport; rationals are written "p/q".
 Serialization is canonical: keys sorted, element ids sorted, matrices
-written row by row.  A binomial system document is read back only if it
-is its own normal form.
+written row by row.  Every document kind the library or the command line
+reads is decoded here, and each decoder checks the kind and the version
+and decodes its integers and matrices strictly.  A binomial system
+document is read back only if it is its own normal form.
 """
 
 import json
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from . import exactla as la
 from .complexes import ComplexMorphism, ComplexRefinement, MonoidalComplex
 from .binomial import BinomialSystem, normal_form
-from .errors import BlowupError
 from .manifolds import BMap, CornerComplex
 from .monoids import ToricMonoid
+from .refinements import MonoidRefinement
 
 VERSION = 1
 _SAFE = 2 ** 53
@@ -165,6 +167,19 @@ def refinement_from_doc(doc) -> ComplexRefinement:
     return ComplexRefinement(morphism_from_doc(d))
 
 
+def extension_problem_from_doc(doc) -> Tuple[MonoidalComplex,
+                                             Dict[str, MonoidRefinement]]:
+    """A complex and the given refinements of some of its elements, each
+    by its members, for extend_refinement."""
+    _expect(doc, "extension_problem")
+    q = complex_from_doc(doc["complex"])
+    local = {}
+    for e in doc["given"]:
+        members = [monoid_from_doc(d) for d in e["members"]]
+        local[e["id"]] = MonoidRefinement(q.monoids[e["id"]], members)
+    return q, local
+
+
 # ---------------------------------------------------------------------------
 # Corner complexes and b-maps.
 # ---------------------------------------------------------------------------
@@ -215,6 +230,15 @@ def bmap_from_doc(doc) -> BMap:
     return BMap(src, tgt, dict(doc["face_map"]), exps)
 
 
+def lift_check_from_doc(doc) -> Tuple[la.Mat, Tuple, la.Mat, Any]:
+    """The exponent matrices delta, nu and mu of a lift check and its
+    coefficients (None if absent), in verify_lift's argument order;
+    verify_lift checks their shapes and the coefficients."""
+    _expect(doc, "lift_check")
+    return (_dec_int_mat(doc["delta"]), _dec_q_mat(doc["nu"]),
+            _dec_int_mat(doc["mu"]), doc.get("coefficients"))
+
+
 # ---------------------------------------------------------------------------
 # Binomial systems and fiber problems.
 # ---------------------------------------------------------------------------
@@ -262,9 +286,31 @@ def binomial_from_doc(doc) -> BinomialSystem:
     return b
 
 
+def binomial_input_from_doc(doc) -> BinomialSystem:
+    """The normal form of raw equations x^alpha = x^beta, with the
+    document's smooth_count and tangential_dim (non-negative integers, 0
+    when absent).  The errors of normal_form propagate."""
+    _expect(doc, "binomial_input")
+    pairs = [(tuple(_dec_int(x) for x in e["alpha"]),
+              tuple(_dec_int(x) for x in e["beta"]))
+             for e in doc["equations"]]
+    smooth_count = _dec_int(doc.get("smooth_count", 0))
+    tangential_dim = _dec_int(doc.get("tangential_dim", 0))
+    if min(smooth_count, tangential_dim) < 0:
+        raise MalformedDocument("binomial input with a negative count or "
+                                "dimension")
+    return normal_form(pairs, smooth_count, tangential_dim)
+
+
 def fiber_problem_from_doc(doc) -> Tuple[BMap, BMap]:
     _expect(doc, "fiber_problem")
     return bmap_from_doc(doc["f1"]), bmap_from_doc(doc["f2"])
+
+
+def factor_problem_from_doc(doc) -> Tuple[BMap, BMap, BMap, BMap]:
+    """f1, f2 of a fiber problem and g1, g2 to factor through it."""
+    _expect(doc, "factor_problem")
+    return tuple(bmap_from_doc(doc[k]) for k in ("f1", "f2", "g1", "g2"))
 
 
 # ---------------------------------------------------------------------------

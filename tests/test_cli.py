@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from blowup.complexes import (complex_from_monoid, identity_refinement,
 from blowup.manifolds import BMap, corner_model, identity_bmap, \
     local_atlas, ordinary_blowup
 from blowup.monoids import ToricMonoid
+from blowup.refinements import star_subdivide, trivial_refinement
 
 from test_binomial import ten_variable_pairs
 from test_fuzz import BAD_SHAPE_TEXT
@@ -65,6 +67,93 @@ def sum_bmap():
 def fiber_problem_doc(f1, f2):
     return {"kind": "fiber_problem", "version": ser.VERSION,
             "f1": ser.bmap_to_doc(f1), "f2": ser.bmap_to_doc(f2)}
+
+
+def cusp_input_doc(**counts):
+    """x1^2 = x2^3, with the optional smooth_count and tangential_dim."""
+    return {"kind": "binomial_input", "version": ser.VERSION,
+            "equations": [{"alpha": [2, 0], "beta": [0, 3]}], **counts}
+
+
+def extension_problem_doc():
+    """The octant's complex with the star subdivision of one facet at its
+    diagonal, and the facet's faces refined trivially."""
+    q, _ = complex_from_monoid(ToricMonoid.free(3))
+    facet = next(a for a in q.elements
+                 if q.monoids[a].rays == ((0, 1, 0), (1, 0, 0)))
+    given = []
+    for a in q.below(facet):
+        r = (star_subdivide(q.monoids[a], (1, 1, 0)) if a == facet
+             else trivial_refinement(q.monoids[a]))
+        given.append({"id": a,
+                      "members": [ser.monoid_to_doc(m) for m in r.members]})
+    return {"kind": "extension_problem", "version": ser.VERSION,
+            "complex": ser.complex_to_doc(q), "given": given}
+
+
+def factor_problem_doc():
+    """The sum map twice, and the half line's inclusion as g1 and g2."""
+    f = sum_bmap()
+    g = BMap(corner_model(1, prefix="G"), f.source,
+             {"X": "X", "G1": "H1"}, {("G1", "H1"): 1})
+    return {"kind": "factor_problem", "version": ser.VERSION,
+            "f1": ser.bmap_to_doc(f), "f2": ser.bmap_to_doc(f),
+            "g1": ser.bmap_to_doc(g), "g2": ser.bmap_to_doc(g)}
+
+
+LIFT_CHECK = {"kind": "lift_check", "version": ser.VERSION,
+              "delta": [[1, 1], [3, 2]], "nu": [[1, 0], [1, 1]],
+              "mu": [[0, 1], [1, 2]]}
+
+
+@pytest.fixture
+def well_formed_runs(monoid_doc, square_doc, refinement_doc, tmp_path):
+    """One command line per command, action and mode, each on well-formed
+    documents, labelled by the command with its files' names."""
+    f = sum_bmap()
+    cusp = write(tmp_path, "cusp.json", cusp_input_doc())
+    housed = write(tmp_path, "housed.json",
+                   cusp_input_doc(smooth_count=1, tangential_dim=1))
+    addition = write(tmp_path, "addition.json", fiber_problem_doc(f, f))
+    cube = write(tmp_path, "cube.json", ser.manifold_to_doc(corner_model(3)))
+    lift = write(tmp_path, "f.json", ser.bmap_to_doc(BMap(
+        corner_model(1), corner_model(2), {"X": "X", "H1": "H1&H2"},
+        {("H1", "H1"): 1, ("H1", "H2"): 2})))
+    identity = write(tmp_path, "id.json",
+                     ser.bmap_to_doc(identity_bmap(corner_model(2))))
+    q, _ = complex_from_monoid(ToricMonoid.make(
+        3, la.identity(3), [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]))
+    square_cone = write(tmp_path, "q.json", ser.complex_to_doc(q))
+    extension = write(tmp_path, "ext.json", extension_problem_doc())
+    factor = write(tmp_path, "factor.json", factor_problem_doc())
+    lift_check = write(tmp_path, "lc.json", LIFT_CHECK)
+    runs = [["validate", monoid_doc], ["hilbert", monoid_doc],
+            ["hilbert", monoid_doc, "--format", "text"],
+            ["faces", monoid_doc],
+            ["subdivide", monoid_doc, "--star", "1,1"],
+            ["subdivide", monoid_doc, "--planar", "1,1"],
+            ["subdivide", monoid_doc, "--smooth"],
+            ["ns", square_cone], ["extend", extension],
+            ["blowup", square_doc, "--ordinary", "H1&H2"],
+            ["blowup", square_doc, "--ordinary", "H1&H2",
+             "--weights", "1,2"],
+            ["blowup", cube, "--iterated", "H1&H2&H3,H1&H2"],
+            ["blowup", square_doc, "--refinement", refinement_doc],
+            ["atlas", refinement_doc],
+            ["lift", lift, "--manifold", square_doc,
+             "--refinement", refinement_doc],
+            ["blowup-domain", identity, "--manifold", square_doc,
+             "--refinement", refinement_doc],
+            ["binomial", "normal-form", cusp],
+            ["binomial", "normal-form", housed],
+            ["binomial", "faces", cusp], ["binomial", "complex", cusp],
+            ["binomial", "resolve", cusp],
+            ["fiber", "analyze", addition],
+            ["fiber", "check-smooth", addition],
+            ["fiber", "resolve", addition], ["fiber", "factor", factor],
+            ["verify", refinement_doc], ["verify", lift_check]]
+    return {" ".join(os.path.basename(w) for w in argv): argv
+            for argv in runs}
 
 
 class TestBasicCommands:
@@ -135,21 +224,7 @@ class TestComplexCommands:
              if k not in ("smooth", "elements")}).validate()
 
     def test_extend(self, tmp_path):
-        q, _ = complex_from_monoid(ToricMonoid.free(3))
-        facet = next(a for a in q.elements
-                     if q.monoids[a].rays == ((0, 1, 0), (1, 0, 0)))
-        from blowup.refinements import star_subdivide, trivial_refinement
-        closed = list(q.below(facet))
-        given = []
-        for a in closed:
-            r = (star_subdivide(q.monoids[a], (1, 1, 0)) if a == facet
-                 else trivial_refinement(q.monoids[a]))
-            given.append({"id": a,
-                          "members": [ser.monoid_to_doc(m)
-                                      for m in r.members]})
-        doc = {"kind": "extension_problem", "version": ser.VERSION,
-               "complex": ser.complex_to_doc(q), "given": given}
-        path = write(tmp_path, "ext.json", doc)
+        path = write(tmp_path, "ext.json", extension_problem_doc())
         out = str(tmp_path / "extended.json")
         assert main(["extend", path, "--out", out]) == 0
         back = read_json(out)
@@ -241,9 +316,7 @@ class TestBlowupCommands:
 class TestBinomialCommands:
     @pytest.fixture
     def cusp_doc(self, tmp_path):
-        doc = {"kind": "binomial_input", "version": ser.VERSION,
-               "equations": [{"alpha": [2, 0], "beta": [0, 3]}]}
-        return write(tmp_path, "cusp.json", doc)
+        return write(tmp_path, "cusp.json", cusp_input_doc())
 
     def test_normal_form(self, cusp_doc, tmp_path):
         out = str(tmp_path / "nf.json")
@@ -339,13 +412,7 @@ class TestFiberCommands:
         assert len(doc["manifold"]["hypersurfaces"]) == 5
 
     def test_factor(self, tmp_path):
-        f = sum_bmap()
-        z = corner_model(1, prefix="G")
-        g = BMap(z, f.source, {"X": "X", "G1": "H1"}, {("G1", "H1"): 1})
-        doc = {"kind": "factor_problem", "version": ser.VERSION,
-               "f1": ser.bmap_to_doc(f), "f2": ser.bmap_to_doc(f),
-               "g1": ser.bmap_to_doc(g), "g2": ser.bmap_to_doc(g)}
-        path = write(tmp_path, "factor.json", doc)
+        path = write(tmp_path, "factor.json", factor_problem_doc())
         out = str(tmp_path / "fact.json")
         assert main(["fiber", "factor", path, "--out", out]) == 0
         back = read_json(out)
@@ -780,10 +847,7 @@ class TestRepeatedCalls:
         cli._build_parser.cache_clear()
         in_process = []
         for argv in runs:
-            try:
-                code = main(argv)
-            except SystemExit as e:
-                code = e.code
+            code = main(argv)
             out = capsysbinary.readouterr()
             in_process.append((code, out.out, out.err))
         assert [r[0] for r in in_process] == [0, 0, 2, 0]
@@ -798,50 +862,11 @@ class TestRepeatedCalls:
             assert (alone.returncode, alone.stdout, alone.stderr) == got
 
     def test_documents_do_not_depend_on_the_recent_ring(
-            self, monoid_doc, square_doc, refinement_doc, tmp_path,
-            capsysbinary):
+            self, well_formed_runs, capsysbinary):
         """The documents of this file's commands are byte-identical when
         each command starts from an empty recent ring (cold) and when it
         runs after all of them (warm)."""
-        cusp = write(tmp_path, "cusp.json", {
-            "kind": "binomial_input", "version": ser.VERSION,
-            "equations": [{"alpha": [2, 0], "beta": [0, 3]}]})
-        f = sum_bmap()
-        addition = write(tmp_path, "addition.json",
-                         fiber_problem_doc(f, f))
-        cube = write(tmp_path, "cube.json",
-                     ser.manifold_to_doc(corner_model(3)))
-        lift = write(tmp_path, "f.json", ser.bmap_to_doc(BMap(
-            corner_model(1), corner_model(2), {"X": "X", "H1": "H1&H2"},
-            {("H1", "H1"): 1, ("H1", "H2"): 2})))
-        identity = write(tmp_path, "id.json",
-                         ser.bmap_to_doc(identity_bmap(corner_model(2))))
-        q, _ = complex_from_monoid(ToricMonoid.make(
-            3, la.identity(3), [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]))
-        square_cone = write(tmp_path, "q.json", ser.complex_to_doc(q))
-        g = BMap(corner_model(1, prefix="G"), f.source,
-                 {"X": "X", "G1": "H1"}, {("G1", "H1"): 1})
-        factor = write(tmp_path, "factor.json", {
-            "kind": "factor_problem", "version": ser.VERSION,
-            "f1": ser.bmap_to_doc(f), "f2": ser.bmap_to_doc(f),
-            "g1": ser.bmap_to_doc(g), "g2": ser.bmap_to_doc(g)})
-        runs = [["validate", monoid_doc], ["hilbert", monoid_doc],
-                ["faces", monoid_doc],
-                ["subdivide", monoid_doc, "--star", "1,1"],
-                ["blowup", square_doc, "--ordinary", "H1&H2"],
-                ["blowup", cube, "--iterated", "H1&H2&H3,H1&H2"],
-                ["blowup", square_doc, "--refinement", refinement_doc],
-                ["atlas", refinement_doc], ["ns", square_cone],
-                ["lift", lift, "--manifold", square_doc,
-                 "--refinement", refinement_doc],
-                ["blowup-domain", identity, "--manifold", square_doc,
-                 "--refinement", refinement_doc],
-                ["binomial", "normal-form", cusp],
-                ["binomial", "faces", cusp], ["binomial", "complex", cusp],
-                ["binomial", "resolve", cusp],
-                ["fiber", "analyze", addition],
-                ["fiber", "check-smooth", addition],
-                ["fiber", "resolve", addition], ["fiber", "factor", factor]]
+        runs = list(well_formed_runs.values())
 
         def outputs(cold):
             out = []
@@ -854,3 +879,128 @@ class TestRepeatedCalls:
             return out
 
         assert outputs(cold=True) == outputs(cold=False)
+
+
+class TestInputGrammar:
+    """The parser rejects conflicting modes and a --weights without
+    --ordinary, and every input document is checked for its kind, its
+    version and the type of each count: each exits 2 with a message and
+    writes nothing."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("subdivide", ["--star", "1,1", "--smooth"],
+         "argument --smooth: not allowed with argument --star"),
+        ("subdivide", ["--star", "1,1", "--planar", "1,1"],
+         "argument --planar: not allowed with argument --star"),
+        ("subdivide", ["--planar", "1,1", "--smooth"],
+         "argument --smooth: not allowed with argument --planar"),
+        ("blowup", ["--ordinary", "H1&H2", "--iterated", "H1&H2,H1"],
+         "argument --iterated: not allowed with argument --ordinary"),
+        ("blowup", ["--ordinary", "H1&H2", "--refinement", "REF"],
+         "argument --refinement: not allowed with argument --ordinary"),
+        ("blowup", ["--iterated", "H1&H2", "--refinement", "REF"],
+         "argument --refinement: not allowed with argument --iterated"),
+        ("blowup", ["--iterated", "H1&H2", "--weights", "1,2"],
+         "--weights requires --ordinary"),
+        ("blowup", ["--refinement", "REF", "--weights", "1,2"],
+         "--weights requires --ordinary"),
+        ("blowup", ["--weights", "1,2"], "one of the arguments --ordinary "
+         "--iterated --refinement is required")])
+    def test_modes_are_exclusive(self, monoid_doc, square_doc,
+                                 refinement_doc, tmp_path, capsys, command,
+                                 flags, message):
+        doc = monoid_doc if command == "subdivide" else square_doc
+        flags = [refinement_doc if w == "REF" else w for w in flags]
+        out = tmp_path / "out.json"
+        assert main([command, doc, *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["smooth_count", "tangential_dim"])
+    @pytest.mark.parametrize("value, message", [
+        (True, "not a number: True"), (2.9, "not a number: 2.9"),
+        ("two", "bad number 'two'"),
+        (-1, "binomial input with a negative count or dimension")])
+    def test_binomial_input_counts(self, tmp_path, capsys, field, value,
+                                   message):
+        path = write(tmp_path, "counts.json",
+                     cusp_input_doc(**{field: value}))
+        out = tmp_path / "nf.json"
+        assert main(["binomial", "normal-form", path, "--out", str(out)]) \
+            == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed input: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make, command", [
+        (cusp_input_doc, ["binomial", "normal-form"]),
+        (extension_problem_doc, ["extend"]),
+        (factor_problem_doc, ["fiber", "factor"]),
+        (lambda: dict(LIFT_CHECK), ["verify"])],
+        ids=["binomial_input", "extension_problem", "factor_problem",
+             "lift_check"])
+    @pytest.mark.parametrize("version, message", [
+        (99, "unsupported version 99"), ("x", "bad number 'x'"),
+        (None, "unsupported version None")],
+        ids=["99", "x", "missing"])
+    def test_document_versions(self, tmp_path, capsys, make, command,
+                               version, message):
+        doc = make()
+        del doc["version"]
+        if version is not None:
+            doc["version"] = version
+        path = write(tmp_path, "doc.json", doc)
+        assert main([*command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed input: {message}\n"
+
+
+# The first 16 hex digits of the SHA-256 of what each of well_formed_runs
+# prints, recorded when the CLI still parsed these four document kinds
+# itself and checked its modes by hand.
+RECORDED_OUTPUTS = {
+    "validate monoid.json": "d464ee6cbd76c342",
+    "hilbert monoid.json": "9229e9f12d6eeff2",
+    "hilbert monoid.json --format text": "28526311274ee5c1",
+    "faces monoid.json": "56128004ff6dc54c",
+    "subdivide monoid.json --star 1,1": "974bfd2701cd3c16",
+    "subdivide monoid.json --planar 1,1": "974bfd2701cd3c16",
+    "subdivide monoid.json --smooth": "ec3266c36ca25049",
+    "ns q.json": "b40f90b86b317260",
+    "extend ext.json": "0e8c3c8e0ffa4bbc",
+    "blowup square.json --ordinary H1&H2": "c39c2f5f0f3b5831",
+    "blowup square.json --ordinary H1&H2 --weights 1,2": "e27ba1aa39f3af6f",
+    "blowup cube.json --iterated H1&H2&H3,H1&H2": "df5bf4b1d832571a",
+    "blowup square.json --refinement ref.json": "614b9ba98545b842",
+    "atlas ref.json": "2eb068e4d9d95279",
+    "lift f.json --manifold square.json --refinement ref.json":
+        "1e9cc43a247af71c",
+    "blowup-domain id.json --manifold square.json --refinement ref.json":
+        "261eac26698b3ac6",
+    "binomial normal-form cusp.json": "85e2d479b00a1a48",
+    "binomial normal-form housed.json": "acf279709f2ad152",
+    "binomial faces cusp.json": "eea04e8ea9bea315",
+    "binomial complex cusp.json": "07aa30ece6004f3d",
+    "binomial resolve cusp.json": "b3702cc2274f7011",
+    "fiber analyze addition.json": "a63d377a649aa4c0",
+    "fiber check-smooth addition.json": "23f6fcae658953c2",
+    "fiber resolve addition.json": "3fc90d6f05085ef2",
+    "fiber factor factor.json": "578b36c0be92c3f1",
+    "verify ref.json": "d32c928f8947b174",
+    "verify lc.json": "d32c928f8947b174",
+}
+
+
+class TestRecordedOutputs:
+    def test_well_formed_runs_print_the_recorded_bytes(
+            self, well_formed_runs, capsysbinary):
+        got = {}
+        for label, argv in well_formed_runs.items():
+            assert main(argv) == 0, label
+            got[label] = hashlib.sha256(
+                capsysbinary.readouterr().out).hexdigest()[:16]
+        assert got == RECORDED_OUTPUTS

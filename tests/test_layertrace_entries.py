@@ -1,7 +1,8 @@
 """The benchmark's per-layer tracer wraps library functions by name, so a
 renamed or deleted entry point breaks every traced benchmark run.  The
-tracer's own tests live under perfbench/tests, outside this suite; this
-one checks that every name it wraps still exists."""
+tracer's own tests under perfbench/tests run in this suite too (they are
+among the pytest testpaths); this one checks that every name it wraps
+still exists, and names the missing ones."""
 
 import importlib
 import importlib.util

@@ -402,9 +402,3 @@ class TestLocalize:
         lr = r.localize(f)
         assert lr.base == f
         assert len(lr.maximal_members()) == 1
-
-    def test_member_containing(self):
-        m = ToricMonoid.free(2)
-        r = star_subdivide(m, (1, 1))
-        mm = r.member_containing((3, 1))
-        assert mm.in_support((3, 1))
