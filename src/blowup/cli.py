@@ -186,16 +186,28 @@ def _valid_manifold(path: str) -> CornerComplex:
     return x
 
 
+def _check_face_ids(x: CornerComplex, flag: str, ids: List[str]) -> None:
+    """Raise MalformedDocument, naming the flag, unless each id given to
+    it is a face of x."""
+    for f in ids:
+        if f not in x.incidence:
+            raise MalformedDocument(
+                f"{flag}: {f!r} is not a face of the manifold")
+
+
 def cmd_blowup(args) -> Dict[str, Any]:
     x = _valid_manifold(args.input)
     if args.ordinary is not None:
+        _check_face_ids(x, "--ordinary", [args.ordinary])
         weights = _vector(args.weights) if args.weights else None
         b, charts = ordinary_blowup(x, args.ordinary, weights)
         doc = _blowup_result(b)
         doc["charts"] = [ser._enc_mat(c) for c in charts]
         return doc
     if args.iterated is not None:
-        return _blowup_result(iterated_blowup(x, args.iterated.split(",")))
+        centers = args.iterated.split(",")
+        _check_face_ids(x, "--iterated", centers)
+        return _blowup_result(iterated_blowup(x, centers))
     r = ser.refinement_from_doc(_read_doc(args.refinement))
     return _blowup_result(generalized_blowup(x, r))
 

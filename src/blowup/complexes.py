@@ -5,6 +5,12 @@ Every complex here is complete (each face of each monoid is the image of
 at least one smaller element) and reduced (at most one).  Elements carry
 string ids; a face map for a <= b is an integer matrix from the ambient
 space of a to the ambient space of b, acting on row vectors.
+
+Complexes, morphisms and refinements are not changed after construction,
+so each keeps the images it is asked for again and again, keyed by
+element id: `MonoidalComplex.image_face` by pair, `ComplexMorphism.image_in`
+by (element, target element) and `ComplexRefinement.members_over` by
+target element.
 """
 
 import collections
@@ -54,6 +60,9 @@ class MonoidalComplex:
             if a != b and a in self._above[b]:
                 raise NotAComplex(f"order is not antisymmetric at {a}, {b}")
         self.face_maps = dict(face_maps)
+        # image_face by (a, b).  Nothing changes the monoids or the face
+        # maps after construction.
+        self._image_faces: Dict[Tuple[str, str], ToricMonoid] = {}
         for a in self.elements:
             self.face_maps[(a, a)] = la.identity(self.monoids[a].ambient_dim)
         # Fill in composites along chains, pass after pass, until a pass
@@ -89,7 +98,10 @@ class MonoidalComplex:
 
     def image_face(self, a: str, b: str) -> ToricMonoid:
         """The image of sigma_a inside sigma_b."""
-        return self.hom(a, b).image_monoid()
+        image = self._image_faces.get((a, b))
+        if image is None:
+            image = self._image_faces[(a, b)] = self.hom(a, b).image_monoid()
+        return image
 
     def is_smooth(self) -> bool:
         return all(m.is_smooth() for m in self.monoids.values())
@@ -256,6 +268,10 @@ class ComplexRefinement:
 
     def __init__(self, morphism: ComplexMorphism):
         self.morphism = morphism
+        # members_over by target element.  Nothing changes the morphism
+        # after construction; each call returns a copy, so no caller can
+        # change the memo.
+        self._members: Dict[str, Dict[str, ToricMonoid]] = {}
 
     @property
     def source(self) -> MonoidalComplex:
@@ -273,9 +289,13 @@ class ComplexRefinement:
     def members_over(self, sigma_id: str) -> Dict[str, ToricMonoid]:
         """The source elements over a target element or its faces, in
         element order, each with its image in that element's monoid."""
-        phi = self.morphism
-        return {e: phi.image_in(e, sigma_id) for e in self.source.elements
+        members = self._members.get(sigma_id)
+        if members is None:
+            phi = self.morphism
+            members = self._members[sigma_id] = {
+                e: phi.image_in(e, sigma_id) for e in self.source.elements
                 if self.target.leq(phi.node_map[e], sigma_id)}
+        return dict(members)
 
     def validate(self) -> None:
         self.morphism.validate()

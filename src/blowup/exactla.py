@@ -4,8 +4,14 @@ Vectors are tuples of ints (or Fractions), matrices are tuples of row
 tuples.  Homomorphisms act on row vectors by right multiplication, so the
 image of v under m is v @ m, computed by :func:`apply_row`.  Everything here
 is arbitrary precision; no floats.
+
+Two memos keep derived data across calls, both keyed by value on
+immutable tuples: :func:`identity` shares one matrix per size, and
+:func:`solve_row_int` keeps the Hermite normal form and transform of the
+last 1,024 matrices it solved against (``_hermite_solver``).
 """
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Tuple
@@ -393,15 +399,39 @@ def solve_row_echelon(v, h) -> Optional[QVec]:
     return tuple(out)
 
 
-def solve_row_int(v, m) -> Optional[Vec]:
-    """Integer x with x @ m == v, or None."""
+@functools.lru_cache(maxsize=1024)
+def _hermite_solver(m: Mat) -> Tuple[Tuple[Tuple[int, Vec], ...], Mat, int]:
+    """The nonzero rows of the Hermite normal form of m, each with its
+    pivot column, the transform u and the number of zero rows.  Keyed by
+    the matrix's value: its callers solve against a few lattices again
+    and again, and a tuple matrix cannot change."""
     h, u = hermite_normal_form(m)
-    nz = [r for r in h if not is_zero(r)]
-    x = solve_row_echelon(v, nz)
-    if x is None or any(c.denominator != 1 for c in x):
+    rows = tuple((next(j for j, x in enumerate(r) if x), r)
+                 for r in h if not is_zero(r))
+    return rows, u, len(h) - len(rows)
+
+
+def solve_row_int(v, m) -> Optional[Vec]:
+    """Integer x with x @ m == v, or None.
+
+    Forward substitution on the pivots of m's Hermite normal form (kept
+    per matrix by _hermite_solver), with integer division: the rows below
+    an echelon row are zero at its pivot, so if v is in the lattice each
+    quotient is its exact coefficient and nothing remains, and otherwise
+    no integer combination leaves a zero remainder.  The coefficients of
+    the zero rows are 0, and u takes the echelon coefficients back to m's
+    rows."""
+    rows, u, zero_rows = _hermite_solver(mat(m))
+    rem = list(v)
+    coeff = []
+    for p, row in rows:
+        c = rem[p] // row[p]
+        coeff.append(c)
+        if c:
+            rem = [x - c * y for x, y in zip(rem, row)]
+    if any(rem):
         return None
-    coeff = tuple(c.numerator for c in x) + zeros(len(h) - len(nz))
-    return apply_row(coeff, u)
+    return apply_row(tuple(coeff) + zeros(zero_rows), u)
 
 
 def right_kernel_q(m) -> Tuple[QVec, ...]:

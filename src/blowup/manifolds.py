@@ -36,6 +36,8 @@ class CornerComplex:
                  order: Sequence[Tuple[str, str]]):
         self.faces = tuple(sorted(incidence))
         self.incidence = {f: frozenset(incidence[f]) for f in self.faces}
+        self._hypersurfaces = tuple(
+            f for f in self.faces if len(self.incidence[f]) == 1)
         self._relations = tuple(order)
         self._basic: Optional[MonoidalComplex] = None
 
@@ -54,7 +56,7 @@ class CornerComplex:
         return self.basic_complex().below(b)
 
     def hypersurfaces(self) -> Tuple[str, ...]:
-        return tuple(sorted(f for f in self.faces if self.codim(f) == 1))
+        return self._hypersurfaces
 
     def validate(self) -> None:
         for a, b in self.order:
@@ -184,14 +186,22 @@ class BMap:
                               "not the second source")
         face_map = {f: then.face_map[self.face_map[f]]
                     for f in self.source.faces}
-        exps = {}
-        mids = self.target.hypersurfaces()
-        for g in self.source.hypersurfaces():
-            for k in then.target.hypersurfaces():
-                val = sum(self.alpha(g, h) * then.alpha(h, k) for h in mids)
-                if val:
-                    exps[(g, k)] = val
-        return BMap(self.source, then.target, face_map, exps)
+        # alpha(g, k) = sum over h of alpha(g, h) then.alpha(h, k), over the
+        # stored exponents between hypersurfaces only: a decoded b-map may
+        # store an exponent at a pair of other faces, which counts nowhere.
+        srcs, mids, tgts = (set(x.hypersurfaces()) for x in
+                            (self.source, self.target, then.target))
+        out_of: Dict[str, List[Tuple[str, int]]] = {}
+        for (h, k), b in then.exponents.items():
+            if h in mids and k in tgts:
+                out_of.setdefault(h, []).append((k, b))
+        exps: Dict[Tuple[str, str], int] = {}
+        for (g, h), a in self.exponents.items():
+            if g in srcs:
+                for k, b in out_of.get(h, ()):
+                    exps[(g, k)] = exps.get((g, k), 0) + a * b
+        return BMap(self.source, then.target, face_map,
+                    {gk: e for gk, e in exps.items() if e})
 
     def __eq__(self, other):
         if not isinstance(other, BMap):
@@ -414,7 +424,7 @@ def _smooth_coords(m: ToricMonoid, v) -> la.Vec:
     monoid, following the ray order of m.rays."""
     if m.dim == 0:
         return ()
-    c = la.solve_row_int(v, la.mat(m.rays))
+    c = la.solve_row_int(v, m.rays)
     if c is None:
         raise InvariantViolated(f"{v} is not a lattice point of the smooth "
                                 f"monoid {m.rays}")

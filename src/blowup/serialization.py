@@ -175,6 +175,10 @@ def extension_problem_from_doc(doc) -> Tuple[MonoidalComplex,
     q = complex_from_doc(doc["complex"])
     local = {}
     for e in doc["given"]:
+        if e["id"] not in q.monoids:
+            raise MalformedDocument(f"extension_problem given id "
+                                    f"{e['id']!r} is not an element of the "
+                                    "complex")
         members = [monoid_from_doc(d) for d in e["members"]]
         local[e["id"]] = MonoidRefinement(q.monoids[e["id"]], members)
     return q, local

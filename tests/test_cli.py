@@ -958,6 +958,33 @@ class TestInputGrammar:
         assert captured.out == ""
         assert captured.err == f"error: malformed input: {message}\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--ordinary", ""], "--ordinary: '' is not a face of the manifold"),
+        (["--ordinary", "H9"],
+         "--ordinary: 'H9' is not a face of the manifold"),
+        (["--iterated", "H1&H2,Q"],
+         "--iterated: 'Q' is not a face of the manifold")],
+        ids=["ordinary-empty", "ordinary-H9", "iterated-Q"])
+    def test_unknown_face_ids_name_their_flag(self, square_doc, tmp_path,
+                                              capsys, flags, message):
+        out = tmp_path / "out.json"
+        assert main(["blowup", square_doc, *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed input: {message}\n"
+        assert not out.exists()
+
+    def test_unknown_given_id_names_its_field(self, tmp_path, capsys):
+        doc = extension_problem_doc()
+        doc["given"][0]["id"] = "nowhere"
+        path = write(tmp_path, "ext.json", doc)
+        assert main(["extend", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: malformed input: extension_problem given id 'nowhere' "
+            "is not an element of the complex\n")
+
 
 # The first 16 hex digits of the SHA-256 of what each of well_formed_runs
 # prints, recorded when the CLI still parsed these four document kinds

@@ -4,6 +4,8 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup import exactla as la
 from blowup.binomial import normal_form, variety_complex
@@ -415,3 +417,38 @@ class TestMutual:
                 for g in total.source.monoids[e].rays}
         halves = {la.primitive(g[:2]) for g in rays if any(g[:2])}
         assert (1, 2) in halves and (2, 1) in halves
+
+
+class TestMemos:
+    """image_face and members_over are kept per complex and per
+    refinement; what they return must be what a fresh computation gives,
+    and no caller can change the memo."""
+
+    def test_members_over_returns_a_copy(self):
+        q, _ = quadrant_complex()
+        top = top_element(q)
+        r = star_subdivide_complex(q, top, (1, 1))
+        first = r.members_over(top)
+        expected = dict(first)
+        first.clear()
+        first["stray"] = q.monoids[top]
+        again = r.members_over(top)
+        assert again == expected and again is not first
+        again.pop(next(iter(again)))
+        assert r.members_over(top) == expected
+        assert set(r.localize(top).members) == set(expected.values())
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_image_face_is_the_image_monoid_on_every_chain(self, seed):
+        """On a random face complex, its natural smooth refinement's source
+        and a corner model's basic complex (whose face maps change the
+        ambient dimension), asked twice."""
+        rng = random.Random(seed)
+        q = random_complex(rng, rng.choice([2, 3]))
+        for c in (q, natural_smooth_refinement(q).source,
+                  corner_model(rng.choice([2, 3])).basic_complex()):
+            for _ in range(2):
+                for a, b in c._chains():
+                    assert c.image_face(a, b) == \
+                        c.hom(a, b)._build_image()

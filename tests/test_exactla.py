@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import hermite_normal_form
 
 from blowup import exactla as la
 
@@ -442,6 +443,104 @@ class TestSolve:
         prod = la.mat_mul(m, inv)
         assert all(prod[i][j] == (1 if i == j else 0)
                    for i in range(2) for j in range(2))
+
+
+def former_solve_row_int(v, m):
+    """solve_row_int as it was before its per-matrix memo, kept as an
+    oracle: a fresh Hermite normal form on every call and a Fraction back
+    substitution, checked for integrality."""
+    h, u = la.hermite_normal_form(m)
+    nz = [r for r in h if not la.is_zero(r)]
+    x = la.solve_row_echelon(v, nz)
+    if x is None or any(c.denominator != 1 for c in x):
+        return None
+    coeff = tuple(c.numerator for c in x) + la.zeros(len(h) - len(nz))
+    return la.apply_row(coeff, u)
+
+
+def unimodular_matrices(n, steps=8, multiplier=60):
+    """Elements of GL_n(Z): products of elementary row additions with
+    large multipliers and of sign changes (a pair (i, i) negates row i)."""
+    moves = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                               st.integers(-multiplier, multiplier)),
+                     max_size=steps)
+
+    def build(moves):
+        u = [list(r) for r in la.identity(n)]
+        for i, j, c in moves:
+            u[i] = [-x for x in u[i]] if i == j else \
+                [x + c * y for x, y in zip(u[i], u[j])]
+        return la.mat(u)
+
+    return moves.map(build)
+
+
+@st.composite
+def lattice_problems(draw):
+    """(v, m) with m = L D A R: A a small k x n integer matrix, often rank
+    deficient, D a diagonal of indices 1-3, and L, R in GL(Z), which make
+    the entries large.  v is an integer combination of m's rows, or y A R
+    for an integer y, which is in m's rational row span and in its integer
+    row span only when D divides it, or any integer vector."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = draw(integer_matrices(k, n))
+    if k > 1 and draw(st.booleans()):
+        a = a[:-1] + (a[0],)
+    d = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    left, right = draw(unimodular_matrices(k)), draw(unimodular_matrices(n))
+    ar = la.mat_mul(a, right)
+    m = la.mat_mul(left, tuple(la.vscale(c, r) for c, r in zip(d, ar)))
+    kind = draw(st.sampled_from(["lattice", "span", "any"]))
+    if kind == "any":
+        return draw(st.tuples(*[st.integers(-9, 9)] * n)), m
+    y = draw(st.tuples(*[st.integers(-4, 4)] * k))
+    return la.apply_row(y, m if kind == "lattice" else ar), m
+
+
+def in_integer_row_span(v, m):
+    """Whether v is an integer combination of the rows of m, by sympy: the
+    Hermite normal form of the lattice spanned by the columns of m^T does
+    not change when v joins them."""
+    mt = to_sympy(m, len(v)).T
+    return hermite_normal_form(mt) == \
+        hermite_normal_form(mt.row_join(to_sympy([v], len(v)).T))
+
+
+class TestSolveRowInt:
+    """solve_row_int keeps each matrix's Hermite normal form and solves by
+    integer forward substitution; it must answer as the former Fraction
+    routine and as sympy's lattice membership do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_problems())
+    def test_matches_the_former_routine_and_sympy(self, problem):
+        v, m = problem
+        got = la.solve_row_int(v, m)
+        assert got == former_solve_row_int(v, m)
+        assert (got is not None) == in_integer_row_span(v, m)
+        if got is not None:
+            assert all(type(c) is int for c in got)
+            assert la.apply_row(got, m) == v
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_problems())
+    def test_memo_answers_by_value(self, problem):
+        """A repeated call, and a call with an equal matrix that is a
+        distinct object (or not a tuple at all), give the same answer."""
+        v, m = problem
+        first = la.solve_row_int(v, m)
+        assert la.solve_row_int(v, m) == first
+        copy = tuple(tuple(list(r)) for r in m)
+        assert copy == m and copy is not m
+        assert la.solve_row_int(v, copy) == first
+        assert la.solve_row_int(v, [list(r) for r in m]) == first
+
+    def test_outside_the_lattice_but_inside_its_span(self):
+        m = la.mat([(2, 0, 1), (0, 3, 0), (2, 3, 1)])  # rank 2, index 6
+        assert la.solve_row_int((4, 3, 2), m) is not None
+        assert la.solve_row_int((1, 0, Fraction(1, 2)), m) is None
+        assert la.solve_row_int((2, 1, 1), m) is None
+        assert la.solve_row_int((2, 3, 0), m) is None
 
 
 def _fm_eliminate(constraints, dim):

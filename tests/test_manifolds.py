@@ -137,6 +137,20 @@ def former_ray_bmap(total, morphism, target):
     return dict(morphism.node_map), exps
 
 
+def former_compose(f, then):
+    """The exponents of f.compose(then) as BMap.compose read them before
+    it summed over the stored exponents, kept as an oracle: every triple
+    of hypersurfaces (g, h, k) through alpha."""
+    exps = {}
+    for g in f.source.hypersurfaces():
+        for k in then.target.hypersurfaces():
+            val = sum(f.alpha(g, h) * then.alpha(h, k)
+                      for h in f.target.hypersurfaces())
+            if val:
+                exps[(g, k)] = val
+    return exps
+
+
 def weighted_blowup(weights):
     """The weighted blow-up of the corner of R^k_+, k = len(weights)."""
     x = corner_model(len(weights))
@@ -240,6 +254,23 @@ class TestBMap:
         c = f.compose(g)
         c.validate()
         assert c.alpha("H2", "H1") == 6
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_compose_matches_the_former_triple_sum(self, seed):
+        """A blow-down of an iterated blow-up followed by its blow-down,
+        and with an exponent keyed by a face that is no hypersurface,
+        which neither reading counts."""
+        rng = random.Random(seed)
+        bl, = random_iterated_blowups(rng, 1)
+        x = bl.total
+        deep = [f for f in x.faces if x.codim(f) >= 2]
+        g = iterated_blowup(x, [rng.choice(deep)]).blowdown
+        assert g.compose(bl.blowdown).exponents == \
+            former_compose(g, bl.blowdown)
+        g.exponents[(g.source.hypersurfaces()[0], rng.choice(deep))] = 5
+        assert g.compose(bl.blowdown).exponents == \
+            former_compose(g, bl.blowdown)
 
     def test_compose_rejects_mismatched_middle(self):
         f = identity_bmap(square())
