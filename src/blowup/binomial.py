@@ -16,7 +16,7 @@ from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
                         extend_refinement, identity_refinement,
                         natural_smooth_refinement, planar_refine_complex)
 from .errors import (DependentDifferentials, InvariantViolated,
-                     NotInSupport, NotSmooth)
+                     MalformedDocument, NotInSupport, NotSmooth)
 from .manifolds import CornerComplex, corner_model, model_hypersurfaces
 from .monoids import ToricMonoid
 
@@ -50,8 +50,8 @@ def normal_form(pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
     tangential direction to house it.
 
     Raises:
-        ValueError: if there are no equations, or an equation's exponent
-            vectors differ in length or have a negative entry.
+        MalformedDocument: if there are no equations, or an equation's
+            exponent vectors differ in length or have a negative entry.
         DependentDifferentials: if the dependencies exceed the available
             tangential directions, so the logarithmic differentials of the
             system cannot be independent.
@@ -59,17 +59,18 @@ def normal_form(pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
             the zero set misses the corner of the local model.
     """
     if not pairs and smooth_count == 0:
-        raise ValueError("empty system")
+        raise MalformedDocument("empty system")
     n = len(pairs[0][0]) if pairs else 0
     gammas: List[la.Vec] = []
     extra_smooth = 0
     for alpha, beta in pairs:
         if len(alpha) != n or len(beta) != n:
-            raise ValueError(f"equation alpha {tuple(alpha)}, beta "
-                             f"{tuple(beta)}: exponents are not {n} long")
+            raise MalformedDocument(f"equation alpha {tuple(alpha)}, beta "
+                                    f"{tuple(beta)}: exponents are not {n} "
+                                    "long")
         if any(a < 0 for a in alpha) or any(b < 0 for b in beta):
-            raise ValueError(f"equation alpha {tuple(alpha)}, beta "
-                             f"{tuple(beta)}: negative exponent")
+            raise MalformedDocument(f"equation alpha {tuple(alpha)}, beta "
+                                    f"{tuple(beta)}: negative exponent")
         g = tuple(int(a) - int(b) for a, b in zip(alpha, beta))
         if la.is_zero(g):
             extra_smooth += 1

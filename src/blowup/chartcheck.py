@@ -4,8 +4,11 @@ A chart of a generalized blow-up is a monomial map t -> t^nu, a transition
 between two charts is t -> t^(nu1 nu2^-1), and a lift through a chart is
 x -> a^(nu^-1) x^mu.  In log coordinates each of these maps is linear, so
 every property of an atlas or a lift is one matrix identity, checked here
-in exact arithmetic.  This guards the serialization path and catches
-transposition-style mistakes in emitted matrices.
+in exact arithmetic.  `verify_transitions` checks an atlas that the
+`verify` command recomputes from a refinement in process: it catches
+transposition-style mistakes in the atlas construction, not in a
+document.  `verify_lift` checks the matrices of a lift_check document,
+and arguments of the wrong shape are malformed input.
 """
 
 import numbers
@@ -15,7 +18,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import exactla as la
-from .errors import NotCompatible
+from .errors import MalformedDocument, NotCompatible
 from .manifolds import ChartAtlas
 
 
@@ -75,32 +78,35 @@ def verify_lift(delta: Sequence[Sequence[int]],
 
     Raises:
         NotCompatible: if delta = mu @ nu does not hold exactly.
-        ValueError: if nu is not a nonsingular k x k matrix with k >= 1,
-            if delta and mu are not equally many rows k wide (at least
-            one), or if the coefficients are not one finite positive number
-            per chart coordinate.
+        MalformedDocument: if nu is not a nonsingular k x k matrix with
+            k >= 1, if delta and mu are not equally many rows k wide (at
+            least one), or if the coefficients are not one finite positive
+            number per chart coordinate.
     """
     k = len(nu)
     if not k or any(len(row) != k for row in nu):
-        raise ValueError(f"nu is {_shape(nu)}, not k x k with k >= 1")
+        raise MalformedDocument(
+            f"nu is {_shape(nu)}, not k x k with k >= 1")
     for name, m in (("delta", delta), ("mu", mu)):
         if not m or any(len(row) != k for row in m):
-            raise ValueError(f"{name} is {_shape(m)}, not one or more rows "
-                             f"{k} wide (nu is {k} x {k})")
+            raise MalformedDocument(
+                f"{name} is {_shape(m)}, not one or more rows {k} wide "
+                f"(nu is {k} x {k})")
     if len(delta) != len(mu):
-        raise ValueError(f"delta has {len(delta)} rows but mu has "
-                         f"{len(mu)}")
+        raise MalformedDocument(
+            f"delta has {len(delta)} rows but mu has {len(mu)}")
     if la.det(nu) == 0:
-        raise ValueError(f"nu ({k} x {k}) is singular")
+        raise MalformedDocument(f"nu ({k} x {k}) is singular")
     if la.mat_mul(la.mat(mu), la.mat(
             tuple(tuple(Fraction(x) for x in row) for row in nu))) != \
             la.mat(tuple(tuple(Fraction(x) for x in row) for row in delta)):
         raise NotCompatible("delta = mu @ nu must hold exactly")
     a = [1] * k if coefficients is None else list(coefficients)
     if len(a) != k:
-        raise ValueError(f"{len(a)} coefficients for {k} chart coordinates")
+        raise MalformedDocument(
+            f"{len(a)} coefficients for {k} chart coordinates")
     for i, c in enumerate(a):
         if not (isinstance(c, numbers.Real) and 0 < c <= sys.float_info.max):
-            raise ValueError(f"coefficient {i} is {c!r}, not a finite "
-                             "positive number")
+            raise MalformedDocument(
+                f"coefficient {i} is {c!r}, not a finite positive number")
     return CheckReport()

@@ -2,21 +2,24 @@
 
 Reads versioned JSON documents, dispatches to the library and writes a
 result document plus a short summary.  Exit codes: 0 success, 1 a
-validation failure in well-formed input, 2 malformed input.  The parser
-owns the command line: it declares each command with its handler, and
-the modes of `subdivide` and of `blowup` as required exclusive groups;
-`main` returns its exit status, 2 on a malformed command line.
-`serialization` decodes every input document, checking its kind and
-version.  Inputs that a command relies on are validated before it
-computes: the refinement of `atlas` and `verify` (which must also be
-smooth), the manifold of `blowup`, `lift` and `blowup-domain`, and the
-b-maps of `fiber`.
+validation failure in well-formed input, 2 malformed input.  `main`
+maps exactly two exception types to these codes: MalformedDocument to 2
+and BlowupError to 1; any other exception is a defect and propagates
+with its traceback.  The parser owns the command line: it declares each
+command with its handler, and the modes of `subdivide` and of `blowup`
+as required exclusive groups; `main` returns its exit status, 2 on a
+malformed command line.  `serialization` decodes every input document,
+checking its kind, its version and the type of each field it reads.
+Inputs that a command relies on are validated before it computes: the
+complex of `ns`, the refinement of `atlas` and `verify` (which must also
+be smooth), the manifold of `blowup`, `lift` and `blowup-domain`, and
+the b-maps of `fiber`.
 """
 
 import argparse
 import functools
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import exactla as la
 from . import serialization as ser
@@ -25,16 +28,16 @@ from .binomial import (boundary_faces, resolve, universal_resolution,
 from .chartcheck import verify_lift, verify_transitions
 from .complexes import (ComplexRefinement, extend_refinement,
                         natural_smooth_refinement)
-from .errors import BlowupError, NotSmooth
+from .errors import (BlowupError, MalformedDocument, NotARefinement,
+                     NotCompatible, NotSmooth)
 from .fiber import (FiberProblem, b_normal_transversality, factor_through,
                     resolve_fiber_product, theorem_b_check)
-from .manifolds import (Blowup, CornerComplex, blowup_domain,
+from .manifolds import (BMap, Blowup, CornerComplex, blowup_domain,
                         generalized_blowup, iterated_blowup, lift_bmap,
                         local_atlas, ordinary_blowup)
 from .monoids import ToricMonoid
 from .refinements import (MonoidRefinement, planar_refine, smoothing,
                           star_subdivide)
-from .serialization import MalformedDocument
 
 
 def _read_doc(path: str) -> Dict[str, Any]:
@@ -43,10 +46,7 @@ def _read_doc(path: str) -> Dict[str, Any]:
             text = fh.read()
     except OSError as e:
         raise MalformedDocument(f"cannot read {path}: {e}") from e
-    doc = ser.loads(text)
-    if not isinstance(doc, dict):
-        raise MalformedDocument("document must be a JSON object")
-    return doc
+    return ser.loads(text)
 
 
 def _vector(text: str, length: Optional[int] = None) -> la.Vec:
@@ -150,6 +150,7 @@ def cmd_subdivide(args) -> Dict[str, Any]:
 
 def cmd_ns(args) -> Dict[str, Any]:
     q = ser.complex_from_doc(_read_doc(args.input))
+    q.validate()
     r = natural_smooth_refinement(q)
     r.validate()
     doc = ser.refinement_to_doc(r)
@@ -208,8 +209,7 @@ def cmd_blowup(args) -> Dict[str, Any]:
         centers = args.iterated.split(",")
         _check_face_ids(x, "--iterated", centers)
         return _blowup_result(iterated_blowup(x, centers))
-    r = ser.refinement_from_doc(_read_doc(args.refinement))
-    return _blowup_result(generalized_blowup(x, r))
+    return _blowup_result(_blowup_along(x, args.refinement))
 
 
 def _smooth_refinement(doc) -> ComplexRefinement:
@@ -239,15 +239,39 @@ def cmd_atlas(args) -> Dict[str, Any]:
     }
 
 
-def _load_blowup(args) -> Blowup:
-    r = ser.refinement_from_doc(_read_doc(args.refinement))
-    x = _valid_manifold(args.manifold)
+def _blowup_along(x: CornerComplex, path: str) -> Blowup:
+    """The blow-up of x along a refinement document that passes
+    validation and refines the basic complex of x."""
+    r = ser.refinement_from_doc(_read_doc(path))
+    q, p = r.target, x.basic_complex()
+    if (q.monoids, q.order, q.face_maps) != (p.monoids, p.order, p.face_maps):
+        raise NotARefinement("the refinement's target is not the basic "
+                             "complex of the manifold")
+    r.validate()
     return generalized_blowup(x, r)
 
 
-def cmd_lift(args) -> Dict[str, Any]:
+def _validate_bmap(f: BMap) -> None:
+    """Validate a b-map and the manifolds it maps between."""
+    f.source.validate()
+    f.target.validate()
+    f.validate()
+
+
+def _load_lift_problem(args) -> Tuple[BMap, Blowup]:
+    """A b-map that passes validation and a blow-up of its target."""
     f = ser.bmap_from_doc(_read_doc(args.input))
-    b = _load_blowup(args)
+    b = _blowup_along(_valid_manifold(args.manifold), args.refinement)
+    _validate_bmap(f)
+    y = b.blowdown.target
+    if (f.target.incidence, f.target.order) != (y.incidence, y.order):
+        raise NotCompatible("the b-map's target is not the manifold that "
+                            "is blown up")
+    return f, b
+
+
+def cmd_lift(args) -> Dict[str, Any]:
+    f, b = _load_lift_problem(args)
     lift = lift_bmap(f, b)
     lift.bmap.validate()
     return {"kind": "lift", "version": ser.VERSION,
@@ -256,8 +280,7 @@ def cmd_lift(args) -> Dict[str, Any]:
 
 
 def cmd_blowup_domain(args) -> Dict[str, Any]:
-    f = ser.bmap_from_doc(_read_doc(args.input))
-    b = _load_blowup(args)
+    f, b = _load_lift_problem(args)
     dom, lift, minimal = blowup_domain(f, b)
     return {"kind": "blowup_domain", "version": ser.VERSION,
             "minimal": minimal,
@@ -267,7 +290,7 @@ def cmd_blowup_domain(args) -> Dict[str, Any]:
 
 def cmd_binomial(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
-    if raw.get("kind") == "binomial_input":
+    if ser.kind_of(raw) == "binomial_input":
         b = ser.binomial_input_from_doc(raw)
     else:
         b = ser.binomial_from_doc(raw)
@@ -307,12 +330,12 @@ def cmd_binomial(args) -> Dict[str, Any]:
 
 def cmd_fiber(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
-    if args.action == "factor" or raw.get("kind") == "factor_problem":
+    if args.action == "factor" or ser.kind_of(raw) == "factor_problem":
         maps = f1, f2, g1, g2 = ser.factor_problem_from_doc(raw)
     else:
         maps = f1, f2 = ser.fiber_problem_from_doc(raw)
     for f in maps:
-        f.validate()
+        _validate_bmap(f)
     p = FiberProblem(f1, f2)
     if args.action == "analyze":
         rep = b_normal_transversality(p)
@@ -351,9 +374,10 @@ def cmd_fiber(args) -> Dict[str, Any]:
 
 def cmd_verify(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
-    if raw.get("kind") == "refinement":
+    kind = ser.kind_of(raw)
+    if kind == "refinement":
         rep = verify_transitions(local_atlas(_smooth_refinement(raw)))
-    elif raw.get("kind") == "lift_check":
+    elif kind == "lift_check":
         rep = verify_lift(*ser.lift_check_from_doc(raw))
     else:
         raise MalformedDocument(
@@ -442,7 +466,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return e.code
     try:
         doc = args.handler(args)
-    except (MalformedDocument, KeyError, ValueError, TypeError) as e:
+    except MalformedDocument as e:
         print(f"error: malformed input: {e}", file=sys.stderr)
         return 2
     except BlowupError as e:

@@ -26,6 +26,12 @@ from .monoids import fiber_product as monoid_fiber_product
 from .refinements import (MonoidRefinement, cone_over, planar_refine,
                           smoothing, star_subdivide, trivial_refinement)
 
+
+def _check_shape(m: la.Mat, rows: int, cols: int, what: str) -> None:
+    if len(m) != rows or any(len(r) != cols for r in m):
+        raise NotAComplex(f"{what} is not {rows} x {cols}")
+
+
 class MonoidalComplex:
     """A finite poset of elements with a toric monoid for each element and
     a face map for each related pair."""
@@ -112,6 +118,13 @@ class MonoidalComplex:
     def dim(self) -> int:
         return max((m.dim for m in self.monoids.values()), default=0)
 
+    def check_shapes(self) -> None:
+        """Raise NotAComplex unless each face map a -> b has a row per
+        coordinate of a's ambient space, each as wide as b's."""
+        for a, b in self._chains():
+            _check_shape(self.face_maps[(a, b)], self.monoids[a].ambient_dim,
+                         self.monoids[b].ambient_dim, f"face map {a} -> {b}")
+
     def validate(self) -> None:
         """Raise NotAComplex unless the data is a complete reduced
         monoidal complex.
@@ -122,13 +135,7 @@ class MonoidalComplex:
         and a cover b' <= b of a, on a's lattice a -> c = (a -> b')(b' -> c)
         and a -> b = (a -> b')(b' -> b), and induction on the interval
         [b', c] gives b' -> c = (b' -> b)(b -> c) on the lattice of b'."""
-        for a, b in self._chains():
-            rows = self.monoids[a].ambient_dim
-            cols = self.monoids[b].ambient_dim
-            m = self.face_maps[(a, b)]
-            if len(m) != rows or any(len(r) != cols for r in m):
-                raise NotAComplex(
-                    f"face map {a} -> {b} is not {rows} x {cols}")
+        self.check_shapes()
         for a, b in self._chains():
             h = self.hom(a, b)
             if not h.is_injective():
@@ -232,6 +239,15 @@ class ComplexMorphism:
         return image
 
     def validate(self) -> None:
+        """Raise NotAComplex unless every matrix has its shape, the node
+        map preserves the order and the squares commute; then each hom
+        must send its source into its target."""
+        self.source.check_shapes()
+        self.target.check_shapes()
+        for a in self.source.elements:
+            _check_shape(self.homs[a], self.source.monoids[a].ambient_dim,
+                         self.target.monoids[self.node_map[a]].ambient_dim,
+                         f"hom at {a}")
         for a, b in self.source._chains():
             fa, fb = self.node_map[a], self.node_map[b]
             if not self.target.leq(fa, fb):
@@ -302,12 +318,11 @@ class ComplexRefinement:
         self.source.validate()
         for e in self.source.elements:
             h = self.morphism.hom(e)
+            # Injective means rank(lattice @ matrix) = dim, and the image
+            # keeps that many lattice rows, so it has the source's dim.
             if not h.is_injective():
                 raise NotARefinement(f"refinement hom at {e} not injective")
             img = h.image_monoid()
-            src = self.source.monoids[e]
-            if img.dim != src.dim:
-                raise NotARefinement(f"hom at {e} drops dimension")
             # Minimality of the target element.
             tgt = self.target.monoids[self.morphism.node_map[e]]
             if img.dim > 0:

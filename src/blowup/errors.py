@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Two kinds of error reach a user: `MalformedDocument` for input that does
+not parse (the command line exits 2) and the `BlowupError` subclasses for
+well-formed input that fails a check (exit 1).  Any other exception is a
+defect in the package.
+"""
+
+
+class MalformedDocument(Exception):
+    """Input does not parse: a document or argument that breaks its
+    schema, or arguments of the wrong shape given to a library call."""
 
 
 class BlowupError(Exception):

@@ -4,29 +4,32 @@ Integers that do not fit a double are written as decimal strings so
 arbitrary precision survives transport; rationals are written "p/q".
 Serialization is canonical: keys sorted, element ids sorted, matrices
 written row by row.  Every document kind the library or the command line
-reads is decoded here, and each decoder checks the kind and the version
-and decodes its integers and matrices strictly.  A binomial system
-document is read back only if it is its own normal form.
+reads is decoded here.  Each decoder first checks the kind, the version
+and the JSON type of every field it reads against its entry in _FIELDS,
+then decodes its integers and matrices strictly and checks that the ids
+it cross-references exist.  Each of these raises MalformedDocument; a
+missing field, a field of the wrong type or an unknown id is named by
+its path, such as `complex.face_maps[3].pair: missing`, and a decoder
+reading a document nested in another is given that document's path.  A
+binomial system document is read back only if it is its own normal form.
 """
 
 import json
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from . import exactla as la
 from .complexes import ComplexMorphism, ComplexRefinement, MonoidalComplex
 from .binomial import BinomialSystem, normal_form
+# Also imported from here by callers of the decoders.
+from .errors import MalformedDocument
 from .manifolds import BMap, CornerComplex
 from .monoids import ToricMonoid
 from .refinements import MonoidRefinement
 
 VERSION = 1
 _SAFE = 2 ** 53
-
-
-class MalformedDocument(Exception):
-    """Input does not parse against the document schema."""
 
 
 def _enc_int(x: int):
@@ -64,21 +67,141 @@ def _enc_mat(m) -> List[List]:
     return [[_enc_num(x) for x in row] for row in m]
 
 
-def _rows(doc) -> List[list]:
-    if not isinstance(doc, list) or \
-            not all(isinstance(row, list) for row in doc):
-        raise MalformedDocument("matrix must be a list of rows")
-    if len({len(row) for row in doc}) > 1:
-        raise MalformedDocument("matrix rows differ in length")
-    return doc
-
-
 def _dec_int_mat(doc) -> la.Mat:
-    return la.mat(tuple(_dec_int(x) for x in row) for row in _rows(doc))
+    return la.mat(tuple(_dec_int(x) for x in row) for row in doc)
 
 
 def _dec_q_mat(doc) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(tuple(_dec_num(x) for x in row) for row in _rows(doc))
+    return tuple(tuple(_dec_num(x) for x in row) for row in doc)
+
+
+# ---------------------------------------------------------------------------
+# The field reader.
+# ---------------------------------------------------------------------------
+
+# The JSON types a field can have, each by the words its error uses.  A
+# number may be a string, as large integers are written; its value is
+# left to _dec_num.  A nested document is an object that its own decoder
+# checks.
+_ID = "a string"
+_NUM = "a number"
+_OBJECT = "an object"
+_PAIR = "a pair of ids"
+_MATRIX = "a list of equally long rows"
+
+_IS = {
+    _ID: lambda x: isinstance(x, str),
+    _NUM: lambda x: isinstance(x, (int, float, str)),
+    _OBJECT: lambda x: isinstance(x, dict),
+    _PAIR: lambda x: (isinstance(x, list) and len(x) == 2
+                     and all(isinstance(i, str) for i in x)),
+    _MATRIX: lambda x: (isinstance(x, list)
+                       and all(isinstance(row, list) for row in x)
+                       and len({len(row) for row in x}) <= 1),
+}
+
+_MORPHISM = {"source": _OBJECT, "target": _OBJECT, "node_map": {"*": _ID},
+             "homs": [{"id": _ID, "matrix": _MATRIX}]}
+
+# The fields each kind's decoder reads, besides kind and version: a dict
+# is an object with these fields (optional ones end in "?"), or with any
+# keys if its one field is "*", and [t] is a list of t.
+_FIELDS = {
+    "monoid": {"ambient_dim": _NUM, "generators": _MATRIX},
+    "complex": {"elements": [{"id": _ID, "monoid": _OBJECT}],
+                "relations": [_PAIR],
+                "face_maps": [{"pair": _PAIR, "matrix": _MATRIX}]},
+    "morphism": _MORPHISM,
+    "refinement": _MORPHISM,
+    "extension_problem": {"complex": _OBJECT,
+                          "given": [{"id": _ID, "members": [_OBJECT]}]},
+    "manifold": {"faces": [{"id": _ID, "hyps": [_ID], "below": [_ID]}]},
+    "bmap": {"source": _OBJECT, "target": _OBJECT, "face_map": {"*": _ID},
+             "alpha": [{"pair": _PAIR, "e": _NUM}]},
+    "lift_check": {"delta": _MATRIX, "nu": _MATRIX, "mu": _MATRIX,
+                   "coefficients?": [_NUM]},
+    "binomial_system": {"boundary_dim": _NUM, "tangential_dim": _NUM,
+                        "gammas": _MATRIX, "smooth_count": _NUM},
+    "binomial_input": {"equations": [{"alpha": [_NUM], "beta": [_NUM]}],
+                       "smooth_count?": _NUM, "tangential_dim?": _NUM},
+    "fiber_problem": {"f1": _OBJECT, "f2": _OBJECT},
+    "factor_problem": {"f1": _OBJECT, "f2": _OBJECT, "g1": _OBJECT,
+                       "g2": _OBJECT},
+}
+
+
+def _check(node, schema, path: str) -> None:
+    """Raise MalformedDocument, naming the path of the first offending
+    field, unless node has the fields and JSON types of schema."""
+    if isinstance(schema, dict):
+        if not isinstance(node, dict):
+            raise MalformedDocument(f"{path}: expected {_OBJECT}")
+        if "*" in schema:
+            for key, value in node.items():
+                _check(value, schema["*"], f"{path}.{key}")
+            return
+        for field, t in schema.items():
+            name = field.rstrip("?")
+            if name in node:
+                _check(node[name], t, f"{path}.{name}")
+            elif name == field:
+                raise MalformedDocument(f"{path}.{name}: missing")
+    elif isinstance(schema, list):
+        if not isinstance(node, list):
+            raise MalformedDocument(f"{path}: expected a list")
+        for i, item in enumerate(node):
+            _check(item, schema[0], f"{path}[{i}]")
+    elif not _IS[schema](node):
+        raise MalformedDocument(f"{path}: expected {schema}")
+
+
+def kind_of(doc) -> Optional[str]:
+    """The kind of a document, None if it names none.  Raises
+    MalformedDocument unless the document is a JSON object whose kind,
+    if it names one, is a string."""
+    if not isinstance(doc, dict):
+        raise MalformedDocument("document must be a JSON object")
+    kind = doc.get("kind")
+    if not (kind is None or isinstance(kind, str)):
+        raise MalformedDocument(f"kind: expected {_ID}")
+    return kind
+
+
+def _expect(doc, kind: str, path: Optional[str] = None) -> str:
+    """Check a document's kind, its version and its fields, and return
+    the path its fields are named by: the kind for a document read
+    alone, else the path of the document nested in another."""
+    if path is None:
+        where, path = "", kind
+        got = kind_of(doc)
+    else:
+        where = f"{path}: "
+        got = doc.get("kind")
+    if got != kind:
+        raise MalformedDocument(f"{where}expected kind {kind!r}, got {got!r}")
+    if _dec_int(doc.get("version", 0)) != VERSION:
+        raise MalformedDocument(
+            f"{where}unsupported version {doc.get('version')}")
+    _check(doc, _FIELDS[kind], path)
+    return path
+
+
+def _known(ids: Iterable[str], known, path: str, what: str) -> None:
+    """Raise MalformedDocument, naming the path, unless every id is one
+    of known."""
+    for x in ids:
+        if x not in known:
+            raise MalformedDocument(f"{path}: {x!r} is not {what}")
+
+
+def _mapped(mapping: Dict[str, str], keys: Iterable[str], known,
+            path: str, what: str) -> None:
+    """Raise MalformedDocument, naming the path, unless mapping sends
+    every key to one of known."""
+    for k in keys:
+        if k not in mapping:
+            raise MalformedDocument(f"{path}.{k}: missing")
+        _known([mapping[k]], known, f"{path}.{k}", what)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +218,8 @@ def monoid_to_doc(m: ToricMonoid) -> Dict[str, Any]:
     }
 
 
-def monoid_from_doc(doc) -> ToricMonoid:
-    _expect(doc, "monoid")
+def monoid_from_doc(doc, path: Optional[str] = None) -> ToricMonoid:
+    _expect(doc, "monoid", path)
     n = _dec_int(doc["ambient_dim"])
     gens = _dec_int_mat(doc["generators"])
     if not gens:
@@ -124,10 +247,16 @@ def complex_to_doc(q: MonoidalComplex) -> Dict[str, Any]:
     }
 
 
-def complex_from_doc(doc) -> MonoidalComplex:
-    _expect(doc, "complex")
-    monoids = {e["id"]: monoid_from_doc(e["monoid"])
-               for e in doc["elements"]}
+def complex_from_doc(doc, path: Optional[str] = None) -> MonoidalComplex:
+    path = _expect(doc, "complex", path)
+    monoids = {e["id"]: monoid_from_doc(e["monoid"],
+                                        f"{path}.elements[{i}].monoid")
+               for i, e in enumerate(doc["elements"])}
+    for i, pair in enumerate(doc["relations"]):
+        _known(pair, monoids, f"{path}.relations[{i}]", "an element id")
+    for i, r in enumerate(doc["face_maps"]):
+        _known(r["pair"], monoids, f"{path}.face_maps[{i}].pair",
+               "an element id")
     order = [tuple(p) for p in doc["relations"]]
     maps = {tuple(r["pair"]): _dec_int_mat(r["matrix"])
             for r in doc["face_maps"]}
@@ -146,11 +275,18 @@ def morphism_to_doc(m: ComplexMorphism) -> Dict[str, Any]:
     }
 
 
-def morphism_from_doc(doc) -> ComplexMorphism:
-    _expect(doc, "morphism")
-    src = complex_from_doc(doc["source"])
-    tgt = complex_from_doc(doc["target"])
+def morphism_from_doc(doc, path: Optional[str] = None) -> ComplexMorphism:
+    return _morphism(doc, _expect(doc, "morphism", path))
+
+
+def _morphism(doc, path: str) -> ComplexMorphism:
+    """The morphism of a checked morphism or refinement document."""
+    src = complex_from_doc(doc["source"], f"{path}.source")
+    tgt = complex_from_doc(doc["target"], f"{path}.target")
+    _mapped(doc["node_map"], src.elements, tgt.monoids, f"{path}.node_map",
+            "an element id of the target")
     homs = {r["id"]: _dec_int_mat(r["matrix"]) for r in doc["homs"]}
+    _known(src.elements, homs, f"{path}.homs", "the id of a hom")
     return ComplexMorphism(src, tgt, dict(doc["node_map"]), homs)
 
 
@@ -161,25 +297,23 @@ def refinement_to_doc(r: ComplexRefinement) -> Dict[str, Any]:
 
 
 def refinement_from_doc(doc) -> ComplexRefinement:
-    _expect(doc, "refinement")
-    d = dict(doc)
-    d["kind"] = "morphism"
-    return ComplexRefinement(morphism_from_doc(d))
+    return ComplexRefinement(_morphism(doc, _expect(doc, "refinement")))
 
 
 def extension_problem_from_doc(doc) -> Tuple[MonoidalComplex,
                                              Dict[str, MonoidRefinement]]:
     """A complex and the given refinements of some of its elements, each
     by its members, for extend_refinement."""
-    _expect(doc, "extension_problem")
-    q = complex_from_doc(doc["complex"])
+    path = _expect(doc, "extension_problem")
+    q = complex_from_doc(doc["complex"], f"{path}.complex")
     local = {}
-    for e in doc["given"]:
+    for i, e in enumerate(doc["given"]):
         if e["id"] not in q.monoids:
             raise MalformedDocument(f"extension_problem given id "
                                     f"{e['id']!r} is not an element of the "
                                     "complex")
-        members = [monoid_from_doc(d) for d in e["members"]]
+        members = [monoid_from_doc(d, f"{path}.given[{i}].members[{j}]")
+                   for j, d in enumerate(e["members"])]
         local[e["id"]] = MonoidRefinement(q.monoids[e["id"]], members)
     return q, local
 
@@ -203,14 +337,14 @@ def manifold_to_doc(x: CornerComplex) -> Dict[str, Any]:
     }
 
 
-def manifold_from_doc(doc) -> CornerComplex:
-    _expect(doc, "manifold")
-    incidence = {}
+def manifold_from_doc(doc, path: Optional[str] = None) -> CornerComplex:
+    path = _expect(doc, "manifold", path)
+    incidence = {f["id"]: frozenset(f["hyps"]) for f in doc["faces"]}
     order = []
-    for f in doc["faces"]:
-        incidence[f["id"]] = frozenset(f["hyps"])
-        for g in f["below"]:
-            order.append((g, f["id"]))
+    for i, f in enumerate(doc["faces"]):
+        _known(f["below"], incidence, f"{path}.faces[{i}].below",
+               "a face id")
+        order.extend((g, f["id"]) for g in f["below"])
     return CornerComplex(incidence, order)
 
 
@@ -226,10 +360,12 @@ def bmap_to_doc(f: BMap) -> Dict[str, Any]:
     }
 
 
-def bmap_from_doc(doc) -> BMap:
-    _expect(doc, "bmap")
-    src = manifold_from_doc(doc["source"])
-    tgt = manifold_from_doc(doc["target"])
+def bmap_from_doc(doc, path: Optional[str] = None) -> BMap:
+    path = _expect(doc, "bmap", path)
+    src = manifold_from_doc(doc["source"], f"{path}.source")
+    tgt = manifold_from_doc(doc["target"], f"{path}.target")
+    _mapped(doc["face_map"], src.faces, tgt.incidence, f"{path}.face_map",
+            "a face id of the target")
     exps = {tuple(r["pair"]): _dec_int(r["e"]) for r in doc["alpha"]}
     return BMap(src, tgt, dict(doc["face_map"]), exps)
 
@@ -307,14 +443,15 @@ def binomial_input_from_doc(doc) -> BinomialSystem:
 
 
 def fiber_problem_from_doc(doc) -> Tuple[BMap, BMap]:
-    _expect(doc, "fiber_problem")
-    return bmap_from_doc(doc["f1"]), bmap_from_doc(doc["f2"])
+    path = _expect(doc, "fiber_problem")
+    return tuple(bmap_from_doc(doc[k], f"{path}.{k}") for k in ("f1", "f2"))
 
 
 def factor_problem_from_doc(doc) -> Tuple[BMap, BMap, BMap, BMap]:
     """f1, f2 of a fiber problem and g1, g2 to factor through it."""
-    _expect(doc, "factor_problem")
-    return tuple(bmap_from_doc(doc[k]) for k in ("f1", "f2", "g1", "g2"))
+    path = _expect(doc, "factor_problem")
+    return tuple(bmap_from_doc(doc[k], f"{path}.{k}")
+                 for k in ("f1", "f2", "g1", "g2"))
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +479,6 @@ _FROM = {
 }
 
 
-def _expect(doc, kind: str) -> None:
-    if not isinstance(doc, dict):
-        raise MalformedDocument(f"expected a {kind} document")
-    if doc.get("kind") != kind:
-        raise MalformedDocument(
-            f"expected kind {kind!r}, got {doc.get('kind')!r}")
-    if _dec_int(doc.get("version", 0)) != VERSION:
-        raise MalformedDocument(f"unsupported version {doc.get('version')}")
-
-
 def to_doc(obj) -> Dict[str, Any]:
     for cls, fn in _TO.items():
         if isinstance(obj, cls):
@@ -360,9 +487,7 @@ def to_doc(obj) -> Dict[str, Any]:
 
 
 def parse_doc(doc):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise MalformedDocument("document must be an object with a kind")
-    kind = doc["kind"]
+    kind = kind_of(doc)
     if kind not in _FROM:
         raise MalformedDocument(f"unknown document kind {kind!r}")
     return _FROM[kind](doc)

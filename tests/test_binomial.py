@@ -198,7 +198,7 @@ def random_systems(rng, count, max_dim=4):
             pairs.append((alpha, beta))
         try:
             out.append(normal_form(pairs, tangential_dim=k))
-        except (NotInSupport, ValueError):
+        except NotInSupport:
             continue
     return out
 

@@ -10,7 +10,7 @@ import pytest
 
 from blowup import exactla as la
 from blowup.chartcheck import CheckReport, verify_lift, verify_transitions
-from blowup.errors import NotCompatible
+from blowup.errors import MalformedDocument, NotCompatible
 from blowup.manifolds import corner_model, local_atlas, ordinary_blowup
 
 WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -196,7 +196,7 @@ class TestLift:
     def test_bad_coefficients_rejected(self, coefficients, message):
         nu = la.mat([(1, 0), (1, 1)])
         mu = la.mat([(0, 1)])
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(MalformedDocument, match=message):
             verify_lift(la.mat_mul(mu, nu), nu, mu,
                         coefficients=coefficients)
 
@@ -211,5 +211,5 @@ class TestLift:
         ([(1, 1), (1, 1)], [(1, 0), (1, 1)], [(0, 1)],
          "delta has 2 rows but mu has 1")])
     def test_bad_shapes_rejected(self, delta, nu, mu, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(MalformedDocument, match=message):
             verify_lift(delta, nu, mu)

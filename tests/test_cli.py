@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blowup import cli
 from blowup import exactla as la
@@ -22,7 +24,7 @@ from blowup.monoids import ToricMonoid
 from blowup.refinements import star_subdivide, trivial_refinement
 
 from test_binomial import ten_variable_pairs
-from test_fuzz import BAD_SHAPE_TEXT
+from test_fuzz import BAD_SHAPE_TEXT, run_cli
 from test_manifolds import overlapping_square_refinement, renamed_square
 from test_refinements import count_intersections
 
@@ -360,6 +362,65 @@ INDEFINITE_RANK2 = {"kind": "binomial_system", "version": ser.VERSION,
                     "gammas": [[-1, 2], [-2, 1]], "smooth_count": 0}
 INDEFINITE_MESSAGE = ("error: validation failed: indefinite transformed "
                       "exponent in chart H1&H2/0/0/0")
+
+
+class TestCheckedBeforeComputing:
+    """Each command validates the inputs it computes with, so that an
+    invalid object exits 1 with a message instead of failing inside the
+    computation."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_hom_of_the_wrong_shape(self, tmp_path, capsys):
+        bl, _ = ordinary_blowup(corner_model(2), "H1&H2")
+        doc = ser.refinement_to_doc(bl.refinement)
+        doc["homs"][0]["matrix"] = [[1, 0]]
+        path = write(tmp_path, "ref.json", doc)
+        assert self.run(["atlas", path], capsys) == (
+            1, "error: validation failed: hom at H1&H2/0 is not 2 x 2\n")
+
+    def test_refinement_of_another_complex(self, square_doc, tmp_path,
+                                           capsys):
+        bl, _ = ordinary_blowup(corner_model(3), "H1&H2&H3")
+        path = write(tmp_path, "ref3.json",
+                     ser.refinement_to_doc(bl.refinement))
+        assert self.run(["blowup", square_doc, "--refinement", path],
+                        capsys) == (
+            1, "error: validation failed: the refinement's target is not "
+            "the basic complex of the manifold\n")
+
+    def test_lifted_map_must_end_in_the_manifold(self, square_doc,
+                                                 refinement_doc, tmp_path,
+                                                 capsys):
+        path = write(tmp_path, "id3.json",
+                     ser.bmap_to_doc(identity_bmap(corner_model(3))))
+        for command in ("lift", "blowup-domain"):
+            assert self.run([command, path, "--manifold", square_doc,
+                             "--refinement", refinement_doc], capsys) == (
+                1, "error: validation failed: the b-map's target is not "
+                "the manifold that is blown up\n")
+
+    def test_fiber_manifolds_are_validated(self, tmp_path, capsys):
+        doc = fiber_problem_doc(sum_bmap(), sum_bmap())
+        doc["f1"]["source"]["faces"][1]["hyps"] = ["H0", "H1", "H2"]
+        path = write(tmp_path, "bad.json", doc)
+        assert self.run(["fiber", "resolve", path], capsys) == (
+            1, "error: validation failed: face H1&H2 has 0 subfaces with "
+            "incidence ['H0']\n")
+
+    def test_ns_validates_its_complex(self, tmp_path, capsys):
+        m = ToricMonoid.free(2)
+        path = write(tmp_path, "badq.json", {
+            "kind": "complex", "version": ser.VERSION,
+            "elements": [{"id": "a", "monoid": ser.monoid_to_doc(m)}],
+            "relations": [], "face_maps": []})
+        assert self.run(["ns", path], capsys) == (
+            1, "error: validation failed: complex is not complete: face () "
+            "of a has no preimage\n")
 
 
 class TestBinomialInvariants:
@@ -984,6 +1045,83 @@ class TestInputGrammar:
         assert captured.err == (
             "error: malformed input: extension_problem given id 'nowhere' "
             "is not an element of the complex\n")
+
+
+# A manifold's codim and hypersurfaces follow from its faces, and no
+# decoder reads them.  Kind and version have messages of their own.
+UNREAD = {"codim", "hypersurfaces", "kind", "version"}
+OPTIONAL = {("binomial_input", "smooth_count"),
+            ("binomial_input", "tangential_dim")}
+RETYPES = [None, [], {}, "x", 7]
+
+
+def read_fields(node, steps=()):
+    """The steps to every object key below node that a decoder reads."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if k not in UNREAD:
+                yield steps + (k,)
+            yield from read_fields(v, steps + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from read_fields(v, steps + (i,))
+
+
+def retypes(old):
+    """The RETYPES of another JSON type than old; for a number, not a
+    string either, as large integers are written as strings."""
+    same = {type(old), str} if isinstance(old, int) else {type(old)}
+    return [v for v in RETYPES if type(v) not in same]
+
+
+class TestInputContract:
+    """Malformed input exits 2 with a message naming the offending field,
+    and every other exception is a defect that leaves `main` unhandled."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_a_broken_field_is_named_by_its_path(self, well_formed_runs,
+                                                 tmp_path, data):
+        """Deletes, renames or retypes one field of a document that a
+        well-formed run reads."""
+        argv = list(data.draw(st.sampled_from(
+            sorted(well_formed_runs.values()))))
+        i = data.draw(st.sampled_from(
+            [i for i, w in enumerate(argv) if w.endswith(".json")]))
+        doc = read_json(argv[i])
+        steps = data.draw(st.sampled_from(list(read_fields(doc))))
+        parent = doc
+        for step in steps[:-1]:
+            parent = parent[step]
+        key = steps[-1]
+        if (doc["kind"], key) in OPTIONAL and len(steps) == 1:
+            action = "retype"
+        else:
+            action = data.draw(st.sampled_from(["delete", "rename",
+                                                "retype"]))
+        if action == "retype":
+            parent[key] = data.draw(st.sampled_from(retypes(parent[key])))
+        else:
+            value = parent.pop(key)
+            if action == "rename":
+                parent[f"{key}_renamed"] = value
+        argv[i] = write(tmp_path, "broken.json", doc)
+        code, out, err = run_cli(argv)
+        where = doc["kind"] + "".join(
+            f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)
+        assert (code, out) == (2, ""), (argv, err)
+        assert err.startswith(f"error: malformed input: {where}: "), err
+
+    @pytest.mark.parametrize("error", [KeyError, ValueError, TypeError])
+    def test_untyped_errors_propagate(self, monoid_doc, monkeypatch,
+                                      error):
+        def broken(path):
+            raise error("a defect")
+
+        monkeypatch.setattr(cli, "_load_monoid", broken)
+        with pytest.raises(error, match="a defect"):
+            main(["hilbert", monoid_doc])
 
 
 # The first 16 hex digits of the SHA-256 of what each of well_formed_runs

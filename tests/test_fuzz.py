@@ -2,10 +2,12 @@
 
 Valid monoid, complex and binomial input documents are mutated (wrong
 types, ragged matrices, missing keys, bad numbers, deep nesting) and fed
-to `serialization.parse_doc` and to `cli.main`.  Whatever the input, the
-parser raises only the errors the command line maps to exit 1 or 2, and
-`main` returns 0, 1 or 2 with an `error:` line on every failure; for
-binomial input, that line also says what went wrong.
+to `serialization.parse_doc` and to `cli.main`; so are refinements,
+manifolds, b-maps and fiber problems, to the commands that read them.
+Whatever the input, the parser raises only the errors the command line
+maps to exit 1 or 2, and `main` returns 0, 1 or 2 with an `error:` line
+on every failure; for binomial input, that line also says what went
+wrong.  Any other exception is a defect and fails the test.
 """
 
 import contextlib
@@ -20,11 +22,13 @@ from blowup import serialization as ser
 from blowup.cli import main
 from blowup.complexes import complex_from_monoid
 from blowup.errors import BlowupError
+from blowup.manifolds import BMap, corner_model, ordinary_blowup
 from blowup.monoids import ToricMonoid
 from blowup.serialization import MalformedDocument
 
-# What `cli.main` turns into exit 2 (malformed) or exit 1 (validation).
-HANDLED = (MalformedDocument, KeyError, ValueError, TypeError, BlowupError)
+# What `cli.main` turns into exit 2 (malformed) or exit 1 (validation);
+# any other exception is a defect.
+HANDLED = (MalformedDocument, BlowupError)
 
 MONOID = ser.monoid_to_doc(ToricMonoid.from_generators(
     2, [(1, 0), (1, 1), (1, 2)]))
@@ -32,6 +36,28 @@ COMPLEX = ser.complex_to_doc(complex_from_monoid(ToricMonoid.free(2))[0])
 BINOMIAL = {"kind": "binomial_input", "version": ser.VERSION,
             "equations": [{"alpha": [1, 1, 0], "beta": [0, 0, 2]}],
             "smooth_count": 0, "tangential_dim": 1}
+SQUARE = ser.manifold_to_doc(corner_model(2))
+REFINEMENT = ser.refinement_to_doc(
+    ordinary_blowup(corner_model(2), "H1&H2")[0].refinement)
+# The sum map of the square onto the half line, and the half line sent
+# to the corner of the square.
+SUM = BMap(corner_model(2), corner_model(1),
+           {"X": "X", "H1": "H1", "H2": "H1", "H1&H2": "H1"},
+           {("H1", "H1"): 1, ("H2", "H1"): 1})
+LIFT = ser.bmap_to_doc(BMap(corner_model(1), corner_model(2),
+                            {"X": "X", "H1": "H1&H2"},
+                            {("H1", "H1"): 1, ("H1", "H2"): 2}))
+FIBER = {"kind": "fiber_problem", "version": ser.VERSION,
+         "f1": ser.bmap_to_doc(SUM), "f2": ser.bmap_to_doc(SUM)}
+# Command lines with the document each reads as its input, DOC; SQUARE
+# and REFINEMENT stand for the files of those documents.
+KIND_RUNS = [
+    (["validate", "DOC"], REFINEMENT), (["validate", "DOC"], LIFT),
+    (["atlas", "DOC"], REFINEMENT),
+    (["blowup", "DOC", "--refinement", "REFINEMENT"], SQUARE),
+    (["lift", "DOC", "--manifold", "SQUARE", "--refinement",
+      "REFINEMENT"], LIFT),
+    (["fiber", "analyze", "DOC"], FIBER)]
 
 # Stands for a deeply nested list, spliced into the JSON text, because the
 # encoder cannot write one.
@@ -171,6 +197,21 @@ def test_binomial_cli_exits_0_1_or_2_with_a_message(text):
             check_run(code, out, err)
             # "error: <kind>: <message>", and the message is not empty.
             assert not code or err.split(": ", 2)[-1].strip()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KIND_RUNS).flatmap(lambda run: st.tuples(
+    st.just(run[0]), documents([run[1]]))))
+def test_every_input_kind_exits_0_1_or_2_with_a_message(run):
+    command, text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"SQUARE": ser.dumps(SQUARE), "DOC": text,
+                 "REFINEMENT": ser.dumps(REFINEMENT)}
+        for name, content in files.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(content)
+        check_run(*run_cli([os.path.join(tmp, w) if w in files else w
+                            for w in command]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,11 @@
 """Round-trip and schema tests for the JSON document layer."""
 
 import json
+import re
 
 import pytest
 
+from blowup import errors
 from blowup import exactla as la
 from blowup import serialization as ser
 from blowup.binomial import normal_form
@@ -119,8 +121,53 @@ class TestMalformed:
         with pytest.raises(MalformedDocument):
             ser._dec_num(True)
 
-    @pytest.mark.parametrize("rows", [[[1, 0], [1]], [[1, 0], "01"]])
+    def test_one_exception_type(self):
+        assert MalformedDocument is errors.MalformedDocument
+        assert not issubclass(MalformedDocument, errors.BlowupError)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", "complex", "expected kind 'monoid', got 'complex'"),
+        ("version", 99, "unsupported version 99")])
+    def test_nested_documents_are_named_by_their_path(self, field, value,
+                                                      message):
+        doc = ser.to_doc(complex_from_monoid(ToricMonoid.free(1))[0])
+        doc["elements"][1]["monoid"][field] = value
+        with pytest.raises(MalformedDocument, match=re.escape(
+                f"complex.elements[1].monoid: {message}")):
+            ser.parse_doc(doc)
+
+    @pytest.mark.parametrize("field", ["relations", "face_maps"])
+    def test_pairs_name_elements_of_the_complex(self, field):
+        doc = ser.to_doc(complex_from_monoid(ToricMonoid.free(1))[0])
+        if field == "relations":
+            doc["relations"][0][1] = "nowhere"
+            where = "complex.relations[0]"
+        else:
+            doc["face_maps"][0]["pair"][1] = "nowhere"
+            where = "complex.face_maps[0].pair"
+        with pytest.raises(MalformedDocument, match=re.escape(
+                f"{where}: 'nowhere' is not an element id")):
+            ser.parse_doc(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1], "document must be a JSON object"),
+        ({"kind": ["monoid"]}, "kind: expected a string"),
+        ({"version": 1}, "unknown document kind None")])
+    def test_root_of_a_document(self, doc, message):
+        with pytest.raises(MalformedDocument, match=f"^{re.escape(message)}$"):
+            ser.parse_doc(doc)
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [1]], [[1, 0], "01"], "01"])
     def test_rows_must_be_lists_of_one_length(self, rows):
-        for decode in (ser._dec_int_mat, ser._dec_q_mat):
-            with pytest.raises(MalformedDocument):
-                decode(rows)
+        """Integer and rational matrices alike, named by their field."""
+        monoid = ser.to_doc(ToricMonoid.free(2))
+        lift_check = {"kind": "lift_check", "version": ser.VERSION,
+                      "delta": [[1, 0]], "nu": [[1, 0], [0, 1]],
+                      "mu": [[1, 0]]}
+        for doc, field, decode in (
+                (monoid, "generators", ser.monoid_from_doc),
+                (lift_check, "nu", ser.lift_check_from_doc)):
+            with pytest.raises(MalformedDocument, match=(
+                    f"^{doc['kind']}.{field}: expected a list of equally "
+                    "long rows$")):
+                decode({**doc, field: rows})
