@@ -11,9 +11,10 @@ as required exclusive groups; `main` returns its exit status, 2 on a
 malformed command line.  `serialization` decodes every input document,
 checking its kind, its version and the type of each field it reads.
 Inputs that a command relies on are validated before it computes: the
-complex of `ns`, the refinement of `atlas` and `verify` (which must also
-be smooth), the manifold of `blowup`, `lift` and `blowup-domain`, and
-the b-maps of `fiber`.
+complex of `ns`, the complex and given refinements of `extend`, the
+refinement of `atlas` and `verify` (which must also be smooth), the
+manifold and refinement of `blowup`, `lift` and `blowup-domain` (and
+the b-map of the last two), and the b-maps of `fiber`.
 """
 
 import argparse
@@ -160,8 +161,14 @@ def cmd_ns(args) -> Dict[str, Any]:
 
 
 def cmd_extend(args) -> Dict[str, Any]:
-    r = extend_refinement(
-        *ser.extension_problem_from_doc(_read_doc(args.input)))
+    q, local = ser.extension_problem_from_doc(_read_doc(args.input))
+    q.validate()
+    for e, given in sorted(local.items()):
+        failures = given.validate()
+        if failures:
+            raise NotARefinement(f"given refinement of {e} is invalid: "
+                                 f"{failures[0].detail}")
+    r = extend_refinement(q, local)
     r.validate()
     doc = ser.refinement_to_doc(r)
     doc["elements"] = len(r.source.elements)
@@ -240,8 +247,8 @@ def cmd_atlas(args) -> Dict[str, Any]:
 
 
 def _blowup_along(x: CornerComplex, path: str) -> Blowup:
-    """The blow-up of x along a refinement document that passes
-    validation and refines the basic complex of x."""
+    """The blow-up of a valid manifold x along a refinement document
+    that passes validation and refines the basic complex of x."""
     r = ser.refinement_from_doc(_read_doc(path))
     q, p = r.target, x.basic_complex()
     if (q.monoids, q.order, q.face_maps) != (p.monoids, p.order, p.face_maps):
@@ -261,13 +268,12 @@ def _validate_bmap(f: BMap) -> None:
 def _load_lift_problem(args) -> Tuple[BMap, Blowup]:
     """A b-map that passes validation and a blow-up of its target."""
     f = ser.bmap_from_doc(_read_doc(args.input))
-    b = _blowup_along(_valid_manifold(args.manifold), args.refinement)
+    x = _valid_manifold(args.manifold)
     _validate_bmap(f)
-    y = b.blowdown.target
-    if (f.target.incidence, f.target.order) != (y.incidence, y.order):
+    if (f.target.incidence, f.target.order) != (x.incidence, x.order):
         raise NotCompatible("the b-map's target is not the manifold that "
                             "is blown up")
-    return f, b
+    return f, _blowup_along(x, args.refinement)
 
 
 def cmd_lift(args) -> Dict[str, Any]:

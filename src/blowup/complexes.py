@@ -27,7 +27,8 @@ from .refinements import (MonoidRefinement, cone_over, planar_refine,
                           smoothing, star_subdivide, trivial_refinement)
 
 
-def _check_shape(m: la.Mat, rows: int, cols: int, what: str) -> None:
+def check_shape(m: la.Mat, rows: int, cols: int, what: str) -> None:
+    """Raise NotAComplex, naming what, unless m is rows x cols."""
     if len(m) != rows or any(len(r) != cols for r in m):
         raise NotAComplex(f"{what} is not {rows} x {cols}")
 
@@ -122,7 +123,7 @@ class MonoidalComplex:
         """Raise NotAComplex unless each face map a -> b has a row per
         coordinate of a's ambient space, each as wide as b's."""
         for a, b in self._chains():
-            _check_shape(self.face_maps[(a, b)], self.monoids[a].ambient_dim,
+            check_shape(self.face_maps[(a, b)], self.monoids[a].ambient_dim,
                          self.monoids[b].ambient_dim, f"face map {a} -> {b}")
 
     def validate(self) -> None:
@@ -245,7 +246,7 @@ class ComplexMorphism:
         self.source.check_shapes()
         self.target.check_shapes()
         for a in self.source.elements:
-            _check_shape(self.homs[a], self.source.monoids[a].ambient_dim,
+            check_shape(self.homs[a], self.source.monoids[a].ambient_dim,
                          self.target.monoids[self.node_map[a]].ambient_dim,
                          f"hom at {a}")
         for a, b in self.source._chains():

@@ -10,8 +10,11 @@ then decodes its integers and matrices strictly and checks that the ids
 it cross-references exist.  Each of these raises MalformedDocument; a
 missing field, a field of the wrong type or an unknown id is named by
 its path, such as `complex.face_maps[3].pair: missing`, and a decoder
-reading a document nested in another is given that document's path.  A
-binomial system document is read back only if it is its own normal form.
+reading a document nested in another is given that document's path.
+The face maps of a complex are checked against its elements' ambient
+dimensions (NotAComplex, as in its validation) before the complex
+composes the missing ones.  A binomial system document is read back
+only if it is its own normal form.
 """
 
 import json
@@ -20,7 +23,8 @@ from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from . import exactla as la
-from .complexes import ComplexMorphism, ComplexRefinement, MonoidalComplex
+from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
+                        check_shape)
 from .binomial import BinomialSystem, normal_form
 # Also imported from here by callers of the decoders.
 from .errors import MalformedDocument
@@ -88,6 +92,8 @@ _NUM = "a number"
 _OBJECT = "an object"
 _PAIR = "a pair of ids"
 _MATRIX = "a list of equally long rows"
+# Coefficients may be null, which reads as absent.
+_NUMBERS = "a list of numbers or null"
 
 _IS = {
     _ID: lambda x: isinstance(x, str),
@@ -98,6 +104,8 @@ _IS = {
     _MATRIX: lambda x: (isinstance(x, list)
                        and all(isinstance(row, list) for row in x)
                        and len({len(row) for row in x}) <= 1),
+    _NUMBERS: lambda x: x is None or (isinstance(x, list)
+                                      and all(map(_IS[_NUM], x))),
 }
 
 _MORPHISM = {"source": _OBJECT, "target": _OBJECT, "node_map": {"*": _ID},
@@ -119,7 +127,7 @@ _FIELDS = {
     "bmap": {"source": _OBJECT, "target": _OBJECT, "face_map": {"*": _ID},
              "alpha": [{"pair": _PAIR, "e": _NUM}]},
     "lift_check": {"delta": _MATRIX, "nu": _MATRIX, "mu": _MATRIX,
-                   "coefficients?": [_NUM]},
+                   "coefficients?": _NUMBERS},
     "binomial_system": {"boundary_dim": _NUM, "tangential_dim": _NUM,
                         "gammas": _MATRIX, "smooth_count": _NUM},
     "binomial_input": {"equations": [{"alpha": [_NUM], "beta": [_NUM]}],
@@ -260,6 +268,10 @@ def complex_from_doc(doc, path: Optional[str] = None) -> MonoidalComplex:
     order = [tuple(p) for p in doc["relations"]]
     maps = {tuple(r["pair"]): _dec_int_mat(r["matrix"])
             for r in doc["face_maps"]}
+    # Before the complex multiplies them into its composite face maps.
+    for (a, b), m in maps.items():
+        check_shape(m, monoids[a].ambient_dim, monoids[b].ambient_dim,
+                    f"face map {a} -> {b}")
     return MonoidalComplex(monoids, order, maps)
 
 
@@ -312,9 +324,17 @@ def extension_problem_from_doc(doc) -> Tuple[MonoidalComplex,
             raise MalformedDocument(f"extension_problem given id "
                                     f"{e['id']!r} is not an element of the "
                                     "complex")
-        members = [monoid_from_doc(d, f"{path}.given[{i}].members[{j}]")
-                   for j, d in enumerate(e["members"])]
-        local[e["id"]] = MonoidRefinement(q.monoids[e["id"]], members)
+        base = q.monoids[e["id"]]
+        members = []
+        for j, d in enumerate(e["members"]):
+            where = f"{path}.given[{i}].members[{j}]"
+            m = monoid_from_doc(d, where)
+            if m.ambient_dim != base.ambient_dim:
+                raise MalformedDocument(
+                    f"{where}: ambient_dim {m.ambient_dim}, not its "
+                    f"element's {base.ambient_dim}")
+            members.append(m)
+        local[e["id"]] = MonoidRefinement(base, members)
     return q, local
 
 

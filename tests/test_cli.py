@@ -24,7 +24,7 @@ from blowup.monoids import ToricMonoid
 from blowup.refinements import star_subdivide, trivial_refinement
 
 from test_binomial import ten_variable_pairs
-from test_fuzz import BAD_SHAPE_TEXT, run_cli
+from test_fuzz import BAD_SHAPE_TEXT, UNCOMPOSABLE_TEXT, run_cli
 from test_manifolds import overlapping_square_refinement, renamed_square
 from test_refinements import count_intersections
 
@@ -422,6 +422,36 @@ class TestCheckedBeforeComputing:
             1, "error: validation failed: complex is not complete: face () "
             "of a has no preimage\n")
 
+    def test_face_maps_are_shaped_before_they_compose(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(UNCOMPOSABLE_TEXT)
+        for command in ("validate", "ns"):
+            assert self.run([command, str(path)], capsys) == (
+                1, "error: validation failed: face map c -> a is not "
+                "2 x 1\n")
+
+    def test_extend_validates_its_complex(self, tmp_path, capsys):
+        doc = extension_problem_doc()
+        doc["complex"]["face_maps"][0]["matrix"].append([0, 0, 0])
+        path = write(tmp_path, "ext.json", doc)
+        code, err = self.run(["extend", path], capsys)
+        assert code == 1
+        assert err.startswith("error: validation failed: face map ")
+        assert err.endswith(" is not 3 x 3\n")
+
+    def test_extend_validates_the_given_refinements(self, tmp_path,
+                                                    capsys):
+        doc = extension_problem_doc()
+        given = next(g for g in doc["given"] if len(g["members"]) > 1)
+        given["members"].pop()
+        path = write(tmp_path, "ext.json", doc)
+        code, err = self.run(["extend", path], capsys)
+        assert code == 1
+        assert err.startswith(
+            f"error: validation failed: given refinement of {given['id']} "
+            "is invalid: ")
+
 
 class TestBinomialInvariants:
     """resolve raises InvariantViolated on an indefinite chart, so the
@@ -496,6 +526,11 @@ class TestVerifyCommand:
         doc = {"kind": "lift_check", "version": ser.VERSION,
                "delta": delta, "nu": nu, "mu": mu}
         path = write(tmp_path, "lc.json", doc)
+        assert main(["verify", path]) == 0
+
+    def test_lift_check_null_coefficients_are_absent(self, tmp_path):
+        path = write(tmp_path, "lc.json", {**LIFT_CHECK,
+                                           "coefficients": None})
         assert main(["verify", path]) == 0
 
     def test_lift_check_bad_mu(self, tmp_path):
@@ -1034,6 +1069,18 @@ class TestInputGrammar:
         assert captured.out == ""
         assert captured.err == f"error: malformed input: {message}\n"
         assert not out.exists()
+
+    def test_given_member_of_another_dimension(self, tmp_path, capsys):
+        doc = extension_problem_doc()
+        doc["given"][0]["members"][0] = ser.monoid_to_doc(
+            ToricMonoid.free(2))
+        path = write(tmp_path, "ext.json", doc)
+        assert main(["extend", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: malformed input: extension_problem.given[0].members[0]: "
+            "ambient_dim 2, not its element's 3\n")
 
     def test_unknown_given_id_names_its_field(self, tmp_path, capsys):
         doc = extension_problem_doc()

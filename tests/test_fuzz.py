@@ -3,7 +3,8 @@
 Valid monoid, complex and binomial input documents are mutated (wrong
 types, ragged matrices, missing keys, bad numbers, deep nesting) and fed
 to `serialization.parse_doc` and to `cli.main`; so are refinements,
-manifolds, b-maps and fiber problems, to the commands that read them.
+manifolds, b-maps, fiber problems, extension problems and lift checks,
+to the commands that read them.
 Whatever the input, the parser raises only the errors the command line
 maps to exit 1 or 2, and `main` returns 0, 1 or 2 with an `error:` line
 on every failure; for binomial input, that line also says what went
@@ -24,6 +25,7 @@ from blowup.complexes import complex_from_monoid
 from blowup.errors import BlowupError
 from blowup.manifolds import BMap, corner_model, ordinary_blowup
 from blowup.monoids import ToricMonoid
+from blowup.refinements import star_subdivide, trivial_refinement
 from blowup.serialization import MalformedDocument
 
 # What `cli.main` turns into exit 2 (malformed) or exit 1 (validation);
@@ -49,6 +51,25 @@ LIFT = ser.bmap_to_doc(BMap(corner_model(1), corner_model(2),
                             {("H1", "H1"): 1, ("H1", "H2"): 2}))
 FIBER = {"kind": "fiber_problem", "version": ser.VERSION,
          "f1": ser.bmap_to_doc(SUM), "f2": ser.bmap_to_doc(SUM)}
+
+
+def _extension():
+    """The quadrant's complex with its top element star subdivided at
+    the diagonal, and its faces refined trivially."""
+    q, _ = complex_from_monoid(ToricMonoid.free(2))
+    given = [{"id": a, "members": [
+        ser.monoid_to_doc(m) for m in (
+            star_subdivide(q.monoids[a], (1, 1)) if q.monoids[a].dim == 2
+            else trivial_refinement(q.monoids[a])).members]}
+        for a in q.elements]
+    return {"kind": "extension_problem", "version": ser.VERSION,
+            "complex": ser.complex_to_doc(q), "given": given}
+
+
+EXTENSION = _extension()
+LIFT_CHECK = {"kind": "lift_check", "version": ser.VERSION,
+              "delta": [[1, 1], [3, 2]], "nu": [[1, 0], [1, 1]],
+              "mu": [[0, 1], [1, 2]], "coefficients": [1, 2]}
 # Command lines with the document each reads as its input, DOC; SQUARE
 # and REFINEMENT stand for the files of those documents.
 KIND_RUNS = [
@@ -57,7 +78,8 @@ KIND_RUNS = [
     (["blowup", "DOC", "--refinement", "REFINEMENT"], SQUARE),
     (["lift", "DOC", "--manifold", "SQUARE", "--refinement",
       "REFINEMENT"], LIFT),
-    (["fiber", "analyze", "DOC"], FIBER)]
+    (["fiber", "analyze", "DOC"], FIBER), (["extend", "DOC"], EXTENSION),
+    (["verify", "DOC"], LIFT_CHECK)]
 
 # Stands for a deeply nested list, spliced into the JSON text, because the
 # encoder cannot write one.
@@ -133,6 +155,15 @@ BAD_SHAPE_TEXT = ser.dumps({
                   "monoid": ser.monoid_to_doc(ToricMonoid.trivial(1))}],
     "relations": [["b", "a"]],
     "face_maps": [{"pair": ["b", "a"], "matrix": [[1, 2]]}]})
+# A chain b < c < a given by its covering maps, whose map c -> a is 1 x 1
+# out of the 2-dimensional c: the composite b -> a cannot be formed.
+UNCOMPOSABLE_TEXT = ser.dumps({
+    "kind": "complex", "version": ser.VERSION,
+    "elements": [{"id": e, "monoid": ser.monoid_to_doc(ToricMonoid.free(n))}
+                 for e, n in (("a", 1), ("b", 1), ("c", 2))],
+    "relations": [["b", "c"], ["c", "a"]],
+    "face_maps": [{"pair": ["b", "c"], "matrix": [[1, 0]]},
+                  {"pair": ["c", "a"], "matrix": [[1]]}]})
 RAGGED_TEXT = ser.dumps(mutate(MONOID, ("generators", 1), "replace", [1]))
 SHORT_BETA_TEXT = ser.dumps(mutate(BINOMIAL, ("equations", 0, "beta", 2),
                                    "delete", None))
@@ -160,6 +191,7 @@ def check_run(code, out, err):
 @given(documents())
 @example(DEEP_TEXT)
 @example(BAD_SHAPE_TEXT)
+@example(UNCOMPOSABLE_TEXT)
 @example(RAGGED_TEXT)
 def test_parse_doc_raises_only_handled_errors(text):
     try:
@@ -172,6 +204,7 @@ def test_parse_doc_raises_only_handled_errors(text):
 @given(documents())
 @example(DEEP_TEXT)
 @example(BAD_SHAPE_TEXT)
+@example(UNCOMPOSABLE_TEXT)
 @example(RAGGED_TEXT)
 def test_cli_exits_0_1_or_2_with_a_message(text):
     with tempfile.TemporaryDirectory() as tmp:
