@@ -8,32 +8,27 @@ and BlowupError to 1; any other exception is a defect and propagates
 with its traceback.  The parser owns the command line: it declares each
 command with its handler, and the modes of `subdivide` and of `blowup`
 as required exclusive groups; `main` returns its exit status, 2 on a
-malformed command line.  `serialization` decodes every input document,
-checking its kind, its version and the type of each field it reads.
-Inputs that a command relies on are validated before it computes: the
-complex of `ns`, the complex and given refinements of `extend`, the
-refinement of `atlas` and `verify` (which must also be smooth), the
-manifold and refinement of `blowup`, `lift` and `blowup-domain` (and
-the b-map of the last two), and the b-maps of `fiber`.
+malformed command line.  `serialization` decodes every input document
+into a validated object, and each library function checks that its
+arguments fit together before it computes; a handler decodes, calls and
+encodes.
 """
 
 import argparse
 import functools
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from . import exactla as la
 from . import serialization as ser
 from .binomial import (boundary_faces, resolve, universal_resolution,
                        variety_complex)
 from .chartcheck import verify_lift, verify_transitions
-from .complexes import (ComplexRefinement, extend_refinement,
-                        natural_smooth_refinement)
-from .errors import (BlowupError, MalformedDocument, NotARefinement,
-                     NotCompatible, NotSmooth)
+from .complexes import extend_refinement, natural_smooth_refinement
+from .errors import BlowupError, MalformedDocument, NotSmooth
 from .fiber import (FiberProblem, b_normal_transversality, factor_through,
                     resolve_fiber_product, theorem_b_check)
-from .manifolds import (BMap, Blowup, CornerComplex, blowup_domain,
+from .manifolds import (Blowup, CornerComplex, blowup_domain,
                         generalized_blowup, iterated_blowup, lift_bmap,
                         local_atlas, ordinary_blowup)
 from .monoids import ToricMonoid
@@ -111,9 +106,7 @@ def _load_monoid(path: str) -> ToricMonoid:
 
 def cmd_validate(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
-    obj = ser.parse_doc(raw)
-    if hasattr(obj, "validate"):
-        obj.validate()
+    ser.parse_doc(raw)
     return {"kind": "validation", "status": "ok", "input_kind": raw["kind"]}
 
 
@@ -150,9 +143,7 @@ def cmd_subdivide(args) -> Dict[str, Any]:
 
 
 def cmd_ns(args) -> Dict[str, Any]:
-    q = ser.complex_from_doc(_read_doc(args.input))
-    q.validate()
-    r = natural_smooth_refinement(q)
+    r = natural_smooth_refinement(ser.complex_from_doc(_read_doc(args.input)))
     r.validate()
     doc = ser.refinement_to_doc(r)
     doc["smooth"] = r.is_smooth()
@@ -161,14 +152,8 @@ def cmd_ns(args) -> Dict[str, Any]:
 
 
 def cmd_extend(args) -> Dict[str, Any]:
-    q, local = ser.extension_problem_from_doc(_read_doc(args.input))
-    q.validate()
-    for e, given in sorted(local.items()):
-        failures = given.validate()
-        if failures:
-            raise NotARefinement(f"given refinement of {e} is invalid: "
-                                 f"{failures[0].detail}")
-    r = extend_refinement(q, local)
+    r = extend_refinement(*ser.extension_problem_from_doc(
+        _read_doc(args.input)))
     r.validate()
     doc = ser.refinement_to_doc(r)
     doc["elements"] = len(r.source.elements)
@@ -186,14 +171,6 @@ def _blowup_result(b: Blowup) -> Dict[str, Any]:
     }
 
 
-def _valid_manifold(path: str) -> CornerComplex:
-    """A manifold document that passes validation: the blow-down reads
-    the ray of each hypersurface off the face of the same id."""
-    x = ser.manifold_from_doc(_read_doc(path))
-    x.validate()
-    return x
-
-
 def _check_face_ids(x: CornerComplex, flag: str, ids: List[str]) -> None:
     """Raise MalformedDocument, naming the flag, unless each id given to
     it is a face of x."""
@@ -204,7 +181,7 @@ def _check_face_ids(x: CornerComplex, flag: str, ids: List[str]) -> None:
 
 
 def cmd_blowup(args) -> Dict[str, Any]:
-    x = _valid_manifold(args.input)
+    x = ser.manifold_from_doc(_read_doc(args.input))
     if args.ordinary is not None:
         _check_face_ids(x, "--ordinary", [args.ordinary])
         weights = _vector(args.weights) if args.weights else None
@@ -216,21 +193,12 @@ def cmd_blowup(args) -> Dict[str, Any]:
         centers = args.iterated.split(",")
         _check_face_ids(x, "--iterated", centers)
         return _blowup_result(iterated_blowup(x, centers))
-    return _blowup_result(_blowup_along(x, args.refinement))
-
-
-def _smooth_refinement(doc) -> ComplexRefinement:
-    """A refinement document that passes validation and is smooth: the
-    atlas reads its charts and adjacency off such a refinement only."""
-    r = ser.refinement_from_doc(doc)
-    r.validate()
-    if not r.is_smooth():
-        raise NotSmooth("chart atlases need a smooth refinement")
-    return r
+    return _blowup_result(generalized_blowup(
+        x, ser.refinement_from_doc(_read_doc(args.refinement))))
 
 
 def cmd_atlas(args) -> Dict[str, Any]:
-    r = _smooth_refinement(_read_doc(args.input))
+    r = ser.refinement_from_doc(_read_doc(args.input))
     atlas = local_atlas(r)
     return {
         "kind": "atlas",
@@ -246,47 +214,19 @@ def cmd_atlas(args) -> Dict[str, Any]:
     }
 
 
-def _blowup_along(x: CornerComplex, path: str) -> Blowup:
-    """The blow-up of a valid manifold x along a refinement document
-    that passes validation and refines the basic complex of x."""
-    r = ser.refinement_from_doc(_read_doc(path))
-    q, p = r.target, x.basic_complex()
-    if (q.monoids, q.order, q.face_maps) != (p.monoids, p.order, p.face_maps):
-        raise NotARefinement("the refinement's target is not the basic "
-                             "complex of the manifold")
-    r.validate()
-    return generalized_blowup(x, r)
-
-
-def _validate_bmap(f: BMap) -> None:
-    """Validate a b-map and the manifolds it maps between."""
-    f.source.validate()
-    f.target.validate()
-    f.validate()
-
-
-def _load_lift_problem(args) -> Tuple[BMap, Blowup]:
-    """A b-map that passes validation and a blow-up of its target."""
-    f = ser.bmap_from_doc(_read_doc(args.input))
-    x = _valid_manifold(args.manifold)
-    _validate_bmap(f)
-    if (f.target.incidence, f.target.order) != (x.incidence, x.order):
-        raise NotCompatible("the b-map's target is not the manifold that "
-                            "is blown up")
-    return f, _blowup_along(x, args.refinement)
-
-
 def cmd_lift(args) -> Dict[str, Any]:
-    f, b = _load_lift_problem(args)
-    lift = lift_bmap(f, b)
-    lift.bmap.validate()
-    return {"kind": "lift", "version": ser.VERSION,
-            "bmap": ser.bmap_to_doc(lift.bmap),
-            "factoring": ser.morphism_to_doc(lift.factoring)}
-
-
-def cmd_blowup_domain(args) -> Dict[str, Any]:
-    f, b = _load_lift_problem(args)
+    """`lift` lifts the b-map through the blow-up; `blowup-domain` first
+    blows up its domain so that it lifts."""
+    f = ser.bmap_from_doc(_read_doc(args.input))
+    x = ser.manifold_from_doc(_read_doc(args.manifold))
+    b = generalized_blowup(x, ser.refinement_from_doc(
+        _read_doc(args.refinement)))
+    if args.command == "lift":
+        lift = lift_bmap(f, b)
+        lift.bmap.validate()
+        return {"kind": "lift", "version": ser.VERSION,
+                "bmap": ser.bmap_to_doc(lift.bmap),
+                "factoring": ser.morphism_to_doc(lift.factoring)}
     dom, lift, minimal = blowup_domain(f, b)
     return {"kind": "blowup_domain", "version": ser.VERSION,
             "minimal": minimal,
@@ -337,11 +277,9 @@ def cmd_binomial(args) -> Dict[str, Any]:
 def cmd_fiber(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
     if args.action == "factor" or ser.kind_of(raw) == "factor_problem":
-        maps = f1, f2, g1, g2 = ser.factor_problem_from_doc(raw)
+        f1, f2, g1, g2 = ser.factor_problem_from_doc(raw)
     else:
-        maps = f1, f2 = ser.fiber_problem_from_doc(raw)
-    for f in maps:
-        _validate_bmap(f)
+        f1, f2 = ser.fiber_problem_from_doc(raw)
     p = FiberProblem(f1, f2)
     if args.action == "analyze":
         rep = b_normal_transversality(p)
@@ -382,7 +320,7 @@ def cmd_verify(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
     kind = ser.kind_of(raw)
     if kind == "refinement":
-        rep = verify_transitions(local_atlas(_smooth_refinement(raw)))
+        rep = verify_transitions(local_atlas(ser.refinement_from_doc(raw)))
     elif kind == "lift_check":
         rep = verify_lift(*ser.lift_check_from_doc(raw))
     else:
@@ -442,9 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("atlas", cmd_atlas)
 
-    for name, handler in (("lift", cmd_lift),
-                          ("blowup-domain", cmd_blowup_domain)):
-        s = add(name, handler)
+    for name in ("lift", "blowup-domain"):
+        s = add(name, cmd_lift)
         s.add_argument("--manifold", required=True)
         s.add_argument("--refinement", required=True)
 

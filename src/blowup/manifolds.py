@@ -24,7 +24,7 @@ from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
                         natural_smooth_refinement, pullback_refinement,
                         star_subdivide_complex)
 from .errors import (BlowupError, InvariantViolated, NotAComplex, NotAFace,
-                     NotCompatible, NotInSupport, NotSmooth)
+                     NotARefinement, NotCompatible, NotInSupport, NotSmooth)
 from .monoids import ToricMonoid
 
 
@@ -144,6 +144,11 @@ class BMap:
         return self.exponents.get((g, h), 0)
 
     def validate(self) -> None:
+        """Raises:
+            NotAComplex: unless the source and target manifolds, and then
+                the face map and exponents, are valid."""
+        self.source.validate()
+        self.target.validate()
         for a, b in self.source.order:
             if not self.target.leq(self.face_map[a], self.face_map[b]):
                 raise NotAComplex(
@@ -240,8 +245,15 @@ def generalized_blowup(x: CornerComplex, r: ComplexRefinement) -> Blowup:
     source complex.
 
     Raises:
+        NotARefinement: if r's target is not x's basic complex (that
+            object, or one with the same monoids, order and face maps).
         NotSmooth: if r is not smooth.
     """
+    q, p = r.target, x.basic_complex()
+    if q is not p and (q.monoids, q.order, q.face_maps) != \
+            (p.monoids, p.order, p.face_maps):
+        raise NotARefinement("the refinement's target is not the basic "
+                             "complex of the manifold")
     total = _smooth_corner(r.source)
     return Blowup(total, _ray_exponents(total, r.morphism, x), r)
 
@@ -319,7 +331,12 @@ def local_atlas(r: ComplexRefinement) -> ChartAtlas:
     dual to the columns of nu2^{-1}, so minus the column of nu2's ray off
     that facet vanishes on it and is negative on nu2's other ray; it
     separates when it is positive on nu1's other ray.
+
+    Raises:
+        NotSmooth: if r is not smooth.
     """
+    if not r.is_smooth():
+        raise NotSmooth("chart atlases need a smooth refinement")
     q = r.target
     top = max(q.elements, key=lambda a: q.monoids[a].dim)
     n = q.monoids[top].dim
@@ -407,12 +424,24 @@ def is_compatible(f: BMap, r: ComplexRefinement) -> bool:
     return True
 
 
+def _check_maps_into(f: BMap, blowup: Blowup) -> None:
+    """Raise NotCompatible unless f maps into the manifold that blowup
+    blows up: that object, or one with the same incidence and order."""
+    y = blowup.blowdown.target
+    if f.target is not y and \
+            (f.target.incidence, f.target.order) != (y.incidence, y.order):
+        raise NotCompatible("the b-map's target is not the manifold that "
+                            "is blown up")
+
+
 def lift_bmap(f: BMap, blowup: Blowup) -> Lift:
     """Lift f: X -> Y through the blow-down [Y; R] -> Y.
 
     Raises:
-        NotCompatible: if f does not factor through the refinement.
+        NotCompatible: if f's target is not Y, or if f does not factor
+            through the refinement.
     """
+    _check_maps_into(f, blowup)
     factoring = factor_through_refinement(f.induced_morphism(),
                                           blowup.refinement)
     return Lift(_ray_exponents(f.source, factoring, blowup.total),
@@ -518,7 +547,11 @@ def blowup_domain(f: BMap, blowup: Blowup) -> Tuple[Blowup, Lift, bool]:
 
     Returns the domain blow-up, the lift of f . beta, and whether the
     domain blow-up was already minimal (pullback already smooth).
+
+    Raises:
+        NotCompatible: if f's target is not the blown-up manifold.
     """
+    _check_maps_into(f, blowup)
     dom, minimal = _pulled_back_blowup(f.source, blowup.refinement,
                                        f.induced_morphism())
     lifted = lift_bmap(dom.blowdown.compose(f), blowup)

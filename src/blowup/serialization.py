@@ -14,7 +14,10 @@ reading a document nested in another is given that document's path.
 The face maps of a complex are checked against its elements' ambient
 dimensions (NotAComplex, as in its validation) before the complex
 composes the missing ones.  A binomial system document is read back
-only if it is its own normal form.
+only if it is its own normal form.  Decoders return objects that pass
+their validation, run once the whole document is decoded: nested parts
+are decoded by the non-validating halves (named with a leading
+underscore), so each is checked as far as its parent's validation goes.
 """
 
 import json
@@ -27,7 +30,7 @@ from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
                         check_shape)
 from .binomial import BinomialSystem, normal_form
 # Also imported from here by callers of the decoders.
-from .errors import MalformedDocument
+from .errors import MalformedDocument, NotARefinement
 from .manifolds import BMap, CornerComplex
 from .monoids import ToricMonoid
 from .refinements import MonoidRefinement
@@ -48,16 +51,11 @@ def _enc_num(x):
 
 
 def _dec_num(x) -> Fraction:
-    if isinstance(x, bool):
-        raise MalformedDocument(f"not a number: {x!r}")
-    if isinstance(x, int):
+    """The value of an integer, or a string such as "-3/4"."""
+    try:
         return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as e:
-            raise MalformedDocument(f"bad number {x!r}") from e
-    raise MalformedDocument(f"not a number: {x!r}")
+    except (ValueError, ZeroDivisionError) as e:
+        raise MalformedDocument(f"bad number {x!r}") from e
 
 
 def _dec_int(x) -> int:
@@ -84,9 +82,10 @@ def _dec_q_mat(doc) -> Tuple[Tuple[Fraction, ...], ...]:
 # ---------------------------------------------------------------------------
 
 # The JSON types a field can have, each by the words its error uses.  A
-# number may be a string, as large integers are written; its value is
-# left to _dec_num.  A nested document is an object that its own decoder
-# checks.
+# number is an integer, not a boolean, or a string, as large integers and
+# rationals are written; its value is left to _dec_num.  A matrix is a
+# list of rows of numbers, each entry named by its own path.  A nested
+# document is an object that its own decoder checks.
 _ID = "a string"
 _NUM = "a number"
 _OBJECT = "an object"
@@ -97,15 +96,16 @@ _NUMBERS = "a list of numbers or null"
 
 _IS = {
     _ID: lambda x: isinstance(x, str),
-    _NUM: lambda x: isinstance(x, (int, float, str)),
+    _NUM: lambda x: isinstance(x, (int, str)) and not isinstance(x, bool),
     _OBJECT: lambda x: isinstance(x, dict),
     _PAIR: lambda x: (isinstance(x, list) and len(x) == 2
                      and all(isinstance(i, str) for i in x)),
     _MATRIX: lambda x: (isinstance(x, list)
                        and all(isinstance(row, list) for row in x)
                        and len({len(row) for row in x}) <= 1),
-    _NUMBERS: lambda x: x is None or (isinstance(x, list)
-                                      and all(map(_IS[_NUM], x))),
+    # Any JSON number or string: verify_lift checks the values.
+    _NUMBERS: lambda x: x is None or (isinstance(x, list) and all(
+        isinstance(c, (int, float, str)) for c in x)),
 }
 
 _MORPHISM = {"source": _OBJECT, "target": _OBJECT, "node_map": {"*": _ID},
@@ -161,6 +161,9 @@ def _check(node, schema, path: str) -> None:
             _check(item, schema[0], f"{path}[{i}]")
     elif not _IS[schema](node):
         raise MalformedDocument(f"{path}: expected {schema}")
+    elif schema == _MATRIX:
+        for i, row in enumerate(node):
+            _check(row, [_NUM], f"{path}[{i}]")
 
 
 def kind_of(doc) -> Optional[str]:
@@ -187,11 +190,18 @@ def _expect(doc, kind: str, path: Optional[str] = None) -> str:
         got = doc.get("kind")
     if got != kind:
         raise MalformedDocument(f"{where}expected kind {kind!r}, got {got!r}")
-    if _dec_int(doc.get("version", 0)) != VERSION:
+    version = doc.get("version", 0)
+    _check(version, _NUM, f"{path}.version")
+    if _dec_int(version) != VERSION:
         raise MalformedDocument(
             f"{where}unsupported version {doc.get('version')}")
     _check(doc, _FIELDS[kind], path)
     return path
+
+
+def _valid(obj):
+    obj.validate()
+    return obj
 
 
 def _known(ids: Iterable[str], known, path: str, what: str) -> None:
@@ -256,6 +266,12 @@ def complex_to_doc(q: MonoidalComplex) -> Dict[str, Any]:
 
 
 def complex_from_doc(doc, path: Optional[str] = None) -> MonoidalComplex:
+    """Raises:
+        NotAComplex: unless the complex passes validation."""
+    return _valid(_complex(doc, path))
+
+
+def _complex(doc, path: Optional[str] = None) -> MonoidalComplex:
     path = _expect(doc, "complex", path)
     monoids = {e["id"]: monoid_from_doc(e["monoid"],
                                         f"{path}.elements[{i}].monoid")
@@ -288,13 +304,15 @@ def morphism_to_doc(m: ComplexMorphism) -> Dict[str, Any]:
 
 
 def morphism_from_doc(doc, path: Optional[str] = None) -> ComplexMorphism:
-    return _morphism(doc, _expect(doc, "morphism", path))
+    """Raises:
+        NotAComplex: unless the morphism passes validation."""
+    return _valid(_morphism(doc, _expect(doc, "morphism", path)))
 
 
 def _morphism(doc, path: str) -> ComplexMorphism:
     """The morphism of a checked morphism or refinement document."""
-    src = complex_from_doc(doc["source"], f"{path}.source")
-    tgt = complex_from_doc(doc["target"], f"{path}.target")
+    src = _complex(doc["source"], f"{path}.source")
+    tgt = _complex(doc["target"], f"{path}.target")
     _mapped(doc["node_map"], src.elements, tgt.monoids, f"{path}.node_map",
             "an element id of the target")
     homs = {r["id"]: _dec_int_mat(r["matrix"]) for r in doc["homs"]}
@@ -309,15 +327,24 @@ def refinement_to_doc(r: ComplexRefinement) -> Dict[str, Any]:
 
 
 def refinement_from_doc(doc) -> ComplexRefinement:
-    return ComplexRefinement(_morphism(doc, _expect(doc, "refinement")))
+    """Raises:
+        NotAComplex, NotARefinement: unless the refinement passes
+            validation, which does not reach its target complex."""
+    return _valid(ComplexRefinement(_morphism(doc,
+                                              _expect(doc, "refinement"))))
 
 
 def extension_problem_from_doc(doc) -> Tuple[MonoidalComplex,
                                              Dict[str, MonoidRefinement]]:
     """A complex and the given refinements of some of its elements, each
-    by its members, for extend_refinement."""
+    by its members, for extend_refinement.
+
+    Raises:
+        NotAComplex: unless the complex passes validation.
+        NotARefinement: unless each given refinement does.
+    """
     path = _expect(doc, "extension_problem")
-    q = complex_from_doc(doc["complex"], f"{path}.complex")
+    q = _complex(doc["complex"], f"{path}.complex")
     local = {}
     for i, e in enumerate(doc["given"]):
         if e["id"] not in q.monoids:
@@ -335,6 +362,12 @@ def extension_problem_from_doc(doc) -> Tuple[MonoidalComplex,
                     f"element's {base.ambient_dim}")
             members.append(m)
         local[e["id"]] = MonoidRefinement(base, members)
+    q.validate()
+    for e, given in sorted(local.items()):
+        failures = given.validate()
+        if failures:
+            raise NotARefinement(f"given refinement of {e} is invalid: "
+                                 f"{failures[0].detail}")
     return q, local
 
 
@@ -358,6 +391,12 @@ def manifold_to_doc(x: CornerComplex) -> Dict[str, Any]:
 
 
 def manifold_from_doc(doc, path: Optional[str] = None) -> CornerComplex:
+    """Raises:
+        NotAComplex: unless the manifold passes validation."""
+    return _valid(_manifold(doc, path))
+
+
+def _manifold(doc, path: Optional[str] = None) -> CornerComplex:
     path = _expect(doc, "manifold", path)
     incidence = {f["id"]: frozenset(f["hyps"]) for f in doc["faces"]}
     order = []
@@ -381,9 +420,15 @@ def bmap_to_doc(f: BMap) -> Dict[str, Any]:
 
 
 def bmap_from_doc(doc, path: Optional[str] = None) -> BMap:
+    """Raises:
+        NotAComplex: unless the b-map and its manifolds pass validation."""
+    return _valid(_bmap(doc, path))
+
+
+def _bmap(doc, path: Optional[str] = None) -> BMap:
     path = _expect(doc, "bmap", path)
-    src = manifold_from_doc(doc["source"], f"{path}.source")
-    tgt = manifold_from_doc(doc["target"], f"{path}.target")
+    src = _manifold(doc["source"], f"{path}.source")
+    tgt = _manifold(doc["target"], f"{path}.target")
     _mapped(doc["face_map"], src.faces, tgt.incidence, f"{path}.face_map",
             "a face id of the target")
     exps = {tuple(r["pair"]): _dec_int(r["e"]) for r in doc["alpha"]}
@@ -463,15 +508,24 @@ def binomial_input_from_doc(doc) -> BinomialSystem:
 
 
 def fiber_problem_from_doc(doc) -> Tuple[BMap, BMap]:
-    path = _expect(doc, "fiber_problem")
-    return tuple(bmap_from_doc(doc[k], f"{path}.{k}") for k in ("f1", "f2"))
+    """Raises:
+        NotAComplex: unless each b-map passes validation."""
+    return _bmaps(doc, "fiber_problem", ("f1", "f2"))
 
 
 def factor_problem_from_doc(doc) -> Tuple[BMap, BMap, BMap, BMap]:
-    """f1, f2 of a fiber problem and g1, g2 to factor through it."""
-    path = _expect(doc, "factor_problem")
-    return tuple(bmap_from_doc(doc[k], f"{path}.{k}")
-                 for k in ("f1", "f2", "g1", "g2"))
+    """f1, f2 of a fiber problem and g1, g2 to factor through it.
+
+    Raises:
+        NotAComplex: unless each b-map passes validation.
+    """
+    return _bmaps(doc, "factor_problem", ("f1", "f2", "g1", "g2"))
+
+
+def _bmaps(doc, kind: str, keys: Tuple[str, ...]) -> Tuple[BMap, ...]:
+    """The b-maps at keys, each decoded before any is validated."""
+    path = _expect(doc, kind)
+    return tuple(map(_valid, [_bmap(doc[k], f"{path}.{k}") for k in keys]))
 
 
 # ---------------------------------------------------------------------------

@@ -1016,11 +1016,13 @@ class TestInputGrammar:
 
     @pytest.mark.parametrize("field", ["smooth_count", "tangential_dim"])
     @pytest.mark.parametrize("value, message", [
-        (True, "not a number: True"), (2.9, "not a number: 2.9"),
+        (True, "binomial_input.{field}: expected a number"),
+        (2.9, "binomial_input.{field}: expected a number"),
         ("two", "bad number 'two'"),
         (-1, "binomial input with a negative count or dimension")])
     def test_binomial_input_counts(self, tmp_path, capsys, field, value,
                                    message):
+        message = message.format(field=field)
         path = write(tmp_path, "counts.json",
                      cusp_input_doc(**{field: value}))
         out = tmp_path / "nf.json"

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup import exactla as la
-from blowup.complexes import (assemble_from_local, identity_refinement,
-                              star_subdivide_complex)
+from blowup.complexes import (assemble_from_local, complex_from_monoid,
+                              identity_refinement, star_subdivide_complex)
 from blowup.errors import (InvariantViolated, NotAComplex, NotAFace,
-                           NotCompatible, NotInSupport)
+                           NotARefinement, NotCompatible, NotInSupport,
+                           NotSmooth)
 from blowup.manifolds import (BMap, CornerComplex, blowup_domain,
                               chart_lift, check_blowdown, corner_model,
                               factor_through_refinement,
@@ -508,3 +509,72 @@ class TestIterated:
         assert check_basic_complex_iso(bl)
         assert check_blowdown(bl.blowdown)[0]
         assert len(bl.total.faces) == 18
+
+
+def cone_refinement():
+    """The identity refinement of the face complex of cone((1, 0), (1, 2)),
+    which is not smooth."""
+    q, _ = complex_from_monoid(ToricMonoid.from_generators(
+        2, [(1, 0), (1, 1), (1, 2)]))
+    return identity_refinement(q)
+
+
+class TestPreconditions:
+    """Each library function checks that its arguments fit before it
+    computes, with the message the command line prints."""
+
+    def test_blowup_along_a_refinement_of_another_complex(self):
+        cube_refinement = ordinary_blowup(corner_model(3),
+                                          "H1&H2&H3")[0].refinement
+        with pytest.raises(NotARefinement, match="^the refinement's target "
+                           "is not the basic complex of the manifold$"):
+            generalized_blowup(square(), cube_refinement)
+
+    def test_foreign_refinement_is_reported_before_smoothness(self):
+        r = cone_refinement()
+        assert not r.is_smooth()
+        with pytest.raises(NotARefinement):
+            generalized_blowup(square(), r)
+
+    def test_equal_basic_complex_fits(self):
+        bl, _ = corner_blowup()
+        again = generalized_blowup(square(), bl.refinement)
+        assert again.total.faces == bl.total.faces
+
+    @pytest.mark.parametrize("lift", [lift_bmap, blowup_domain])
+    def test_lift_of_a_map_into_another_manifold(self, lift):
+        bl, _ = corner_blowup()
+        with pytest.raises(NotCompatible, match="^the b-map's target is not "
+                           "the manifold that is blown up$"):
+            lift(identity_bmap(corner_model(3)), bl)
+
+    def test_blowup_domain_checks_before_pulling_back(self, monkeypatch):
+        import blowup.manifolds as manifolds
+
+        def pulled(*args):
+            raise AssertionError("pulled back before the check")
+
+        monkeypatch.setattr(manifolds, "pullback_refinement", pulled)
+        bl, _ = corner_blowup()
+        with pytest.raises(NotCompatible):
+            blowup_domain(identity_bmap(corner_model(3)), bl)
+
+    def test_atlas_of_a_refinement_that_is_not_smooth(self):
+        r = cone_refinement()
+        assert not r.is_smooth()
+        with pytest.raises(NotSmooth, match="^chart atlases need a smooth "
+                           "refinement$"):
+            local_atlas(r)
+
+    def test_bmap_validates_its_manifolds(self):
+        # The face A is cut by H1, which has no face of its own; the map
+        # itself is consistent.
+        x = CornerComplex({"X": [], "A": ["H1"]}, [("X", "A")])
+        f = BMap(x, corner_model(1), {"X": "X", "A": "H1"},
+                 {("H1", "H1"): 1})
+        with pytest.raises(NotAComplex, match="^hypersurface H1 is not a "
+                           r"face with incidence \['H1'\]$"):
+            f.validate()
+        with pytest.raises(NotAComplex):
+            BMap(corner_model(1), x, {"X": "X", "H1": "A"},
+                 {("H1", "H1"): 1}).validate()

@@ -117,9 +117,22 @@ class TestMalformed:
         with pytest.raises(MalformedDocument):
             ser.parse_doc(doc)
 
-    def test_bool_is_not_a_number(self):
-        with pytest.raises(MalformedDocument):
-            ser._dec_num(True)
+    @pytest.mark.parametrize("value", [True, 1.0])
+    @pytest.mark.parametrize("steps, path", [
+        (("ambient_dim",), "monoid.ambient_dim"),
+        (("generators", 0, 0), "monoid.generators[0][0]"),
+        (("version",), "monoid.version")])
+    def test_bool_is_not_a_number(self, value, steps, path):
+        """A boolean or a float where a number belongs is malformed,
+        named by its path, as the field reader owns the number type."""
+        doc = ser.to_doc(ToricMonoid.free(1))
+        node = doc
+        for k in steps[:-1]:
+            node = node[k]
+        node[steps[-1]] = value
+        with pytest.raises(MalformedDocument) as e:
+            ser.parse_doc(doc)
+        assert str(e.value) == f"{path}: expected a number"
 
     def test_one_exception_type(self):
         assert MalformedDocument is errors.MalformedDocument
