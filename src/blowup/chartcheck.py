@@ -81,7 +81,7 @@ def verify_lift(delta: Sequence[Sequence[int]],
         MalformedDocument: if nu is not a nonsingular k x k matrix with
             k >= 1, if delta and mu are not equally many rows k wide (at
             least one), or if the coefficients are not one finite positive
-            number per chart coordinate.
+            number per chart coordinate (a boolean is not a number).
     """
     k = len(nu)
     if not k or any(len(row) != k for row in nu):
@@ -106,7 +106,8 @@ def verify_lift(delta: Sequence[Sequence[int]],
         raise MalformedDocument(
             f"{len(a)} coefficients for {k} chart coordinates")
     for i, c in enumerate(a):
-        if not (isinstance(c, numbers.Real) and 0 < c <= sys.float_info.max):
+        if isinstance(c, bool) or not (isinstance(c, numbers.Real)
+                                       and 0 < c <= sys.float_info.max):
             raise MalformedDocument(
                 f"coefficient {i} is {c!r}, not a finite positive number")
     return CheckReport()

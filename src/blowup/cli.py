@@ -8,10 +8,12 @@ and BlowupError to 1; any other exception is a defect and propagates
 with its traceback.  The parser owns the command line: it declares each
 command with its handler, and the modes of `subdivide` and of `blowup`
 as required exclusive groups; `main` returns its exit status, 2 on a
-malformed command line.  `serialization` decodes every input document
-into a validated object, and each library function checks that its
-arguments fit together before it computes; a handler decodes, calls and
-encodes.
+malformed command line.  `serialization` owns every document format:
+it decodes each input document into a validated object and writes each
+result document, and each library function checks that its arguments
+fit together before it computes.  So a handler decodes, calls the
+library and returns one `serialization` writer's output; it builds no
+document itself.
 """
 
 import argparse
@@ -28,12 +30,11 @@ from .complexes import extend_refinement, natural_smooth_refinement
 from .errors import BlowupError, MalformedDocument, NotSmooth
 from .fiber import (FiberProblem, b_normal_transversality, factor_through,
                     resolve_fiber_product, theorem_b_check)
-from .manifolds import (Blowup, CornerComplex, blowup_domain,
-                        generalized_blowup, iterated_blowup, lift_bmap,
-                        local_atlas, ordinary_blowup)
+from .manifolds import (CornerComplex, blowup_domain, generalized_blowup,
+                        iterated_blowup, lift_bmap, local_atlas,
+                        ordinary_blowup)
 from .monoids import ToricMonoid
-from .refinements import (MonoidRefinement, planar_refine, smoothing,
-                          star_subdivide)
+from .refinements import planar_refine, smoothing, star_subdivide
 
 
 def _read_doc(path: str) -> Dict[str, Any]:
@@ -59,18 +60,6 @@ def _vector(text: str, length: Optional[int] = None) -> la.Vec:
 
 def _matrix(text: str, width: int) -> la.Mat:
     return la.mat(_vector(row, width) for row in text.split(";"))
-
-
-def _members_doc(r: MonoidRefinement) -> Dict[str, Any]:
-    return {
-        "kind": "monoid_refinement",
-        "version": ser.VERSION,
-        "base": ser.monoid_to_doc(r.base),
-        "members": [{"generators": ser._enc_mat(m.hilbert_basis()),
-                     "rays": ser._enc_mat(m.rays),
-                     "dim": m.dim, "smooth": m.is_smooth()}
-                    for m in r.members],
-    }
 
 
 def _summary_lines(doc: Dict[str, Any]) -> List[str]:
@@ -107,22 +96,15 @@ def _load_monoid(path: str) -> ToricMonoid:
 def cmd_validate(args) -> Dict[str, Any]:
     raw = _read_doc(args.input)
     ser.parse_doc(raw)
-    return {"kind": "validation", "status": "ok", "input_kind": raw["kind"]}
+    return ser.validation_to_doc(raw["kind"])
 
 
 def cmd_hilbert(args) -> Dict[str, Any]:
-    m = _load_monoid(args.input)
-    hb = m.hilbert_basis()
-    return {"kind": "hilbert_basis", "elements": len(hb),
-            "generators": ser._enc_mat(hb),
-            "smooth": m.is_smooth(), "simplicial": m.is_simplicial()}
+    return ser.hilbert_basis_to_doc(_load_monoid(args.input))
 
 
 def cmd_faces(args) -> Dict[str, Any]:
-    m = _load_monoid(args.input)
-    faces = [{"dim": f.dim, "rays": ser._enc_mat(f.rays)}
-             for f in m.faces()]
-    return {"kind": "faces", "elements": len(faces), "faces": faces}
+    return ser.faces_to_doc(_load_monoid(args.input))
 
 
 def cmd_subdivide(args) -> Dict[str, Any]:
@@ -136,39 +118,20 @@ def cmd_subdivide(args) -> Dict[str, Any]:
     failures = r.validate()
     if failures:
         raise BlowupError(f"subdivision invalid: {failures[0].detail}")
-    doc = _members_doc(r)
-    doc["member_list"] = doc["members"]
-    doc["members"] = len(r.members)
-    return doc
+    return ser.monoid_refinement_to_doc(r)
 
 
 def cmd_ns(args) -> Dict[str, Any]:
     r = natural_smooth_refinement(ser.complex_from_doc(_read_doc(args.input)))
     r.validate()
-    doc = ser.refinement_to_doc(r)
-    doc["smooth"] = r.is_smooth()
-    doc["elements"] = len(r.source.elements)
-    return doc
+    return ser.ns_refinement_to_doc(r)
 
 
 def cmd_extend(args) -> Dict[str, Any]:
     r = extend_refinement(*ser.extension_problem_from_doc(
         _read_doc(args.input)))
     r.validate()
-    doc = ser.refinement_to_doc(r)
-    doc["elements"] = len(r.source.elements)
-    return doc
-
-
-def _blowup_result(b: Blowup) -> Dict[str, Any]:
-    return {
-        "kind": "blowup",
-        "version": ser.VERSION,
-        "manifold": ser.manifold_to_doc(b.total),
-        "blowdown": ser.bmap_to_doc(b.blowdown),
-        "refinement": ser.refinement_to_doc(b.refinement),
-        "hypersurfaces": len(b.total.hypersurfaces()),
-    }
+    return ser.extended_refinement_to_doc(r)
 
 
 def _check_face_ids(x: CornerComplex, flag: str, ids: List[str]) -> None:
@@ -185,33 +148,18 @@ def cmd_blowup(args) -> Dict[str, Any]:
     if args.ordinary is not None:
         _check_face_ids(x, "--ordinary", [args.ordinary])
         weights = _vector(args.weights) if args.weights else None
-        b, charts = ordinary_blowup(x, args.ordinary, weights)
-        doc = _blowup_result(b)
-        doc["charts"] = [ser._enc_mat(c) for c in charts]
-        return doc
+        return ser.blowup_to_doc(*ordinary_blowup(x, args.ordinary, weights))
     if args.iterated is not None:
         centers = args.iterated.split(",")
         _check_face_ids(x, "--iterated", centers)
-        return _blowup_result(iterated_blowup(x, centers))
-    return _blowup_result(generalized_blowup(
+        return ser.blowup_to_doc(iterated_blowup(x, centers))
+    return ser.blowup_to_doc(generalized_blowup(
         x, ser.refinement_from_doc(_read_doc(args.refinement))))
 
 
 def cmd_atlas(args) -> Dict[str, Any]:
     r = ser.refinement_from_doc(_read_doc(args.input))
-    atlas = local_atlas(r)
-    return {
-        "kind": "atlas",
-        "version": ser.VERSION,
-        "n": atlas.n,
-        "refinement": ser.refinement_to_doc(r),
-        "charts": [{"element": e, "nu": ser._enc_mat(c.nu)}
-                   for e, c in sorted(atlas.charts.items())],
-        "transitions": [{"pair": [a, b], "matrix": ser._enc_mat(m)}
-                        for (a, b), m in sorted(atlas.transitions.items())],
-        "separators": [{"pair": [a, b], "functional": list(u)}
-                       for (a, b), u in sorted(atlas.separators.items())],
-    }
+    return ser.atlas_to_doc(r, local_atlas(r))
 
 
 def cmd_lift(args) -> Dict[str, Any]:
@@ -224,14 +172,8 @@ def cmd_lift(args) -> Dict[str, Any]:
     if args.command == "lift":
         lift = lift_bmap(f, b)
         lift.bmap.validate()
-        return {"kind": "lift", "version": ser.VERSION,
-                "bmap": ser.bmap_to_doc(lift.bmap),
-                "factoring": ser.morphism_to_doc(lift.factoring)}
-    dom, lift, minimal = blowup_domain(f, b)
-    return {"kind": "blowup_domain", "version": ser.VERSION,
-            "minimal": minimal,
-            "domain": _blowup_result(dom),
-            "lift": ser.bmap_to_doc(lift.bmap)}
+        return ser.lift_to_doc(lift)
+    return ser.blowup_domain_to_doc(*blowup_domain(f, b))
 
 
 def cmd_binomial(args) -> Dict[str, Any]:
@@ -243,35 +185,19 @@ def cmd_binomial(args) -> Dict[str, Any]:
     if args.action == "normal-form":
         return ser.binomial_to_doc(b)
     if args.action == "faces":
-        vc = boundary_faces(b)
-        return {
-            "kind": "variety_faces",
-            "version": ser.VERSION,
-            "elements": len(vc.faces),
-            "faces": [{"coords": list(s),
-                       "witness": list(map(int, vf.witness)),
-                       "monoid": ser.monoid_to_doc(vf.monoid)}
-                      for s, vf in sorted(vc.faces.items())],
-        }
+        return ser.variety_faces_to_doc(boundary_faces(b))
     if args.action == "complex":
         pd, inat = variety_complex(b)
         pd.validate()
         inat.validate()
-        return {"kind": "variety_complex", "version": ser.VERSION,
-                "smooth": pd.is_smooth(),
-                "complex": ser.complex_to_doc(pd),
-                "inclusion": ser.morphism_to_doc(inat)}
+        return ser.variety_complex_to_doc(pd, inat)
     # resolve, the last of the parser's choices
     try:
         res = universal_resolution(b)
     except NotSmooth:
         res = resolve(b)
     res.refinement.validate()
-    return {"kind": "binomial_resolution", "version": ser.VERSION,
-            "universal": res.universal,
-            "refinement": ser.refinement_to_doc(res.refinement),
-            "lifted": list(res.lifted),
-            "indefinite_charts": 0}
+    return ser.binomial_resolution_to_doc(res)
 
 
 def cmd_fiber(args) -> Dict[str, Any]:
@@ -282,38 +208,19 @@ def cmd_fiber(args) -> Dict[str, Any]:
         f1, f2 = ser.fiber_problem_from_doc(raw)
     p = FiberProblem(f1, f2)
     if args.action == "analyze":
-        rep = b_normal_transversality(p)
-        return {
-            "kind": "fiber_report", "version": ser.VERSION,
-            "transversal": rep.transversal, "smooth": rep.smooth,
-            "exit_note": rep.note,
-            "pairs": [{"faces": [q.face1, q.face2], "image": q.image,
-                       "rays": ser._enc_mat(q.monoid.rays),
-                       "smooth": q.smooth, "transversal": q.transversal,
-                       "system": (ser.binomial_to_doc(q.system)
-                                  if q.system else None)}
-                      for q in rep.pairs],
-        }
+        return ser.fiber_report_to_doc(b_normal_transversality(p))
     if args.action == "check-smooth":
         smooth, fc, _, _, off = theorem_b_check(p)
-        return {"kind": "fiber_smoothness", "version": ser.VERSION,
-                "smooth": smooth, "offenders": off,
-                "complex": ser.complex_to_doc(fc)}
+        return ser.fiber_smoothness_to_doc(smooth, fc, off)
     if args.action == "resolve":
         res = resolve_fiber_product(p)
         res.h1.validate()
         res.h2.validate()
-        return {"kind": "fiber_resolution", "version": ser.VERSION,
-                "manifold": ser.manifold_to_doc(res.corner),
-                "h1": ser.bmap_to_doc(res.h1),
-                "h2": ser.bmap_to_doc(res.h2),
-                "refinement": ser.refinement_to_doc(res.refinement)}
+        return ser.fiber_resolution_to_doc(res)
     # factor, the last of the parser's choices
     dom, g = factor_through(p, g1, g2, resolve_fiber_product(p))
     g.validate()
-    return {"kind": "fiber_factorization", "version": ser.VERSION,
-            "domain_blowup": None if dom is None else _blowup_result(dom),
-            "g": ser.bmap_to_doc(g)}
+    return ser.fiber_factorization_to_doc(dom, g)
 
 
 def cmd_verify(args) -> Dict[str, Any]:
@@ -326,11 +233,9 @@ def cmd_verify(args) -> Dict[str, Any]:
     else:
         raise MalformedDocument(
             "verify expects a refinement or lift_check document")
-    doc = {"kind": "verification", "version": ser.VERSION,
-           "passed": rep.passed, "failures": rep.failures}
     if not rep.passed:
         raise BlowupError(f"chart verification failed: {rep.failures}")
-    return doc
+    return ser.verification_to_doc(rep)
 
 
 # ---------------------------------------------------------------------------

@@ -334,11 +334,16 @@ def local_atlas(r: ComplexRefinement) -> ChartAtlas:
 
     Raises:
         NotSmooth: if r is not smooth.
+        NotARefinement: unless r's target has a top element, one above
+            every other, as the face complex of a monoid has.
     """
     if not r.is_smooth():
         raise NotSmooth("chart atlases need a smooth refinement")
     q = r.target
-    top = max(q.elements, key=lambda a: q.monoids[a].dim)
+    top = max(q.elements, key=lambda a: q.monoids[a].dim, default=None)
+    if top is None or not all(q.leq(a, top) for a in q.elements):
+        raise NotARefinement("chart atlases need a refinement of a complex "
+                             "with a top element")
     n = q.monoids[top].dim
     charts = {e: Chart(e, la.mat(img.rays))
               for e, img in r.members_over(top).items() if img.dim == n}

@@ -1,23 +1,28 @@
-"""Versioned JSON documents for the core objects.
+"""Every JSON document the package reads or writes.
 
 Integers that do not fit a double are written as decimal strings so
 arbitrary precision survives transport; rationals are written "p/q".
 Serialization is canonical: keys sorted, element ids sorted, matrices
-written row by row.  Every document kind the library or the command line
-reads is decoded here.  Each decoder first checks the kind, the version
-and the JSON type of every field it reads against its entry in _FIELDS,
-then decodes its integers and matrices strictly and checks that the ids
-it cross-references exist.  Each of these raises MalformedDocument; a
-missing field, a field of the wrong type or an unknown id is named by
-its path, such as `complex.face_maps[3].pair: missing`, and a decoder
-reading a document nested in another is given that document's path.
-The face maps of a complex are checked against its elements' ambient
-dimensions (NotAComplex, as in its validation) before the complex
-composes the missing ones.  A binomial system document is read back
-only if it is its own normal form.  Decoders return objects that pass
-their validation, run once the whole document is decoded: nested parts
-are decoded by the non-validating halves (named with a leading
-underscore), so each is checked as far as its parent's validation goes.
+written row by row.  Each document kind is written and read here: the
+core objects, and the result documents that the command line prints
+(one `*_to_doc` writer per kind, so a handler in `cli` decodes, calls
+the library and returns a writer's output).  `_versioned` writes the
+kind and the version of every versioned document; `validation`,
+`hilbert_basis` and `faces` carry no version.  Each decoder first checks
+the kind, the version and the JSON type of every field it reads against
+its entry in _FIELDS, then decodes its integers and matrices strictly
+and checks that the ids it cross-references exist.  Each of these raises
+MalformedDocument; a missing field, a field of the wrong type, a number
+that does not parse or an unknown id is named by its path, such as
+`complex.face_maps[3].pair: missing`, and a decoder reading a document
+nested in another is given that document's path.  The face maps of a
+complex are checked against its elements' ambient dimensions
+(NotAComplex, as in its validation) before the complex composes the
+missing ones.  A binomial system document is read back only if it is
+its own normal form.  Decoders return objects that pass their
+validation, run once the whole document is decoded: nested parts are
+decoded by the non-validating halves (named with a leading underscore),
+so each is checked as far as its parent's validation goes.
 """
 
 import json
@@ -28,10 +33,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from . import exactla as la
 from .complexes import (ComplexMorphism, ComplexRefinement, MonoidalComplex,
                         check_shape)
-from .binomial import BinomialSystem, normal_form
+from .binomial import (BinomialSystem, Resolution, VarietyComplex,
+                       normal_form)
+from .chartcheck import CheckReport
 # Also imported from here by callers of the decoders.
 from .errors import MalformedDocument, NotARefinement
-from .manifolds import BMap, CornerComplex
+from .fiber import FiberReport, ResolvedFiberProduct
+from .manifolds import BMap, Blowup, ChartAtlas, CornerComplex, Lift
 from .monoids import ToricMonoid
 from .refinements import MonoidRefinement
 
@@ -50,18 +58,27 @@ def _enc_num(x):
     return f"{f.numerator}/{f.denominator}"
 
 
-def _dec_num(x) -> Fraction:
-    """The value of an integer, or a string such as "-3/4"."""
+def _at(path: str, steps) -> str:
+    """The path of a field: path, then each step as .key or [index]."""
+    return path + "".join(f"[{s}]" if isinstance(s, int) else f".{s}"
+                          for s in steps)
+
+
+def _dec_num(x, path: str, *steps) -> Fraction:
+    """The value of an integer, or a string such as "-3/4"; path and
+    steps name the field when it is not one."""
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as e:
-        raise MalformedDocument(f"bad number {x!r}") from e
+        raise MalformedDocument(
+            f"{_at(path, steps)}: bad number {x!r}") from e
 
 
-def _dec_int(x) -> int:
-    f = _dec_num(x)
+def _dec_int(x, path: str, *steps) -> int:
+    f = _dec_num(x, path, *steps)
     if f.denominator != 1:
-        raise MalformedDocument(f"expected an integer, got {x!r}")
+        raise MalformedDocument(
+            f"{_at(path, steps)}: expected an integer, got {x!r}")
     return int(f)
 
 
@@ -69,12 +86,22 @@ def _enc_mat(m) -> List[List]:
     return [[_enc_num(x) for x in row] for row in m]
 
 
-def _dec_int_mat(doc) -> la.Mat:
-    return la.mat(tuple(_dec_int(x) for x in row) for row in doc)
+def _dec_int_mat(doc, path: str, *steps) -> la.Mat:
+    return la.mat(tuple(_dec_int(x, path, *steps, i, j)
+                        for j, x in enumerate(row))
+                  for i, row in enumerate(doc))
 
 
-def _dec_q_mat(doc) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(tuple(_dec_num(x) for x in row) for row in doc)
+def _dec_q_mat(doc, path: str, *steps) -> Tuple[Tuple[Fraction, ...], ...]:
+    return tuple(tuple(_dec_num(x, path, *steps, i, j)
+                       for j, x in enumerate(row))
+                 for i, row in enumerate(doc))
+
+
+def _versioned(kind: str, **fields) -> Dict[str, Any]:
+    """A document of the kind with the fields, at VERSION: the one place
+    that writes a version."""
+    return {"kind": kind, "version": VERSION, **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +130,8 @@ _IS = {
     _MATRIX: lambda x: (isinstance(x, list)
                        and all(isinstance(row, list) for row in x)
                        and len({len(row) for row in x}) <= 1),
-    # Any JSON number or string: verify_lift checks the values.
+    # Any JSON number or string, or a boolean: verify_lift checks the
+    # values and rejects a boolean.
     _NUMBERS: lambda x: x is None or (isinstance(x, list) and all(
         isinstance(c, (int, float, str)) for c in x)),
 }
@@ -192,7 +220,7 @@ def _expect(doc, kind: str, path: Optional[str] = None) -> str:
         raise MalformedDocument(f"{where}expected kind {kind!r}, got {got!r}")
     version = doc.get("version", 0)
     _check(version, _NUM, f"{path}.version")
-    if _dec_int(version) != VERSION:
+    if _dec_int(version, path, "version") != VERSION:
         raise MalformedDocument(
             f"{where}unsupported version {doc.get('version')}")
     _check(doc, _FIELDS[kind], path)
@@ -228,18 +256,14 @@ def _mapped(mapping: Dict[str, str], keys: Iterable[str], known,
 
 
 def monoid_to_doc(m: ToricMonoid) -> Dict[str, Any]:
-    return {
-        "kind": "monoid",
-        "version": VERSION,
-        "ambient_dim": m.ambient_dim,
-        "generators": _enc_mat(m.hilbert_basis()),
-    }
+    return _versioned("monoid", ambient_dim=m.ambient_dim,
+                      generators=_enc_mat(m.hilbert_basis()))
 
 
 def monoid_from_doc(doc, path: Optional[str] = None) -> ToricMonoid:
-    _expect(doc, "monoid", path)
-    n = _dec_int(doc["ambient_dim"])
-    gens = _dec_int_mat(doc["generators"])
+    path = _expect(doc, "monoid", path)
+    n = _dec_int(doc["ambient_dim"], path, "ambient_dim")
+    gens = _dec_int_mat(doc["generators"], path, "generators")
     if not gens:
         return ToricMonoid.trivial(n)
     if any(len(g) != n for g in gens):
@@ -253,16 +277,13 @@ def monoid_from_doc(doc, path: Optional[str] = None) -> ToricMonoid:
 
 
 def complex_to_doc(q: MonoidalComplex) -> Dict[str, Any]:
-    return {
-        "kind": "complex",
-        "version": VERSION,
-        "elements": [{"id": e, "monoid": monoid_to_doc(q.monoids[e])}
-                     for e in q.elements],
-        "relations": sorted([a, b] for (a, b) in q.order if a != b),
-        "face_maps": [{"pair": [a, b], "matrix": _enc_mat(m)}
-                      for (a, b), m in sorted(q.face_maps.items())
-                      if a != b],
-    }
+    return _versioned(
+        "complex",
+        elements=[{"id": e, "monoid": monoid_to_doc(q.monoids[e])}
+                  for e in q.elements],
+        relations=sorted([a, b] for (a, b) in q.order if a != b),
+        face_maps=[{"pair": [a, b], "matrix": _enc_mat(m)}
+                   for (a, b), m in sorted(q.face_maps.items()) if a != b])
 
 
 def complex_from_doc(doc, path: Optional[str] = None) -> MonoidalComplex:
@@ -282,8 +303,9 @@ def _complex(doc, path: Optional[str] = None) -> MonoidalComplex:
         _known(r["pair"], monoids, f"{path}.face_maps[{i}].pair",
                "an element id")
     order = [tuple(p) for p in doc["relations"]]
-    maps = {tuple(r["pair"]): _dec_int_mat(r["matrix"])
-            for r in doc["face_maps"]}
+    maps = {tuple(r["pair"]): _dec_int_mat(r["matrix"], path, "face_maps",
+                                           i, "matrix")
+            for i, r in enumerate(doc["face_maps"])}
     # Before the complex multiplies them into its composite face maps.
     for (a, b), m in maps.items():
         check_shape(m, monoids[a].ambient_dim, monoids[b].ambient_dim,
@@ -292,15 +314,16 @@ def _complex(doc, path: Optional[str] = None) -> MonoidalComplex:
 
 
 def morphism_to_doc(m: ComplexMorphism) -> Dict[str, Any]:
-    return {
-        "kind": "morphism",
-        "version": VERSION,
-        "source": complex_to_doc(m.source),
-        "target": complex_to_doc(m.target),
-        "node_map": dict(sorted(m.node_map.items())),
-        "homs": [{"id": e, "matrix": _enc_mat(m.homs[e])}
-                 for e in m.source.elements],
-    }
+    return _morphism_doc("morphism", m)
+
+
+def _morphism_doc(kind: str, m: ComplexMorphism) -> Dict[str, Any]:
+    return _versioned(
+        kind,
+        source=complex_to_doc(m.source), target=complex_to_doc(m.target),
+        node_map=dict(sorted(m.node_map.items())),
+        homs=[{"id": e, "matrix": _enc_mat(m.homs[e])}
+              for e in m.source.elements])
 
 
 def morphism_from_doc(doc, path: Optional[str] = None) -> ComplexMorphism:
@@ -315,15 +338,14 @@ def _morphism(doc, path: str) -> ComplexMorphism:
     tgt = _complex(doc["target"], f"{path}.target")
     _mapped(doc["node_map"], src.elements, tgt.monoids, f"{path}.node_map",
             "an element id of the target")
-    homs = {r["id"]: _dec_int_mat(r["matrix"]) for r in doc["homs"]}
+    homs = {r["id"]: _dec_int_mat(r["matrix"], path, "homs", i, "matrix")
+            for i, r in enumerate(doc["homs"])}
     _known(src.elements, homs, f"{path}.homs", "the id of a hom")
     return ComplexMorphism(src, tgt, dict(doc["node_map"]), homs)
 
 
 def refinement_to_doc(r: ComplexRefinement) -> Dict[str, Any]:
-    d = morphism_to_doc(r.morphism)
-    d["kind"] = "refinement"
-    return d
+    return _morphism_doc("refinement", r.morphism)
 
 
 def refinement_from_doc(doc) -> ComplexRefinement:
@@ -377,17 +399,13 @@ def extension_problem_from_doc(doc) -> Tuple[MonoidalComplex,
 
 
 def manifold_to_doc(x: CornerComplex) -> Dict[str, Any]:
-    return {
-        "kind": "manifold",
-        "version": VERSION,
-        "hypersurfaces": list(x.hypersurfaces()),
-        "faces": [{
-            "id": f,
-            "codim": x.codim(f),
-            "hyps": sorted(x.incidence[f]),
-            "below": sorted(g for g in x.below(f) if g != f),
-        } for f in x.faces],
-    }
+    return _versioned(
+        "manifold",
+        hypersurfaces=list(x.hypersurfaces()),
+        faces=[{"id": f, "codim": x.codim(f),
+                "hyps": sorted(x.incidence[f]),
+                "below": sorted(g for g in x.below(f) if g != f)}
+               for f in x.faces])
 
 
 def manifold_from_doc(doc, path: Optional[str] = None) -> CornerComplex:
@@ -408,15 +426,12 @@ def _manifold(doc, path: Optional[str] = None) -> CornerComplex:
 
 
 def bmap_to_doc(f: BMap) -> Dict[str, Any]:
-    return {
-        "kind": "bmap",
-        "version": VERSION,
-        "source": manifold_to_doc(f.source),
-        "target": manifold_to_doc(f.target),
-        "face_map": dict(sorted(f.face_map.items())),
-        "alpha": [{"pair": [g, h], "e": _enc_int(e)}
-                  for (g, h), e in sorted(f.exponents.items()) if e],
-    }
+    return _versioned(
+        "bmap",
+        source=manifold_to_doc(f.source), target=manifold_to_doc(f.target),
+        face_map=dict(sorted(f.face_map.items())),
+        alpha=[{"pair": [g, h], "e": _enc_int(e)}
+               for (g, h), e in sorted(f.exponents.items()) if e])
 
 
 def bmap_from_doc(doc, path: Optional[str] = None) -> BMap:
@@ -431,7 +446,8 @@ def _bmap(doc, path: Optional[str] = None) -> BMap:
     tgt = _manifold(doc["target"], f"{path}.target")
     _mapped(doc["face_map"], src.faces, tgt.incidence, f"{path}.face_map",
             "a face id of the target")
-    exps = {tuple(r["pair"]): _dec_int(r["e"]) for r in doc["alpha"]}
+    exps = {tuple(r["pair"]): _dec_int(r["e"], path, "alpha", i, "e")
+            for i, r in enumerate(doc["alpha"])}
     return BMap(src, tgt, dict(doc["face_map"]), exps)
 
 
@@ -439,9 +455,10 @@ def lift_check_from_doc(doc) -> Tuple[la.Mat, Tuple, la.Mat, Any]:
     """The exponent matrices delta, nu and mu of a lift check and its
     coefficients (None if absent), in verify_lift's argument order;
     verify_lift checks their shapes and the coefficients."""
-    _expect(doc, "lift_check")
-    return (_dec_int_mat(doc["delta"]), _dec_q_mat(doc["nu"]),
-            _dec_int_mat(doc["mu"]), doc.get("coefficients"))
+    path = _expect(doc, "lift_check")
+    return (_dec_int_mat(doc["delta"], path, "delta"),
+            _dec_q_mat(doc["nu"], path, "nu"),
+            _dec_int_mat(doc["mu"], path, "mu"), doc.get("coefficients"))
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +467,10 @@ def lift_check_from_doc(doc) -> Tuple[la.Mat, Tuple, la.Mat, Any]:
 
 
 def binomial_to_doc(b: BinomialSystem) -> Dict[str, Any]:
-    return {
-        "kind": "binomial_system",
-        "version": VERSION,
-        "boundary_dim": b.boundary_dim,
-        "tangential_dim": b.tangential_dim,
-        "gammas": _enc_mat(b.gammas),
-        "smooth_count": b.smooth_count,
-    }
+    return _versioned("binomial_system", boundary_dim=b.boundary_dim,
+                      tangential_dim=b.tangential_dim,
+                      gammas=_enc_mat(b.gammas),
+                      smooth_count=b.smooth_count)
 
 
 def binomial_from_doc(doc) -> BinomialSystem:
@@ -465,12 +478,12 @@ def binomial_from_doc(doc) -> BinomialSystem:
     normal_form of its gammas (alpha the positive part, beta the negative
     part), smooth count and tangential dimension gives it back.  Its
     errors propagate; any other mismatch is malformed."""
-    _expect(doc, "binomial_system")
+    path = _expect(doc, "binomial_system")
     b = BinomialSystem(
-        _dec_int(doc["boundary_dim"]),
-        _dec_int(doc["tangential_dim"]),
-        _dec_int_mat(doc["gammas"]),
-        _dec_int(doc["smooth_count"]))
+        _dec_int(doc["boundary_dim"], path, "boundary_dim"),
+        _dec_int(doc["tangential_dim"], path, "tangential_dim"),
+        _dec_int_mat(doc["gammas"], path, "gammas"),
+        _dec_int(doc["smooth_count"], path, "smooth_count"))
     if min(b.boundary_dim, b.tangential_dim, b.smooth_count) < 0:
         raise MalformedDocument("binomial system with a negative dimension "
                                 "or count")
@@ -495,12 +508,14 @@ def binomial_input_from_doc(doc) -> BinomialSystem:
     """The normal form of raw equations x^alpha = x^beta, with the
     document's smooth_count and tangential_dim (non-negative integers, 0
     when absent).  The errors of normal_form propagate."""
-    _expect(doc, "binomial_input")
-    pairs = [(tuple(_dec_int(x) for x in e["alpha"]),
-              tuple(_dec_int(x) for x in e["beta"]))
-             for e in doc["equations"]]
-    smooth_count = _dec_int(doc.get("smooth_count", 0))
-    tangential_dim = _dec_int(doc.get("tangential_dim", 0))
+    path = _expect(doc, "binomial_input")
+    pairs = [tuple(tuple(_dec_int(x, path, "equations", i, side, j)
+                         for j, x in enumerate(e[side]))
+                   for side in ("alpha", "beta"))
+             for i, e in enumerate(doc["equations"])]
+    smooth_count = _dec_int(doc.get("smooth_count", 0), path, "smooth_count")
+    tangential_dim = _dec_int(doc.get("tangential_dim", 0), path,
+                              "tangential_dim")
     if min(smooth_count, tangential_dim) < 0:
         raise MalformedDocument("binomial input with a negative count or "
                                 "dimension")
@@ -526,6 +541,149 @@ def _bmaps(doc, kind: str, keys: Tuple[str, ...]) -> Tuple[BMap, ...]:
     """The b-maps at keys, each decoded before any is validated."""
     path = _expect(doc, kind)
     return tuple(map(_valid, [_bmap(doc[k], f"{path}.{k}") for k in keys]))
+
+
+# ---------------------------------------------------------------------------
+# The result documents of the command line.
+# ---------------------------------------------------------------------------
+
+
+def validation_to_doc(input_kind: str) -> Dict[str, Any]:
+    return {"kind": "validation", "status": "ok", "input_kind": input_kind}
+
+
+def hilbert_basis_to_doc(m: ToricMonoid) -> Dict[str, Any]:
+    hb = m.hilbert_basis()
+    return {"kind": "hilbert_basis", "elements": len(hb),
+            "generators": _enc_mat(hb), "smooth": m.is_smooth(),
+            "simplicial": m.is_simplicial()}
+
+
+def faces_to_doc(m: ToricMonoid) -> Dict[str, Any]:
+    faces = [{"dim": f.dim, "rays": _enc_mat(f.rays)} for f in m.faces()]
+    return {"kind": "faces", "elements": len(faces), "faces": faces}
+
+
+def monoid_refinement_to_doc(r: MonoidRefinement) -> Dict[str, Any]:
+    return _versioned(
+        "monoid_refinement", base=monoid_to_doc(r.base),
+        members=len(r.members),
+        member_list=[{"generators": _enc_mat(m.hilbert_basis()),
+                      "rays": _enc_mat(m.rays), "dim": m.dim,
+                      "smooth": m.is_smooth()} for m in r.members])
+
+
+def extended_refinement_to_doc(r: ComplexRefinement) -> Dict[str, Any]:
+    """The refinement document of `extend`: with its number of
+    elements."""
+    return {**refinement_to_doc(r), "elements": len(r.source.elements)}
+
+
+def ns_refinement_to_doc(r: ComplexRefinement) -> Dict[str, Any]:
+    """The refinement document of `ns`: with its number of elements and
+    whether it is smooth."""
+    return {**extended_refinement_to_doc(r), "smooth": r.is_smooth()}
+
+
+def blowup_to_doc(b: Blowup, charts: Optional[List[la.Mat]] = None
+                  ) -> Dict[str, Any]:
+    """The blow-up, with the chart matrices of an ordinary blow-up when
+    given."""
+    doc = _versioned("blowup", manifold=manifold_to_doc(b.total),
+                     blowdown=bmap_to_doc(b.blowdown),
+                     refinement=refinement_to_doc(b.refinement),
+                     hypersurfaces=len(b.total.hypersurfaces()))
+    if charts is not None:
+        doc["charts"] = [_enc_mat(c) for c in charts]
+    return doc
+
+
+def atlas_to_doc(r: ComplexRefinement, atlas: ChartAtlas) -> Dict[str, Any]:
+    """The atlas of the refinement r."""
+    return _versioned(
+        "atlas", n=atlas.n, refinement=refinement_to_doc(r),
+        charts=[{"element": e, "nu": _enc_mat(c.nu)}
+                for e, c in sorted(atlas.charts.items())],
+        transitions=[{"pair": [a, b], "matrix": _enc_mat(m)}
+                     for (a, b), m in sorted(atlas.transitions.items())],
+        separators=[{"pair": [a, b], "functional": list(u)}
+                    for (a, b), u in sorted(atlas.separators.items())])
+
+
+def lift_to_doc(lift: Lift) -> Dict[str, Any]:
+    return _versioned("lift", bmap=bmap_to_doc(lift.bmap),
+                      factoring=morphism_to_doc(lift.factoring))
+
+
+def blowup_domain_to_doc(domain: Blowup, lift: Lift,
+                         minimal: bool) -> Dict[str, Any]:
+    """What `blowup_domain` returns: the domain's blow-up, the lift from
+    it and whether the blow-up is minimal."""
+    return _versioned("blowup_domain", minimal=minimal,
+                      domain=blowup_to_doc(domain),
+                      lift=bmap_to_doc(lift.bmap))
+
+
+def variety_faces_to_doc(vc: VarietyComplex) -> Dict[str, Any]:
+    return _versioned(
+        "variety_faces", elements=len(vc.faces),
+        faces=[{"coords": list(s), "witness": list(map(int, vf.witness)),
+                "monoid": monoid_to_doc(vf.monoid)}
+               for s, vf in sorted(vc.faces.items())])
+
+
+def variety_complex_to_doc(pd: MonoidalComplex,
+                           inclusion: ComplexMorphism) -> Dict[str, Any]:
+    return _versioned("variety_complex", smooth=pd.is_smooth(),
+                      complex=complex_to_doc(pd),
+                      inclusion=morphism_to_doc(inclusion))
+
+
+def binomial_resolution_to_doc(res: Resolution) -> Dict[str, Any]:
+    # indefinite_charts is always 0: resolve raises otherwise.
+    return _versioned("binomial_resolution", universal=res.universal,
+                      refinement=refinement_to_doc(res.refinement),
+                      lifted=list(res.lifted), indefinite_charts=0)
+
+
+def fiber_report_to_doc(rep: FiberReport) -> Dict[str, Any]:
+    return _versioned(
+        "fiber_report", transversal=rep.transversal, smooth=rep.smooth,
+        exit_note=rep.note,
+        pairs=[{"faces": [q.face1, q.face2], "image": q.image,
+                "rays": _enc_mat(q.monoid.rays), "smooth": q.smooth,
+                "transversal": q.transversal,
+                "system": binomial_to_doc(q.system) if q.system else None}
+               for q in rep.pairs])
+
+
+def fiber_smoothness_to_doc(smooth: bool, fiber: MonoidalComplex,
+                            offenders: List) -> Dict[str, Any]:
+    """What `theorem_b_check` finds: whether the fiber product is smooth,
+    its complex and the offending faces."""
+    return _versioned("fiber_smoothness", smooth=smooth, offenders=offenders,
+                      complex=complex_to_doc(fiber))
+
+
+def fiber_resolution_to_doc(res: ResolvedFiberProduct) -> Dict[str, Any]:
+    return _versioned("fiber_resolution", manifold=manifold_to_doc(res.corner),
+                      h1=bmap_to_doc(res.h1), h2=bmap_to_doc(res.h2),
+                      refinement=refinement_to_doc(res.refinement))
+
+
+def fiber_factorization_to_doc(domain: Optional[Blowup],
+                               g: BMap) -> Dict[str, Any]:
+    """The factoring map g, with the domain's blow-up if one was
+    needed."""
+    return _versioned(
+        "fiber_factorization",
+        domain_blowup=None if domain is None else blowup_to_doc(domain),
+        g=bmap_to_doc(g))
+
+
+def verification_to_doc(rep: CheckReport) -> Dict[str, Any]:
+    return _versioned("verification", passed=rep.passed,
+                      failures=rep.failures)
 
 
 # ---------------------------------------------------------------------------

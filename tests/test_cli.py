@@ -25,7 +25,8 @@ from blowup.refinements import star_subdivide, trivial_refinement
 
 from test_binomial import ten_variable_pairs
 from test_fuzz import BAD_SHAPE_TEXT, UNCOMPOSABLE_TEXT, run_cli
-from test_manifolds import overlapping_square_refinement, renamed_square
+from test_manifolds import (TOPLESS, overlapping_square_refinement,
+                            renamed_square, topless_refinement)
 from test_refinements import count_intersections
 
 
@@ -608,6 +609,17 @@ class TestRejectedInput:
             "error: validation failed: chart atlases need a smooth "
             "refinement\n")
 
+    @pytest.mark.parametrize("command", ["atlas", "verify"])
+    @pytest.mark.parametrize("name", sorted(TOPLESS))
+    def test_refinement_of_a_complex_without_a_top_element(
+            self, tmp_path, capsys, command, name):
+        path = write(tmp_path, "r.json",
+                     ser.refinement_to_doc(topless_refinement(name)))
+        assert main([command, path]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: validation failed: chart atlases need a refinement of "
+            "a complex with a top element\n"))
+
     def test_manifold_is_validated(self, tmp_path, capsys, refinement_doc):
         """The blow-down reads each hypersurface's ray off the face of the
         same id, so a manifold whose hypersurfaces name no face fails."""
@@ -814,6 +826,9 @@ class TestExitCodes:
         ('"mu": [[0, 1]], "coefficients": [-1, 1]', 2,
          "error: malformed input: coefficient 0 is -1, not a finite "
          "positive number"),
+        ('"mu": [[0, 1]], "coefficients": [true, 2]', 2,
+         "error: malformed input: coefficient 0 is True, not a finite "
+         "positive number"),
         ('"mu": [[0, 1]], "coefficients": [1, Infinity]', 2,
          "error: malformed input: coefficient 1 is inf"),
         ('"mu": [[0, 1]], "coefficients": [1]', 2,
@@ -1018,7 +1033,7 @@ class TestInputGrammar:
     @pytest.mark.parametrize("value, message", [
         (True, "binomial_input.{field}: expected a number"),
         (2.9, "binomial_input.{field}: expected a number"),
-        ("two", "bad number 'two'"),
+        ("two", "binomial_input.{field}: bad number 'two'"),
         (-1, "binomial input with a negative count or dimension")])
     def test_binomial_input_counts(self, tmp_path, capsys, field, value,
                                    message):
@@ -1041,12 +1056,14 @@ class TestInputGrammar:
         ids=["binomial_input", "extension_problem", "factor_problem",
              "lift_check"])
     @pytest.mark.parametrize("version, message", [
-        (99, "unsupported version 99"), ("x", "bad number 'x'"),
+        (99, "unsupported version 99"),
+        ("x", "{kind}.version: bad number 'x'"),
         (None, "unsupported version None")],
         ids=["99", "x", "missing"])
     def test_document_versions(self, tmp_path, capsys, make, command,
                                version, message):
         doc = make()
+        message = message.format(kind=doc["kind"])
         del doc["version"]
         if version is not None:
             doc["version"] = version
@@ -1218,3 +1235,41 @@ class TestRecordedOutputs:
             got[label] = hashlib.sha256(
                 capsysbinary.readouterr().out).hexdigest()[:16]
         assert got == RECORDED_OUTPUTS
+
+
+# The kinds that serialization reads back, and the fields that `ns` and
+# `extend` add to the refinement document they write.
+READ_KINDS = {"monoid", "complex", "morphism", "refinement", "manifold",
+              "bmap", "binomial_system"}
+ADDED_FIELDS = {"ns": ("elements", "smooth"), "extend": ("elements",)}
+
+
+def read_kind_documents(node):
+    """Every object in node, node included, of a kind in READ_KINDS."""
+    if isinstance(node, dict):
+        if node.get("kind") in READ_KINDS:
+            yield node
+        for value in node.values():
+            yield from read_kind_documents(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from read_kind_documents(value)
+
+
+class TestWritersAndReadersAgree:
+    def test_written_documents_read_back_to_themselves(
+            self, well_formed_runs, capsys):
+        """Each document of a readable kind that a well-formed run writes,
+        nested ones included, decodes and re-encodes to the same dict."""
+        seen = set()
+        for label, argv in well_formed_runs.items():
+            if "--format" in argv:
+                continue
+            assert main(argv) == 0, label
+            doc = json.loads(capsys.readouterr().out)
+            for field in ADDED_FIELDS.get(argv[0], ()):
+                del doc[field]
+            for d in read_kind_documents(doc):
+                assert ser.to_doc(ser.parse_doc(d)) == d, (label, d["kind"])
+                seen.add(d["kind"])
+        assert seen == READ_KINDS == set(ser._FROM)

@@ -519,6 +519,19 @@ def cone_refinement():
     return identity_refinement(q)
 
 
+# Corner complexes whose basic complex has no top element: the empty one,
+# and the interval's X < H1 and X < H2.
+TOPLESS = {"empty": ({}, []),
+           "interval": ({"X": [], "H1": ["H1"], "H2": ["H2"]},
+                        [("X", "H1"), ("X", "H2")])}
+
+
+def topless_refinement(name):
+    """The identity refinement of the basic complex of TOPLESS[name]."""
+    return identity_refinement(
+        CornerComplex(*TOPLESS[name]).basic_complex())
+
+
 class TestPreconditions:
     """Each library function checks that its arguments fit before it
     computes, with the message the command line prints."""
@@ -564,6 +577,16 @@ class TestPreconditions:
         assert not r.is_smooth()
         with pytest.raises(NotSmooth, match="^chart atlases need a smooth "
                            "refinement$"):
+            local_atlas(r)
+
+    @pytest.mark.parametrize("name", sorted(TOPLESS))
+    def test_atlas_of_a_complex_without_a_top_element(self, name):
+        """Neither complex is the face complex of a monoid, which the
+        charts are read off, though each refinement is smooth."""
+        r = topless_refinement(name)
+        assert r.is_smooth()
+        with pytest.raises(NotARefinement, match="^chart atlases need a "
+                           "refinement of a complex with a top element$"):
             local_atlas(r)
 
     def test_bmap_validates_its_manifolds(self):

@@ -1,14 +1,18 @@
 """The README's command-line section against the parser: every subcommand
-and flag it names exists, and it names every one that exists."""
+and flag it names exists, and it names every one that exists.  Its
+documents section names every kind that `serialization` writes."""
 
 import argparse
+import ast
 import os
 import re
 
 from blowup import cli
 
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                      "README.md")
+HERE = os.path.dirname(os.path.abspath(__file__))
+README = os.path.join(HERE, os.pardir, "README.md")
+SERIALIZATION = os.path.join(HERE, os.pardir, "src", "blowup",
+                             "serialization.py")
 FLAG = re.compile(r"--[a-z][a-z-]*")
 
 
@@ -53,3 +57,34 @@ def test_flags_match():
     assert common
     for name, flags in parser_cli().items():
         assert flags == common | lines[name], name
+
+
+def written_kinds():
+    """The kinds serialization.py writes: the "kind" of each dict display,
+    and each string given as the first argument to a function whose
+    first parameter is `kind`."""
+    with open(SERIALIZATION) as fh:
+        tree = ast.parse(fh.read())
+    takes_kind = {f.name for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.args.args
+                  and f.args.args[0].arg == "kind"}
+    kinds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            kinds |= {v.value for k, v in zip(node.keys, node.values)
+                      if isinstance(k, ast.Constant) and k.value == "kind"
+                      and isinstance(v, ast.Constant)}
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Name) and \
+                node.func.id in takes_kind and node.args and \
+                isinstance(node.args[0], ast.Constant):
+            kinds.add(node.args[0].value)
+    return kinds
+
+
+def test_documents_section_names_every_written_kind():
+    with open(README) as fh:
+        section = fh.read().split("### Documents", 1)[1].split("\n## ", 1)[0]
+    kinds = written_kinds()
+    assert len(kinds) == 23
+    assert not {k for k in kinds if f"`{k}`" not in section}

@@ -76,13 +76,13 @@ class TestBigNumbers:
     def test_big_int_as_string(self):
         n = 2 ** 80
         assert ser._enc_int(n) == str(n)
-        assert ser._dec_int(str(n)) == n
+        assert ser._dec_int(str(n), "n") == n
         assert ser._enc_int(7) == 7
 
     def test_fraction_encoding(self):
         from fractions import Fraction
         assert ser._enc_num(Fraction(1, 3)) == "1/3"
-        assert ser._dec_num("1/3") == Fraction(1, 3)
+        assert ser._dec_num("1/3", "x") == Fraction(1, 3)
 
     def test_big_generator_roundtrip(self):
         big = 2 ** 60 + 1
@@ -133,6 +133,27 @@ class TestMalformed:
         with pytest.raises(MalformedDocument) as e:
             ser.parse_doc(doc)
         assert str(e.value) == f"{path}: expected a number"
+
+    @pytest.mark.parametrize("doc, steps, value, message", [
+        (ser.to_doc(ToricMonoid.free(2)), ("generators", 1, 0), "two",
+         "monoid.generators[1][0]: bad number 'two'"),
+        (ser.to_doc(ToricMonoid.free(2)), ("ambient_dim",), "1/2",
+         "monoid.ambient_dim: expected an integer, got '1/2'"),
+        (ser.to_doc(identity_bmap(corner_model(1))), ("alpha", 0, "e"), "x",
+         "bmap.alpha[0].e: bad number 'x'"),
+        (ser.to_doc(complex_from_monoid(ToricMonoid.free(1))[0]),
+         ("elements", 1, "monoid", "version"), "v",
+         "complex.elements[1].monoid.version: bad number 'v'")],
+        ids=["matrix-entry", "integer", "bmap-exponent", "nested-version"])
+    def test_number_strings_are_named_by_their_path(self, doc, steps, value,
+                                                    message):
+        node = doc
+        for k in steps[:-1]:
+            node = node[k]
+        node[steps[-1]] = value
+        with pytest.raises(MalformedDocument) as e:
+            ser.parse_doc(doc)
+        assert str(e.value) == message
 
     def test_one_exception_type(self):
         assert MalformedDocument is errors.MalformedDocument
