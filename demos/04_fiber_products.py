@@ -37,7 +37,7 @@ assert res.h1.compose(p.f1) == res.h2.compose(p.f2)
 # The diagonal of the square commutes with both projections but does not
 # factor through the resolution; its domain corner must be blown up.
 g = identity_bmap(x)
-bl, lifted = factor_through(p, g, g, res)
+bl, lifted = factor_through(g, g, res)
 print("domain blow-up needed:", bl is not None)
 if bl is not None:
     print("blown-up domain hypersurfaces:",

@@ -218,7 +218,7 @@ def cmd_fiber(args) -> Dict[str, Any]:
         res.h2.validate()
         return ser.fiber_resolution_to_doc(res)
     # factor, the last of the parser's choices
-    dom, g = factor_through(p, g1, g2, resolve_fiber_product(p))
+    dom, g = factor_through(g1, g2, resolve_fiber_product(p))
     g.validate()
     return ser.fiber_factorization_to_doc(dom, g)
 

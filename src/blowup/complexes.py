@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .errors import (InvariantViolated, NotAComplex, NotARefinement,
-                     NotInSupport)
+                     NotCompatible, NotInSupport)
 from .monoids import MonoidHom, ToricMonoid
 from .monoids import fiber_product as monoid_fiber_product
 from .refinements import (MonoidRefinement, cone_over, planar_refine,
@@ -86,6 +86,15 @@ class MonoidalComplex:
             if len(left) == len(missing):
                 raise NotAComplex(f"missing face maps for {left}")
             missing = left
+
+    def __eq__(self, other):
+        """The same complex: this object, or one with equal monoids, order
+        and face maps."""
+        return self is other or isinstance(other, MonoidalComplex) and \
+            (self.monoids, self.order, self.face_maps) == \
+            (other.monoids, other.order, other.face_maps)
+
+    __hash__ = None
 
     def _chains(self):
         return [(a, b) for (a, b) in sorted(self.order) if a != b]
@@ -266,8 +275,7 @@ class ComplexMorphism:
 
     def compose(self, then: "ComplexMorphism") -> "ComplexMorphism":
         """self followed by then (so self.target must be then.source)."""
-        if self.target is not then.source and \
-                self.target.elements != then.source.elements:
+        if self.target != then.source:
             raise NotAComplex("morphisms do not compose: the first target "
                               "is not the second source")
         node = {a: then.node_map[self.node_map[a]]
@@ -592,7 +600,12 @@ def fiber_product_complex(phi1: ComplexMorphism, phi2: ComplexMorphism
     monoid meets the relative interiors of both factors; the monoid over
     (a, b) is the fiber product of the two monoids over the common image.
     Returns the complex together with the two projections.
+
+    Raises:
+        NotCompatible: unless the two targets are the same complex.
     """
+    if phi1.target != phi2.target:
+        raise NotCompatible("the two morphisms must share a target")
     q1, q2 = phi1.source, phi2.source
     pairs = []
     for a in q1.elements:
@@ -649,7 +662,11 @@ def product_complex(q1: MonoidalComplex, q2: MonoidalComplex
 def pullback_refinement(r: ComplexRefinement, psi: ComplexMorphism
                         ) -> ComplexRefinement:
     """Pull a refinement of Q back along psi: Q1 -> Q to a refinement of
-    Q1 (the fiber product Q1 x_Q R with its first projection)."""
+    Q1 (the fiber product Q1 x_Q R with its first projection).
+
+    Raises:
+        NotCompatible: unless psi's target is r's target.
+    """
     _, p1, _ = fiber_product_complex(psi, r.morphism)
     pulled = ComplexRefinement(p1)
     # Regluing puts every source monoid in the ambient space of its target
@@ -764,7 +781,11 @@ def mutual_smooth_refinement(r1: ComplexRefinement, r2: ComplexRefinement
                              ) -> Tuple[ComplexRefinement, ComplexMorphism,
                                         ComplexMorphism]:
     """A smooth refinement of the common target refining both r1 and r2,
-    with the morphisms to r1.source and r2.source."""
+    with the morphisms to r1.source and r2.source.
+
+    Raises:
+        NotCompatible: unless r1 and r2 refine the same complex.
+    """
     f, p1, p2 = fiber_product_complex(r1.morphism, r2.morphism)
     ns = natural_smooth_refinement(f)
     refined = ComplexRefinement(p1).compose(ns)  # refines r1.source

@@ -2,10 +2,10 @@
 
 Given two b-maps with a common target, the combinatorial fiber product is
 the fiber product of their basic monoidal complexes.  When every fiber
-monoid is smooth the result is the universal fiber product; otherwise a
-smooth refinement (by default the natural one) resolves it into a corner
-complex with projection b-maps to both factors, read off the free ray
-bases of the refinement as a blow-down is.  Each face pair also carries a
+monoid is smooth the result is the universal fiber product; otherwise
+the natural smooth refinement resolves it into a corner complex with
+projection b-maps to both factors, read off the free ray bases of the
+refinement as a blow-down is.  Each face pair also carries a
 binomial-system model of the local fiber product.
 """
 
@@ -32,7 +32,7 @@ class FiberProblem:
     f2: BMap
 
     def __post_init__(self):
-        if self.f1.target.faces != self.f2.target.faces:
+        if self.f1.target != self.f2.target:
             raise NotCompatible("the two maps must share a target")
 
     def relevant_pairs(self) -> List[Tuple[str, str, str]]:
@@ -133,15 +133,12 @@ class ResolvedFiberProduct:
     report: FiberReport
 
 
-def resolve_fiber_product(p: FiberProblem,
-                          r: Optional[ComplexRefinement] = None
-                          ) -> ResolvedFiberProduct:
-    """Resolve the fiber product into a corner complex with b-maps to the
-    two factors.
+def resolve_fiber_product(p: FiberProblem) -> ResolvedFiberProduct:
+    """Resolve the fiber product by its natural smooth refinement into a
+    corner complex with b-maps to the two factors.
 
     Raises:
         NotTransverse: if the combinatorial transversality test fails.
-        NotSmooth: if the given refinement is not smooth.
     """
     report = b_normal_transversality(p)
     if not report.transversal:
@@ -149,33 +146,33 @@ def resolve_fiber_product(p: FiberProblem,
                if not q.transversal]
         raise NotTransverse(f"face pairs fail the rank test: {bad}")
     fc, p1, p2 = fiber_complex(p)
-    if r is None:
-        r = natural_smooth_refinement(fc)
+    r = natural_smooth_refinement(fc)
     corner = _smooth_corner(r.source)
     h1 = _ray_exponents(corner, r.morphism.compose(p1), p.f1.source)
     h2 = _ray_exponents(corner, r.morphism.compose(p2), p.f2.source)
     return ResolvedFiberProduct(p, fc, r, corner, h1, h2, report)
 
 
-def factor_through(p: FiberProblem, g1: BMap, g2: BMap,
-                   resolved: ResolvedFiberProduct):
+def factor_through(g1: BMap, g2: BMap, resolved: ResolvedFiberProduct):
     """Factor a commuting pair of maps through a resolved fiber product.
 
-    g1: Z -> X1 and g2: Z -> X2 must satisfy g1 . f1 = g2 . f2.  If the
-    induced morphism of Z factors through the resolving refinement, the
-    unique map g: Z -> resolved corner complex is returned with no domain
-    blow-up; otherwise the domain Z is blown up first and g is a map from
-    the blown-up domain.
+    g1: Z -> X1 and g2: Z -> X2 must satisfy g1 . f1 = g2 . f2, for f1
+    and f2 the maps of resolved.problem.  If the induced morphism of Z
+    factors through the resolving refinement, the unique map g: Z ->
+    resolved corner complex is returned with no domain blow-up; otherwise
+    the domain Z is blown up first and g is a map from the blown-up
+    domain.
 
     Returns (domain blow-up or None, g: BMap).
 
     Raises:
-        NotCompatible: if the square does not commute.
+        NotCompatible: if g1 and g2 have different domains, or the square
+            does not commute.
     """
-    if g1.source.faces != g2.source.faces:
+    if g1.source != g2.source:
         raise NotCompatible("common domain required")
-    c1 = g1.compose(p.f1)
-    c2 = g2.compose(p.f2)
+    c1 = g1.compose(resolved.problem.f1)
+    c2 = g2.compose(resolved.problem.f2)
     if c1 != c2:
         raise NotCompatible("g1 . f1 and g2 . f2 disagree")
     z = g1.source

@@ -41,6 +41,14 @@ class CornerComplex:
         self._relations = tuple(order)
         self._basic: Optional[MonoidalComplex] = None
 
+    def __eq__(self, other):
+        """The same manifold: this object, or one with equal incidence and
+        order."""
+        return self is other or isinstance(other, CornerComplex) and \
+            (self.incidence, self.order) == (other.incidence, other.order)
+
+    __hash__ = None
+
     @property
     def order(self) -> FrozenSet[Tuple[str, str]]:
         """The reflexive transitive closure of the given relations."""
@@ -185,8 +193,7 @@ class BMap:
 
     def compose(self, then: "BMap") -> "BMap":
         """self followed by then."""
-        if then.source is not self.target and \
-                then.source.faces != self.target.faces:
+        if then.source != self.target:
             raise NotAComplex("b-maps do not compose: the first target is "
                               "not the second source")
         face_map = {f: then.face_map[self.face_map[f]]
@@ -211,7 +218,8 @@ class BMap:
     def __eq__(self, other):
         if not isinstance(other, BMap):
             return NotImplemented
-        if self.face_map != other.face_map:
+        if (self.source, self.target, self.face_map) != \
+                (other.source, other.target, other.face_map):
             return False
         keys = set(self.exponents) | set(other.exponents)
         return all(self.alpha(*k) == other.alpha(*k) for k in keys)
@@ -245,13 +253,10 @@ def generalized_blowup(x: CornerComplex, r: ComplexRefinement) -> Blowup:
     source complex.
 
     Raises:
-        NotARefinement: if r's target is not x's basic complex (that
-            object, or one with the same monoids, order and face maps).
+        NotARefinement: unless r's target == x's basic complex.
         NotSmooth: if r is not smooth.
     """
-    q, p = r.target, x.basic_complex()
-    if q is not p and (q.monoids, q.order, q.face_maps) != \
-            (p.monoids, p.order, p.face_maps):
+    if r.target != x.basic_complex():
         raise NotARefinement("the refinement's target is not the basic "
                              "complex of the manifold")
     total = _smooth_corner(r.source)
@@ -431,10 +436,8 @@ def is_compatible(f: BMap, r: ComplexRefinement) -> bool:
 
 def _check_maps_into(f: BMap, blowup: Blowup) -> None:
     """Raise NotCompatible unless f maps into the manifold that blowup
-    blows up: that object, or one with the same incidence and order."""
-    y = blowup.blowdown.target
-    if f.target is not y and \
-            (f.target.incidence, f.target.order) != (y.incidence, y.order):
+    blows up."""
+    if f.target != blowup.blowdown.target:
         raise NotCompatible("the b-map's target is not the manifold that "
                             "is blown up")
 
@@ -470,13 +473,20 @@ def chart_lift(delta: la.Mat, nu: la.Mat) -> la.Mat:
     factoring through the chart t -> t^nu.
 
     Raises:
-        NotCompatible: if mu is not integral.
+        NotCompatible: unless nu is square and nonsingular, delta's rows
+            are as wide as nu, and mu is integral.
     """
-    mu = la.mat_mul(delta, la.inverse_q(nu))
-    if any(Fraction(x).denominator != 1 for row in mu for x in row):
+    n = len(nu)
+    # Widths first: solve_row_int truncates a row of the wrong width.
+    if any(len(row) != n for row in tuple(nu) + tuple(delta)):
+        raise NotCompatible(f"{delta} and the chart {nu} are not {n} wide")
+    if la.rank(nu) < n:
+        raise NotCompatible(f"the chart {nu} is singular")
+    mu = [la.solve_row_int(row, nu) for row in delta]
+    if None in mu:
         raise NotCompatible(f"{delta} does not factor through the chart "
                             f"{nu}")
-    return la.mat(tuple(int(x) for x in row) for row in mu)
+    return la.mat(mu)
 
 
 # ---------------------------------------------------------------------------

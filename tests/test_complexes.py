@@ -19,12 +19,14 @@ from blowup.complexes import (ComplexMorphism, ComplexRefinement,
                               planar_refine_complex, product_complex,
                               pullback_refinement, smooth_complex,
                               star_subdivide_complex, terminal_complex)
-from blowup.errors import NotAComplex, NotARefinement, NotInSupport
+from blowup.errors import (NotAComplex, NotARefinement, NotCompatible,
+                           NotInSupport)
 from blowup.manifolds import corner_model
 from blowup.monoids import MonoidHom, ToricMonoid
 from blowup.refinements import (MonoidRefinement, star_subdivide,
                                 trivial_refinement)
 
+from test_manifolds import same_face_ids
 from test_monoids import random_positive_monoid
 from test_refinements import check_cover
 
@@ -164,6 +166,20 @@ class TestMorphism:
         r = star_subdivide_complex(q, top_element(q), (1, 1))
         phi = r.morphism.compose(morphism_to_point(q))
         phi.validate()
+
+    def test_compose_rejects_a_middle_with_the_same_element_ids(self):
+        corner, lines = (identity_refinement(x.basic_complex()).morphism
+                         for x in same_face_ids())
+        with pytest.raises(NotAComplex, match="^morphisms do not compose"):
+            corner.compose(lines)
+
+    def test_compose_through_an_equal_middle(self):
+        q = corner_model(2).basic_complex()
+        r = _star_at_top(q)
+        phi = r.morphism.compose(
+            identity_refinement(corner_model(2).basic_complex()).morphism)
+        phi.validate()
+        assert phi.target is not q and phi.target == q
 
     def test_image_in_is_computed_once(self):
         # The corner complex: face maps change the ambient dimension, so
@@ -352,6 +368,17 @@ class TestProducts:
         pulled.validate()
         assert len(pulled.members_over(top)) == len(r.members_over(top))
 
+    def test_fiber_product_needs_a_common_target(self):
+        line, square = (identity_refinement(corner_model(n).basic_complex())
+                        for n in (1, 2))
+        with pytest.raises(NotCompatible, match="^the two morphisms must "
+                           "share a target$"):
+            fiber_product_complex(line.morphism, square.morphism)
+        with pytest.raises(NotCompatible):
+            pullback_refinement(_star_at_top(square.target), line.morphism)
+        with pytest.raises(NotCompatible):
+            mutual_smooth_refinement(line, square)
+
 
 def _identity_homs(morphism):
     return all(morphism.homs[e] is la.identity(
@@ -417,6 +444,23 @@ class TestMutual:
                 for g in total.source.monoids[e].rays}
         halves = {la.primitive(g[:2]) for g in rays if any(g[:2])}
         assert (1, 2) in halves and (2, 1) in halves
+
+
+class TestSameness:
+    def test_equal_complexes_built_apart(self):
+        q1, q2 = (corner_model(2).basic_complex() for _ in range(2))
+        assert q1 is not q2
+        assert q1 == q2
+        assert q1 != corner_model(1).basic_complex()
+
+    def test_face_maps_count(self):
+        """Equality reads the data, not validity: these differ only in
+        the face map a -> b."""
+        monoids = {"a": ToricMonoid.free(1), "b": ToricMonoid.free(2)}
+        q1, q2 = (MonoidalComplex(monoids, [("a", "b")], {("a", "b"): m})
+                  for m in (((1, 0),), ((0, 1),)))
+        assert (q1.monoids, q1.order) == (q2.monoids, q2.order)
+        assert q1 != q2
 
 
 class TestMemos:

@@ -12,6 +12,8 @@ from blowup.fiber import (FiberProblem, b_normal_transversality,
 from blowup.manifolds import (BMap, check_blowdown, corner_model,
                               identity_bmap, lift_bmap, ordinary_blowup)
 
+from test_manifolds import same_face_ids
+
 
 def sum_map():
     """The square mapped to the half line by the sum of the boundary
@@ -184,7 +186,7 @@ class TestFactorThrough:
         g = BMap(z, p.f1.source, {"X": "X", "G1": "H1"},
                  {("G1", "H1"): 1})
         g.validate()
-        bl, lifted = factor_through(p, g, g, res)
+        bl, lifted = factor_through(g, g, res)
         assert bl is None
         lifted.validate()
         assert lifted.compose(res.h1) == g
@@ -197,7 +199,7 @@ class TestFactorThrough:
         res = resolve_fiber_product(p)
         x = p.f1.source
         g = identity_bmap(x)
-        bl, lifted = factor_through(p, g, g, res)
+        bl, lifted = factor_through(g, g, res)
         assert bl is not None
         lifted.validate()
         assert lifted.compose(res.h1) == bl.blowdown.compose(g)
@@ -210,7 +212,7 @@ class TestFactorThrough:
         g1 = BMap(z, p.f1.source, {"X": "X", "G1": "H1&H2"},
                   {("G1", "H1"): 1, ("G1", "H2"): 1})
         g1.validate()
-        bl, lifted = factor_through(p, g1, g1, res)
+        bl, lifted = factor_through(g1, g1, res)
         assert bl is not None
         lifted.validate()
         # The composite through the resolution agrees with the original
@@ -231,7 +233,7 @@ class TestFactorThrough:
         g = BMap(z, y, {"X": "X", "G1": "H1&H2"},
                  {("G1", "H1"): 1, ("G1", "H2"): 2})
         lift = lift_bmap(g, bl)
-        dom, h = factor_through(p, lift.bmap, g, res)
+        dom, h = factor_through(lift.bmap, g, res)
         assert dom is None
         h.validate()
         assert h.compose(res.h1) == lift.bmap
@@ -243,12 +245,24 @@ class TestFactorThrough:
         g1 = identity_bmap(p.f1.source)
         g2 = BMap(corner_model(1, prefix="G"), p.f2.source,
                   {"X": "X", "G1": "H1"}, {("G1", "H1"): 1})
-        with pytest.raises(NotCompatible):
-            factor_through(p, g1, g2, res)
+        with pytest.raises(NotCompatible, match="^common domain required$"):
+            factor_through(g1, g2, res)
 
     def test_problem_needs_a_common_target(self):
         with pytest.raises(NotCompatible):
             FiberProblem(sum_map(), identity_bmap(corner_model(2)))
+
+    def test_same_face_ids_are_not_a_common_target(self):
+        corner, lines = same_face_ids()
+        with pytest.raises(NotCompatible, match="^the two maps must share "
+                           "a target$"):
+            FiberProblem(identity_bmap(corner), identity_bmap(lines))
+
+    def test_equal_targets_built_apart_are_common(self):
+        p = FiberProblem(sum_map(), sum_map())
+        assert p.f1.target is not p.f2.target
+        res = resolve_fiber_product(p)
+        assert res.h1.compose(p.f1) == res.h2.compose(p.f2)
 
     def test_noncommuting_rejected(self):
         p = addition_problem()
@@ -261,4 +275,4 @@ class TestFactorThrough:
         g1.validate()
         g2.validate()
         with pytest.raises(NotCompatible):
-            factor_through(p, g1, g2, res)
+            factor_through(g1, g2, res)

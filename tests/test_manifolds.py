@@ -57,6 +57,17 @@ def corner_blowup():
     return ordinary_blowup(square(), "H1&H2")
 
 
+def same_face_ids():
+    """Two valid manifolds with the same face ids that are not the same:
+    a corner C of A and B, and three disjoint hypersurfaces A, B and C."""
+    corner = CornerComplex({"X": [], "A": ["A"], "B": ["B"],
+                            "C": ["A", "B"]},
+                           [("X", "A"), ("X", "B"), ("A", "C"), ("B", "C")])
+    lines = CornerComplex({"X": [], "A": ["A"], "B": ["B"], "C": ["C"]},
+                          [("X", "A"), ("X", "B"), ("X", "C")])
+    return corner, lines
+
+
 def fixpoint_closure(faces, order):
     """Reference: the reflexive transitive closure by repeated passes over
     all pairs of related pairs, until nothing is added."""
@@ -279,6 +290,44 @@ class TestBMap:
         with pytest.raises(NotAComplex):
             f.compose(g)
 
+    def test_compose_rejects_a_middle_with_the_same_face_ids(self):
+        corner, lines = same_face_ids()
+        with pytest.raises(NotAComplex, match="^b-maps do not compose"):
+            identity_bmap(corner).compose(identity_bmap(lines))
+
+    def test_equality_compares_the_manifolds(self):
+        """Maps with one face map and one set of exponents into two
+        manifolds with the same face ids are different maps."""
+        z = corner_model(1, prefix="G")
+        corner, lines = same_face_ids()
+        face_map, exps = {"X": "X", "G1": "A"}, {("G1", "A"): 1}
+        into = [BMap(z, y, face_map, exps) for y in (corner, lines)]
+        for f in into:
+            f.validate()
+        assert into[0] != into[1]
+        assert into[0] == BMap(corner_model(1, prefix="G"),
+                               same_face_ids()[0], face_map, exps)
+
+
+class TestSameness:
+    def test_equal_manifolds_built_apart(self):
+        assert corner_model(2) is not corner_model(2)
+        assert corner_model(2) == corner_model(2)
+        assert corner_model(2) != corner_model(2, prefix="G")
+
+    def test_same_face_ids_are_not_the_same_manifold(self):
+        corner, lines = same_face_ids()
+        corner.validate()
+        lines.validate()
+        assert corner.faces == lines.faces
+        assert corner != lines
+
+    def test_manifolds_and_complexes_are_not_hashable(self):
+        x = corner_model(1)
+        for obj in (x, x.basic_complex()):
+            with pytest.raises(TypeError):
+                hash(obj)
+
 
 class TestOrdinaryBlowup:
     def test_corner_of_square(self):
@@ -481,6 +530,18 @@ class TestLift:
         with pytest.raises(NotCompatible):
             chart_lift(la.mat([(1, 0)]), nu)
 
+    @pytest.mark.parametrize("nu, message", [
+        ([(1, 1), (2, 2)], "is singular"),
+        ([(1, 1)], "are not 1 wide")])
+    def test_chart_lift_needs_a_square_nonsingular_chart(self, nu,
+                                                         message):
+        with pytest.raises(NotCompatible, match=message):
+            chart_lift(la.mat([(1, 0)]), la.mat(nu))
+
+    def test_chart_lift_needs_rows_as_wide_as_the_chart(self):
+        with pytest.raises(NotCompatible, match="are not 2 wide"):
+            chart_lift(la.mat([(1, 0, 0)]), la.identity(2))
+
     def test_blowup_domain_makes_liftable(self):
         bl, _ = corner_blowup()
         f = identity_bmap(square())
@@ -552,7 +613,7 @@ class TestPreconditions:
     def test_equal_basic_complex_fits(self):
         bl, _ = corner_blowup()
         again = generalized_blowup(square(), bl.refinement)
-        assert again.total.faces == bl.total.faces
+        assert again.total == bl.total
 
     @pytest.mark.parametrize("lift", [lift_bmap, blowup_domain])
     def test_lift_of_a_map_into_another_manifold(self, lift):
